@@ -13,8 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from vesselseg import cli, data, metrics, models, training
-from vesselseg.autograd import Tensor
+from vesselseg import cli, data, metrics, training
 
 VARIANTS = ["none", "pixel", "patch10", "patch80", "image"]
 
@@ -24,8 +23,7 @@ def evaluate_checkpoint(ckpt_path, test_samples):
     g, _ = training.rebuild_models(ckpt)
     maps, golds, masks = [], [], []
     for s in test_samples:
-        x, _ = training.to_batch([s])
-        maps.append(models.generator_forward(g, Tensor(x)).data[0, 0].astype(np.float64))
+        maps.append(cli.probability_map(g, s.x).astype(np.float64))
         golds.append(s.y)
         masks.append(s.m)
     return metrics.evaluate(maps, golds, masks)

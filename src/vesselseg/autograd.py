@@ -5,9 +5,24 @@ Activations follow the NCHW layout, convolution kernels are
 (in_channels, out_channels, kh, kw).  Training runs in float32; every
 operation preserves the dtype of its inputs, so float64 graphs can be built
 for high-precision checks.
+
+Graphs are built only where gradients can flow.  Inside ``with no_grad():``
+no op records parents or a backward closure, so every intermediate buffer
+(im2col columns, activations) is freed as soon as the next op has consumed
+it; use it for any forward pass nobody calls :func:`backward` on.  Inside
+``with frozen(params):`` the given parameters act as constants, so backward
+computes no gradient for them but still flows through them to whatever else
+tracks gradients.  Both restore their previous state on exit, also when the
+block raises, and both nest.
+
+Gradient-tracking leaves (``Tensor(..., requires_grad=True)``) hold a zeroed
+``grad`` from construction; interior op results start with ``grad = None``
+and allocate it on the first accumulation during :func:`backward`.
 """
 
 from __future__ import annotations
+
+from contextlib import contextmanager
 
 import numpy as np
 
@@ -21,7 +36,9 @@ class Tensor:
 
     ``grad`` is zero-initialized on gradient-tracking leaves and accumulated
     by summation during :func:`backward`; callers zero it explicitly between
-    optimizer steps (see :func:`zero_grads`).
+    optimizer steps (see :func:`zero_grads`).  Op results are interior
+    tensors: their ``grad`` stays ``None`` until backward first reaches them,
+    and under :func:`no_grad` they track nothing at all.
     """
 
     __slots__ = ("data", "requires_grad", "grad", "name", "_parents", "_backward")
@@ -40,10 +57,6 @@ class Tensor:
     @property
     def shape(self):
         return self.data.shape
-
-    def detach(self):
-        """A view of the same values with no graph history."""
-        return Tensor(self.data, requires_grad=False)
 
     def item(self):
         return float(self.data)
@@ -71,11 +84,47 @@ class Tensor:
         return rsub(self, other)
 
 
+_grad_enabled = True
+
+
+@contextmanager
+def no_grad():
+    """Build no graph inside the block: op results track no gradients."""
+    global _grad_enabled
+    prev = _grad_enabled
+    _grad_enabled = False
+    try:
+        yield
+    finally:
+        _grad_enabled = prev
+
+
+@contextmanager
+def frozen(params):
+    """Treat the given tensors as constants inside the block.
+
+    Backward skips their gradients (their ``grad`` is left untouched) but
+    still propagates through them to other gradient-tracking inputs.
+    """
+    params = list(params)
+    prev = [p.requires_grad for p in params]
+    for p in params:
+        p.requires_grad = False
+    try:
+        yield
+    finally:
+        for p, r in zip(params, prev):
+            p.requires_grad = r
+
+
 def _result(values, parents, backward_fn):
-    """Wrap an op result, keeping graph edges only where gradients can flow."""
-    needs = any(p.requires_grad for p in parents)
-    out = Tensor(values, requires_grad=needs)
-    if needs:
+    """Wrap an op result, keeping graph edges only where gradients can flow.
+
+    The result's ``grad`` starts as ``None``; :func:`_accum` allocates it.
+    """
+    out = Tensor(values)
+    if _grad_enabled and any(p.requires_grad for p in parents):
+        out.requires_grad = True
         out._parents = tuple(parents)
         out._backward = backward_fn
     return out

@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from . import data, metrics, models, training
-from .autograd import NumericalError, Tensor
+from .autograd import NumericalError, Tensor, no_grad
 from .data import DataError, Image
 from .models import GeneratorSpec
 from .training import CheckpointError, TrainConfig
@@ -197,11 +197,16 @@ def cmd_train(args):
 
 
 def probability_map(g, x_chw):
-    """Run the generator over a z-scored (3,H,W) array of any size."""
+    """Run the generator over a z-scored (3,H,W) array of any size.
+
+    The forward pass builds no graph, so each layer's buffers are freed as
+    soon as the next layer has consumed them.
+    """
     div = g.spec.divisor
     h, w = x_chw.shape[-2:]
     padded, offsets = data.pad_to_multiple(x_chw, div)
-    out = models.generator_forward(g, Tensor(padded[None].astype(np.float32)))
+    with no_grad():
+        out = models.generator_forward(g, Tensor(padded[None].astype(np.float32)))
     return data.crop_from_padding(out.data[0, 0], offsets, (h, w))
 
 

@@ -150,7 +150,8 @@ def train_round(g, d, train_set, cfg, round_index=1, opt_g=None, opt_d=None):
     if d is not None:
         losses = []
         for bi, (x, y) in enumerate(_batches(train_set, order, cfg.batch_size)):
-            fake = mdl.generator_forward(g, x).detach()
+            with ag.no_grad():
+                fake = mdl.generator_forward(g, x)
             loss = d_loss(
                 mdl.discriminator_forward(d, x, y),
                 mdl.discriminator_forward(d, x, fake),
@@ -164,22 +165,21 @@ def train_round(g, d, train_set, cfg, round_index=1, opt_g=None, opt_d=None):
         stats.d_loss = float(np.mean(losses))
 
     gan_losses, seg_losses = [], []
-    for bi, (x, y) in enumerate(_batches(train_set, order, cfg.batch_size)):
-        pred = mdl.generator_forward(g, x)
-        seg = seg_loss(pred, y, eps)
-        if d is not None:
-            gan = g_gan_loss(mdl.discriminator_forward(d, x, pred), eps)
-            total = g_total_loss(gan, seg, cfg.lambda_)
-            gan_losses.append(float(gan.data))
-        else:
-            total = seg
-        _check_finite(float(total.data), round_index, bi, "generator")
-        opt_g.zero_grad()
-        if opt_d is not None:
-            opt_d.zero_grad()  # discriminator is frozen this phase; drop its grads
-        ag.backward(total)
-        opt_g.step()
-        seg_losses.append(float(seg.data))
+    with ag.frozen(d.params.values() if d is not None else ()):
+        for bi, (x, y) in enumerate(_batches(train_set, order, cfg.batch_size)):
+            pred = mdl.generator_forward(g, x)
+            seg = seg_loss(pred, y, eps)
+            if d is not None:
+                gan = g_gan_loss(mdl.discriminator_forward(d, x, pred), eps)
+                total = g_total_loss(gan, seg, cfg.lambda_)
+                gan_losses.append(float(gan.data))
+            else:
+                total = seg
+            _check_finite(float(total.data), round_index, bi, "generator")
+            opt_g.zero_grad()
+            ag.backward(total)
+            opt_g.step()
+            seg_losses.append(float(seg.data))
     stats.seg_loss = float(np.mean(seg_losses))
     if gan_losses:
         stats.g_gan_loss = float(np.mean(gan_losses))
@@ -190,14 +190,15 @@ def validation_loss(g, d, val_set, cfg):
     """Mean generator objective over the validation set, no updates."""
     eps = cfg.eps_clamp
     totals = []
-    for x, y in _batches(val_set, list(range(len(val_set))), cfg.batch_size):
-        pred = mdl.generator_forward(g, x)
-        seg = seg_loss(pred, y, eps)
-        if d is not None:
-            gan = g_gan_loss(mdl.discriminator_forward(d, x, pred), eps)
-            totals.append(float(g_total_loss(gan, seg, cfg.lambda_).data))
-        else:
-            totals.append(float(seg.data))
+    with ag.no_grad():
+        for x, y in _batches(val_set, list(range(len(val_set))), cfg.batch_size):
+            pred = mdl.generator_forward(g, x)
+            seg = seg_loss(pred, y, eps)
+            if d is not None:
+                gan = g_gan_loss(mdl.discriminator_forward(d, x, pred), eps)
+                totals.append(float(g_total_loss(gan, seg, cfg.lambda_).data))
+            else:
+                totals.append(float(seg.data))
     return float(np.mean(totals))
 
 

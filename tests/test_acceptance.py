@@ -255,7 +255,8 @@ def test_criterion_5_discriminator_learns():
     d = models.build_discriminator(DiscriminatorVariant.pixel(), (64, 64), 8, seed=51)
     x_arr, y_arr = training.to_batch(samples)
     x, y = Tensor(x_arr), Tensor(y_arr)
-    fakes = models.generator_forward(g, x).detach()  # generator stays frozen
+    with ag.no_grad():  # generator stays frozen
+        fakes = models.generator_forward(g, x)
 
     opt = ag.Adam(d.parameters(), lr=1e-2, beta1=0.9, beta2=0.999)
     for _ in range(200):
@@ -320,8 +321,7 @@ def _train_set_dice(out_dir):
     g, _ = training.rebuild_models(ckpt)
     maps, golds, masks = [], [], []
     for s in train:
-        x_arr, _ = training.to_batch([s])
-        maps.append(models.generator_forward(g, Tensor(x_arr)).data[0, 0].astype(np.float64))
+        maps.append(cli.probability_map(g, s.x).astype(np.float64))
         golds.append(s.y)
         masks.append(s.m)
     return metrics.evaluate(maps, golds, masks).total.dice

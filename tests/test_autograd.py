@@ -418,6 +418,95 @@ def test_conv_backward_sum_conservation():
         assert float(x.grad.sum()) == pytest.approx(float(expected), rel=1e-5)
 
 
+def test_interior_grad_is_lazy():
+    x = Tensor(np.array([1.0, -2.0]), requires_grad=True)
+    y = ag.mul(x, x)
+    z = ag.global_mean(ag.mul(y, 3.0))
+    assert y.requires_grad and y.grad is None and z.grad is None
+    ag.backward(z)
+    np.testing.assert_allclose(y.grad, [1.5, 1.5])
+    np.testing.assert_allclose(x.grad, [3.0, -6.0])
+
+
+# ---------------------------------------------------------------------------
+# no_grad and frozen
+
+
+def _every_op(rng):
+    def leaf(*shape):
+        return Tensor(rng.uniform(0.1, 1.0, shape), requires_grad=True)
+
+    x, y = leaf(1, 2, 4, 4), leaf(1, 2, 4, 4)
+    k, kt, b = leaf(3, 2, 3, 3), leaf(2, 3, 2, 2), leaf(3)
+    return {
+        "add": lambda: ag.add(x, y),
+        "add_scalar": lambda: ag.add(x, 2.0),
+        "neg": lambda: ag.neg(x),
+        "sub": lambda: ag.sub(x, y),
+        "sub_scalar": lambda: ag.sub(x, 2.0),
+        "rsub": lambda: ag.rsub(x, 1.0),
+        "mul": lambda: ag.mul(x, y),
+        "mul_scalar": lambda: ag.mul(x, 2.0),
+        "log": lambda: ag.log(x),
+        "clamp": lambda: ag.clamp(x, 0.3, 0.7),
+        "relu": lambda: ag.relu(x),
+        "leaky_relu": lambda: ag.leaky_relu(x),
+        "sigmoid": lambda: ag.sigmoid(x),
+        "global_mean": lambda: ag.global_mean(x),
+        "spatial_mean": lambda: ag.spatial_mean(x),
+        "concat_channels": lambda: ag.concat_channels(x, y),
+        "conv2d": lambda: ag.conv2d(x, k, b, stride=1, padding=1),
+        "transposed_conv2d": lambda: ag.transposed_conv2d(x, kt, b, stride=2),
+        "maxpool2x2": lambda: ag.maxpool2x2(x),
+    }
+
+
+def test_no_grad_ops_keep_no_graph():
+    for name, op in _every_op(np.random.default_rng(21)).items():
+        tracked = op()
+        assert tracked.requires_grad and tracked._backward is not None, name
+        with ag.no_grad():
+            out = op()
+        assert not out.requires_grad, name
+        assert out._parents == () and out._backward is None and out.grad is None, name
+        np.testing.assert_array_equal(out.data, tracked.data, err_msg=name)
+
+
+def _tracks():
+    return ag.mul(Tensor(np.ones(2), requires_grad=True), 2.0).requires_grad
+
+
+def test_no_grad_restores_after_nesting_and_exception():
+    with ag.no_grad():
+        with ag.no_grad():
+            assert not _tracks()
+        assert not _tracks()
+    assert _tracks()
+    with pytest.raises(RuntimeError):
+        with ag.no_grad():
+            raise RuntimeError("inside no_grad")
+    assert _tracks()
+
+
+def test_frozen_skips_grads_and_restores_on_exception():
+    rng = np.random.default_rng(22)
+    x = Tensor(rng.uniform(-1, 1, (1, 2, 4, 4)), requires_grad=True)
+    k = Tensor(rng.uniform(-1, 1, (3, 2, 3, 3)), requires_grad=True)
+    b = Tensor(np.zeros(3), requires_grad=True)
+    const = Tensor(np.ones(3))
+    with ag.frozen([k, b, const]):
+        assert not (k.requires_grad or b.requires_grad or const.requires_grad)
+        ag.backward(ag.global_mean(ag.conv2d(x, k, b, stride=1, padding=1)))
+    np.testing.assert_array_equal(k.grad, np.zeros_like(k.data))
+    np.testing.assert_array_equal(b.grad, np.zeros_like(b.data))
+    assert np.any(x.grad != 0)
+    assert k.requires_grad and b.requires_grad and not const.requires_grad
+    with pytest.raises(RuntimeError):
+        with ag.frozen([k, b]):
+            raise RuntimeError("inside frozen")
+    assert k.requires_grad and b.requires_grad
+
+
 # ---------------------------------------------------------------------------
 # Adam
 

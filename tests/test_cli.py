@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -272,3 +277,26 @@ def test_overlay_byte_identical(tmp_path):
     for p in (a, b):
         assert run(["overlay", "--pred", str(pred_p), "--gold", str(gold_p), "--out", str(p)]) == 0
     assert a.read_bytes() == b.read_bytes()
+
+
+# ---------------------------------------------------------------------------
+# program entry
+
+BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
+
+
+def _blas_env_after_import(**preset):
+    env = {k: v for k, v in os.environ.items() if k not in BLAS_VARS}
+    env.update(preset)
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    code = f"import os, vesselseg.cli; print(*(os.environ[k] for k in {BLAS_VARS!r}))"
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60, check=True
+    )
+    return out.stdout.split()
+
+
+def test_import_pins_blas_threads_unless_set():
+    assert _blas_env_after_import() == ["1", "1"]
+    assert _blas_env_after_import(OPENBLAS_NUM_THREADS="3", OMP_NUM_THREADS="2") == ["3", "2"]

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -57,6 +59,30 @@ def test_generator_forward_deterministic():
     out1 = models.generator_forward(g, x)
     out2 = models.generator_forward(g, x)
     np.testing.assert_array_equal(out1.data, out2.data)
+
+
+def test_no_grad_generator_forward_is_bit_equal_and_smaller():
+    g = models.build_generator(GeneratorSpec(scales=2, base_channels=8), seed=2)
+    x = rand_input((1, 3, 128, 128), seed=5)
+
+    def traced_peak(forward):
+        tracemalloc.start()
+        try:
+            out = forward()
+            return out, tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def graph_free():
+        with ag.no_grad():
+            return models.generator_forward(g, x)
+
+    # memory allocated before tracemalloc.start() is not counted in a peak
+    graph_out, graph_peak = traced_peak(lambda: models.generator_forward(g, x))
+    free_out, free_peak = traced_peak(graph_free)
+    np.testing.assert_array_equal(free_out.data, graph_out.data)
+    assert not free_out.requires_grad
+    assert free_peak <= graph_peak / 2, (free_peak, graph_peak)
 
 
 def test_generator_rejects_indivisible_size():

@@ -228,8 +228,35 @@ def test_discriminator_can_learn_real_vs_fake():
     assert acc >= 0.95
 
 
+def test_g_phase_backward_leaves_frozen_discriminator_grads():
+    g, d, samples = tiny_setup(variant=DiscriminatorVariant.patch(10))
+    x, y = (Tensor(a) for a in training.to_batch(samples))
+    rng = np.random.default_rng(9)
+    for p in d.params.values():
+        p.grad[...] = rng.uniform(-1, 1, p.grad.shape)
+    before = {k: p.grad.copy() for k, p in d.params.items()}
+    with ag.frozen(d.params.values()):
+        pred = models.generator_forward(g, x)
+        gan = training.g_gan_loss(models.discriminator_forward(d, x, pred))
+        ag.backward(training.g_total_loss(gan, training.seg_loss(pred, y), 10.0))
+    for k, p in d.params.items():
+        assert p.grad.tobytes() == before[k].tobytes(), k
+    assert all(np.any(p.grad != 0) for p in g.params.values())
+
+
+def test_train_round_unfreezes_discriminator():
+    g, d, samples = tiny_setup(variant=DiscriminatorVariant.pixel())
+    training.train_round(g, d, samples, TrainConfig(seed=1))
+    assert all(p.requires_grad for p in d.params.values())
+    # a NaN lambda passes the D phase and fails the G phase mid-loop
+    with pytest.raises(ag.NumericalError, match="generator"):
+        training.train_round(g, d, samples, TrainConfig(seed=1, lambda_=float("nan")))
+    assert all(p.requires_grad for p in d.params.values())
+
+
 def mdl_forward_detached(g, x):
-    return models.generator_forward(g, x).detach()
+    with ag.no_grad():
+        return models.generator_forward(g, x)
 
 
 # ---------------------------------------------------------------------------
