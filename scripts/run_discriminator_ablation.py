@@ -13,9 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from vesselseg import cli, data, metrics, training
-
-VARIANTS = ["none", "pixel", "patch10", "patch80", "image"]
+from vesselseg import cli, data, metrics, models, training
 
 
 def evaluate_checkpoint(ckpt_path, test_samples):
@@ -45,7 +43,7 @@ def main():
     ]
 
     rows = []
-    for variant in VARIANTS:
+    for variant in models.VARIANT_NAMES:
         cfg_path = out / f"{variant}.cfg"
         cfg_path.write_text(
             f"dataset=synthetic\nimage_size={args.image_size}\n"

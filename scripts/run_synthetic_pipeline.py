@@ -11,7 +11,7 @@ from pathlib import Path
 
 import numpy as np
 
-from vesselseg import cli, data
+from vesselseg import cli, data, models
 from vesselseg.data import Image
 
 
@@ -21,8 +21,7 @@ def main():
     ap.add_argument("--rounds", type=int, default=60)
     ap.add_argument("--image-size", type=int, default=64)
     ap.add_argument("--count", type=int, default=8)
-    ap.add_argument("--discriminator", default="image",
-                    choices=["pixel", "patch10", "patch80", "image", "none"])
+    ap.add_argument("--discriminator", default="image", choices=models.VARIANT_NAMES)
     ap.add_argument("--seed", type=int, default=33)
     args = ap.parse_args()
 

@@ -273,16 +273,6 @@ def sigmoid(a):
     return _result(out, (a,), bw)
 
 
-def activation(a, kind, alpha=0.2):
-    if kind == "relu":
-        return relu(a)
-    if kind == "leaky_relu":
-        return leaky_relu(a, alpha)
-    if kind == "sigmoid":
-        return sigmoid(a)
-    raise ValueError(f"unknown activation kind {kind!r}")
-
-
 # ---------------------------------------------------------------------------
 # reductions and shape ops
 
@@ -557,15 +547,3 @@ class Adam:
 
     def zero_grad(self):
         zero_grads(p for _, p in self.named_params)
-
-    def state_dict(self):
-        return {
-            "t": self.t,
-            "m": {k: v.copy() for k, v in self.m.items()},
-            "v": {k: v.copy() for k, v in self.v.items()},
-        }
-
-    def load_state_dict(self, state):
-        self.t = int(state["t"])
-        self.m = {k: np.asarray(v, dtype=np.float32).copy() for k, v in state["m"].items()}
-        self.v = {k: np.asarray(v, dtype=np.float32).copy() for k, v in state["v"].items()}

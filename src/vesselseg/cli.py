@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -35,7 +36,7 @@ CONFIG_SCHEMA = {
     # model
     "scales": (int, 2),
     "base_channels": (int, 8),
-    "discriminator": (("pixel", "patch10", "patch80", "image", "none"), "image"),
+    "discriminator": (models.VARIANT_NAMES, "image"),
     # training
     "lambda": (float, 10.0),
     "lr": (float, 2e-4),
@@ -109,11 +110,36 @@ def write_resolved(cfg, out_dir):
 # train
 
 
+@contextmanager
+def _config_keys(cfg, *keys):
+    """Report a ValueError raised while deriving from these keys as a ConfigError naming them."""
+    try:
+        yield
+    except ValueError as exc:
+        named = ", ".join(f"{k}={cfg[k]}" for k in keys)
+        raise ConfigError(f"{named}: {exc}" if named else str(exc)) from None
+
+
+def train_config(cfg):
+    """The TrainConfig of a resolved config; a bad value is a ConfigError naming its key."""
+    with _config_keys(cfg):  # TrainConfig's messages name the key
+        return TrainConfig(
+            lambda_=cfg["lambda"],
+            lr=cfg["lr"],
+            beta1=cfg["beta1"],
+            beta2=cfg["beta2"],
+            rounds=cfg["rounds"],
+            batch_size=cfg["batch_size"],
+            seed=cfg["seed"],
+            val_fraction=cfg["val_fraction"],
+        )
+
+
 def _synthetic_samples(cfg):
     size, count, seed = cfg["image_size"], cfg["synthetic_count"], cfg["seed"]
     div = 2 ** cfg["scales"]
-    if size % div:
-        raise ConfigError(f"image_size {size} must be divisible by {div} (scales={cfg['scales']})")
+    if size < div or size % div:
+        raise ConfigError(f"image_size {size} is not a positive multiple of 2**scales = {div}")
     return [data.generate_synthetic_sample(size, seed * 100003 + i) for i in range(count)]
 
 
@@ -123,14 +149,10 @@ def _real_samples(cfg):
         raise DataError(f"data_dir {cfg['data_dir']!r} is not a readable directory")
     samples = data.load_dataset(root, cfg["fov_threshold"])
     plan = data.make_split(
-        [s.id for s in samples],
-        cfg["dataset"],
-        cfg["seed"],
-        test_fraction=cfg["test_fraction"],
-        val_fraction=0.0,  # the trainer splits the augmented pool itself
+        [s.id for s in samples], cfg["dataset"], cfg["seed"], test_fraction=cfg["test_fraction"]
     )
     by_id = {s.id: s for s in samples}
-    pool = [by_id[i] for i in plan.train + plan.val]
+    pool = [by_id[i] for i in plan.train]
     sizes = {s.y.shape for s in pool}
     if len(sizes) > 1:
         raise DataError(f"training images must share one size, got {sorted(sizes)}")
@@ -139,50 +161,40 @@ def _real_samples(cfg):
 
 
 def _history_lines(history):
-    def fmt(v):
-        return f"{v:.9g}"
-
     lines = ["round,d_loss,g_gan_loss,seg_loss,val_g_loss"]
     for st in history:
-        lines.append(
-            f"{st.round_index},{fmt(st.d_loss)},{fmt(st.g_gan_loss)},"
-            f"{fmt(st.seg_loss)},{fmt(st.val_g_loss)}"
-        )
+        values = (st.d_loss, st.g_gan_loss, st.seg_loss, st.val_g_loss)
+        lines.append(",".join([str(st.round_index), *map(metrics.fmt, values)]))
     return lines
 
 
 def cmd_train(args):
     cfg = resolve_config(args.config, args.seed)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    write_resolved(cfg, out)
-
+    # derive everything from the config before the output directory exists
+    train_cfg = train_config(cfg)
+    with _config_keys(cfg, "scales", "base_channels"):
+        gen_spec = GeneratorSpec(scales=cfg["scales"], base_channels=cfg["base_channels"])
     if cfg["dataset"] == "synthetic":
         pool = _synthetic_samples(cfg)
     else:
         pool = _real_samples(cfg)
     if cfg["augment"] == "on":
         pool = [v for s in pool for v in data.augment(s)]
+    pool_key = "synthetic_count" if cfg["dataset"] == "synthetic" else "data_dir"
+    with _config_keys(cfg, pool_key, "augment", "val_fraction"):
+        train, val = training.split_train_val(pool, train_cfg)
 
     h, w = pool[0].y.shape
-    gen_spec = GeneratorSpec(scales=cfg["scales"], base_channels=cfg["base_channels"])
     g = models.build_generator(gen_spec, seed=cfg["seed"])
     variant = models.parse_variant(cfg["discriminator"], (h, w))
     d = None
     if variant is not None:
         d = models.build_discriminator(variant, (h, w), cfg["base_channels"], seed=cfg["seed"] + 1)
 
-    train_cfg = TrainConfig(
-        lambda_=cfg["lambda"],
-        lr=cfg["lr"],
-        beta1=cfg["beta1"],
-        beta2=cfg["beta2"],
-        rounds=cfg["rounds"],
-        batch_size=cfg["batch_size"],
-        seed=cfg["seed"],
-        val_fraction=cfg["val_fraction"],
-    )
-    result = training.fit(g, d, pool, train_cfg)
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
+    write_resolved(cfg, out)
+    result = training.fit(g, d, train, val, train_cfg)
     training.save_checkpoint(result.checkpoint, out / "best.ckpt")
     (out / "history.csv").write_text("\n".join(_history_lines(result.history)) + "\n")
     print(
@@ -239,7 +251,7 @@ def _load_binary(path):
     img = data.load_image(path)
     if img.channels != 1:
         raise DataError(f"{path}: expected 1-channel P5")
-    return (img.pixels[:, :, 0] >= (img.maxval + 1) // 2).astype(np.uint8)
+    return data.binarize(img)
 
 
 def _stem_map(directory, suffixes=(".pgm",)):

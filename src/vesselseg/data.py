@@ -60,7 +60,6 @@ class Sample:
 @dataclass
 class SplitPlan:
     train: list
-    val: list
     test: list
 
 
@@ -238,13 +237,13 @@ def generate_fov_mask(fundus: Image, luminance_threshold=DEFAULT_FOV_THRESHOLD) 
 # dataset splits
 
 
-def make_split(ids, dataset_kind, seed, test_fraction=0.2, val_fraction=1.0 / 20.0) -> SplitPlan:
-    """Partition ids into train/val/test per dataset convention.
+def make_split(ids, dataset_kind, seed, test_fraction=0.2) -> SplitPlan:
+    """Partition ids into train/test per dataset convention.
 
     stare: first 10 train, rest test.  drive: published halves by name
     ("_training" / "_test" stems).  custom: seeded shuffle with the given
-    test fraction.  The train part is then split off 19:1 into validation
-    (val_fraction of it, rounded).
+    test fraction.  Validation is split later from the augmented training
+    pool (training.split_train_val).
     """
     if not ids:
         raise ValueError("make_split: empty id list")
@@ -252,14 +251,14 @@ def make_split(ids, dataset_kind, seed, test_fraction=0.2, val_fraction=1.0 / 20
     if dataset_kind == "stare":
         if len(ids) <= 10:
             raise ValueError(f"stare split needs more than 10 ids, got {len(ids)}")
-        pool, test = ids[:10], ids[10:]
+        train, test = ids[:10], ids[10:]
     elif dataset_kind == "drive":
-        pool = [i for i in ids if "_training" in i]
+        train = [i for i in ids if "_training" in i]
         test = [i for i in ids if "_test" in i]
-        stray = [i for i in ids if i not in pool and i not in test]
+        stray = [i for i in ids if i not in train and i not in test]
         if stray:
             raise ValueError(f"drive split: ids without _training/_test marker: {stray}")
-        if not pool:
+        if not train:
             raise ValueError("drive split: no training ids")
     elif dataset_kind == "custom":
         n_test = round(len(ids) * test_fraction)
@@ -267,18 +266,10 @@ def make_split(ids, dataset_kind, seed, test_fraction=0.2, val_fraction=1.0 / 20
             raise ValueError(f"test fraction {test_fraction} leaves no training ids")
         perm = np.random.default_rng([seed, 20011]).permutation(len(ids))
         test = sorted(ids[i] for i in perm[:n_test])
-        pool = sorted(ids[i] for i in perm[n_test:])
+        train = sorted(ids[i] for i in perm[n_test:])
     else:
         raise ValueError(f"unknown dataset kind {dataset_kind!r}")
-
-    n_val = round(len(pool) * val_fraction)
-    if n_val:
-        perm = np.random.default_rng([seed, 30011]).permutation(len(pool))
-        val = sorted(pool[i] for i in perm[:n_val])
-        train = sorted(pool[i] for i in perm[n_val:])
-    else:
-        train, val = list(pool), []
-    return SplitPlan(train=train, val=val, test=test)
+    return SplitPlan(train=train, test=test)
 
 
 # ---------------------------------------------------------------------------
@@ -314,7 +305,8 @@ def pad_sample(sample: Sample, multiple) -> Sample:
 # directory loading: <root>/images/*.ppm, <root>/labels/*.pgm, [masks/*.pgm]
 
 
-def _binarize(img: Image) -> np.ndarray:
+def binarize(img: Image) -> np.ndarray:
+    """First channel as {0,1}: 1 where the value is at least half of maxval."""
     return (img.pixels[:, :, 0] >= (img.maxval + 1) // 2).astype(np.uint8)
 
 
@@ -345,11 +337,11 @@ def load_dataset(root, fov_threshold=DEFAULT_FOV_THRESHOLD):
             mimg = load_image(masks[stem])
             if mimg.pixels.shape[:2] != img.pixels.shape[:2]:
                 raise DataError(f"{stem}: mask size differs from image size")
-            m = _binarize(mimg)
+            m = binarize(mimg)
         else:
             m = generate_fov_mask(img, fov_threshold)
         x = zscore_normalize(img).transpose(2, 0, 1)
-        samples.append(Sample(id=stem, x=x, y=_binarize(lbl), m=m))
+        samples.append(Sample(id=stem, x=x, y=binarize(lbl), m=m))
     return samples
 
 

@@ -259,13 +259,14 @@ def evaluate(prob_maps, golds, masks, ids=None, per_image_threshold=False) -> Me
 # CSV emission
 
 
-def _fmt(v):
+def fmt(v):
+    """A float at 9 significant digits, enough to round-trip a float32."""
     return f"{v:.9g}"
 
 
 def write_curve_csv(curve: Curve, path):
     lines = ["threshold,x,y"]
-    lines += [f"{_fmt(t)},{_fmt(x)},{_fmt(y)}" for t, x, y in curve.points]
+    lines += [f"{fmt(t)},{fmt(x)},{fmt(y)}" for t, x, y in curve.points]
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
 
@@ -273,8 +274,8 @@ def write_curve_csv(curve: Curve, path):
 def write_summary_csv(report: MetricsReport, path):
     lines = ["image_id,dice,tp,fp,fn,tn"]
     for ev in report.per_image + [report.total]:
-        lines.append(f"{ev.image_id},{_fmt(ev.dice)},{ev.tp},{ev.fp},{ev.fn},{ev.tn}")
+        lines.append(f"{ev.image_id},{fmt(ev.dice)},{ev.tp},{ev.fp},{ev.fn},{ev.tn}")
     lines.append("roc_auc,pr_auc,otsu_threshold")
-    lines.append(f"{_fmt(report.roc_auc)},{_fmt(report.pr_auc)},{_fmt(report.otsu_threshold)}")
+    lines.append(f"{fmt(report.roc_auc)},{fmt(report.pr_auc)},{fmt(report.otsu_threshold)}")
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")

@@ -82,22 +82,30 @@ class Model:
         return sum(p.data.size for p in self.params.values())
 
 
-def _add_conv(model, rng, name, cin, cout, k):
-    s = math.sqrt(1.0 / (cin * k * k))
-    w = rng.uniform(-s, s, (cout, cin, k, k)).astype(np.float32)
-    model.params[f"{name}_w"] = Tensor(w, requires_grad=True, name=f"{name}_w")
-    model.params[f"{name}_b"] = Tensor(
-        np.zeros(cout, dtype=np.float32), requires_grad=True, name=f"{name}_b"
-    )
+def parameter(name, data):
+    """A trainable leaf tensor."""
+    return Tensor(data, requires_grad=True, name=name)
 
 
-def _add_tconv(model, rng, name, cin, cout, k):
-    s = math.sqrt(1.0 / (cin * k * k))
-    w = rng.uniform(-s, s, (cin, cout, k, k)).astype(np.float32)
-    model.params[f"{name}_w"] = Tensor(w, requires_grad=True, name=f"{name}_w")
-    model.params[f"{name}_b"] = Tensor(
-        np.zeros(cout, dtype=np.float32), requires_grad=True, name=f"{name}_b"
-    )
+def param_shapes(layout):
+    """Yield (name, shape) of every parameter a layout describes, in build order."""
+    for name, kernel_shape, cout in layout:
+        yield f"{name}_w", kernel_shape
+        yield f"{name}_b", (cout,)
+
+
+def _init(spec, layout, seed):
+    """Kernels uniform in +-1/sqrt(fan-in) and zero biases, drawn in layout order."""
+    if seed < 0:
+        raise ValueError("seed must be non-negative")
+    rng = np.random.default_rng(seed)
+    m = Model(spec=spec)
+    for name, kernel_shape, cout in layout:
+        s = math.sqrt(1.0 / (math.prod(kernel_shape) // cout))
+        w = rng.uniform(-s, s, kernel_shape).astype(np.float32)
+        m.params[f"{name}_w"] = parameter(f"{name}_w", w)
+        m.params[f"{name}_b"] = parameter(f"{name}_b", np.zeros(cout, dtype=np.float32))
+    return m
 
 
 def _conv(model, name, x, stride=1, padding=0):
@@ -108,36 +116,36 @@ def _conv(model, name, x, stride=1, padding=0):
 # generator
 
 
-def build_generator(spec: GeneratorSpec, seed: int) -> Model:
-    """Encoder/decoder with skip connections and a sigmoid 1-channel head.
+def generator_layout(spec: GeneratorSpec):
+    """Yield (name, kernel shape, output channels) of every conv, in build order.
 
     Per encoder level: two same-padded convs + relu, then 2x2 maxpool.
     Channel width doubles per level from base_channels.  The decoder mirrors
-    with stride-2 transposed convs and channel concatenation.
+    with stride-2 transposed convs, whose kernels are laid out
+    (cin, cout, 2, 2), and channel concatenation.
     """
-    if seed < 0:
-        raise ValueError("seed must be non-negative")
-    rng = np.random.default_rng(seed)
-    m = Model(spec=spec)
-    k = spec.kernel_size
-    cin = spec.in_channels
+    k, cin = spec.kernel_size, spec.in_channels
     for lvl in range(spec.scales):
         cout = spec.base_channels * 2**lvl
-        _add_conv(m, rng, f"enc{lvl}_conv1", cin, cout, k)
-        _add_conv(m, rng, f"enc{lvl}_conv2", cout, cout, k)
+        yield f"enc{lvl}_conv1", (cout, cin, k, k), cout
+        yield f"enc{lvl}_conv2", (cout, cout, k, k), cout
         cin = cout
     mid = spec.base_channels * 2**spec.scales
-    _add_conv(m, rng, "mid_conv1", cin, mid, k)
-    _add_conv(m, rng, "mid_conv2", mid, mid, k)
+    yield "mid_conv1", (mid, cin, k, k), mid
+    yield "mid_conv2", (mid, mid, k, k), mid
     cin = mid
     for lvl in reversed(range(spec.scales)):
         cout = spec.base_channels * 2**lvl
-        _add_tconv(m, rng, f"dec{lvl}_up", cin, cout, 2)
-        _add_conv(m, rng, f"dec{lvl}_conv1", 2 * cout, cout, k)
-        _add_conv(m, rng, f"dec{lvl}_conv2", cout, cout, k)
+        yield f"dec{lvl}_up", (cin, cout, 2, 2), cout
+        yield f"dec{lvl}_conv1", (cout, 2 * cout, k, k), cout
+        yield f"dec{lvl}_conv2", (cout, cout, k, k), cout
         cin = cout
-    _add_conv(m, rng, "head", cin, 1, 1)
-    return m
+    yield "head", (1, cin, 1, 1), 1
+
+
+def build_generator(spec: GeneratorSpec, seed: int) -> Model:
+    """Encoder/decoder with skip connections and a sigmoid 1-channel head."""
+    return _init(spec, generator_layout(spec), seed)
 
 
 def generator_forward(model: Model, x: Tensor) -> Tensor:
@@ -206,10 +214,8 @@ LEAKY_SLOPE = 0.2
 MAX_WIDTH_FACTOR = 8
 
 
-def build_discriminator(
-    variant: DiscriminatorVariant, input_size, base_channels: int, seed: int
-) -> Model:
-    """A judge of (fundus, vessel-map) pairs at the variant's decision level.
+def discriminator_spec(variant: DiscriminatorVariant, input_size, base_channels: int):
+    """Layer widths of a judge of (fundus, vessel-map) pairs at the variant's level.
 
     Input is the 4-channel concat of fundus and vessel map.  Pixel stacks
     1x1 convs; patch stacks stride-2 3x3 blocks until the receptive field
@@ -217,8 +223,6 @@ def build_discriminator(
     remains); image reduces until the map is at most 4x4, then averages
     over space before the final sigmoid.
     """
-    if seed < 0:
-        raise ValueError("seed must be non-negative")
     h, w = input_size
     if h < 1 or w < 1:
         raise ValueError(f"invalid discriminator input size {input_size}")
@@ -228,31 +232,39 @@ def build_discriminator(
         )
 
     if variant.kind == "pixel":
-        depth, kernel = 2, 1
+        depth = 2
     elif variant.kind == "patch":
         depth = min(depth_for_patch(variant.patch_size), _halvings_keeping_patches(min(h, w)))
-        depth, kernel = max(depth, 1), 3
+        depth = max(depth, 1)
     else:
         depth = 0
         while min(h, w) // 2**depth > 4:
             depth += 1
-        kernel = 3
 
     widths = []
     c = base_channels
     for _ in range(depth):
         widths.append(c)
         c = min(c * 2, base_channels * MAX_WIDTH_FACTOR)
-    spec = DiscriminatorSpec(variant, (h, w), base_channels, tuple(widths))
+    return DiscriminatorSpec(variant, (h, w), base_channels, tuple(widths))
 
-    rng = np.random.default_rng(seed)
-    m = Model(spec=spec)
+
+def discriminator_layout(spec: DiscriminatorSpec):
+    """Yield (name, kernel shape, output channels) of every conv, in build order."""
+    kernel = 1 if spec.variant.kind == "pixel" else 3
     cin = 4
-    for i, cout in enumerate(widths):
-        _add_conv(m, rng, f"layer{i}", cin, cout, kernel)
+    for i, cout in enumerate(spec.channels):
+        yield f"layer{i}", (cout, cin, kernel, kernel), cout
         cin = cout
-    _add_conv(m, rng, "head", cin, 1, 1)
-    return m
+    yield "head", (1, cin, 1, 1), 1
+
+
+def build_discriminator(
+    variant: DiscriminatorVariant, input_size, base_channels: int, seed: int
+) -> Model:
+    """A discriminator of :func:`discriminator_spec`'s widths, seeded."""
+    spec = discriminator_spec(variant, input_size, base_channels)
+    return _init(spec, discriminator_layout(spec), seed)
 
 
 def discriminator_forward(model: Model, x: Tensor, y: Tensor) -> Tensor:
@@ -292,18 +304,15 @@ def decisions_per_image(decision_map: Tensor) -> int:
 # CLI-facing variant names
 
 
+VARIANT_NAMES = ("none", "pixel", "patch10", "patch80", "image")
+
+
 def parse_variant(name: str, input_size) -> DiscriminatorVariant | None:
-    """Resolve {pixel, patchNN, image, none}; patch sizes cap at the input."""
+    """Resolve one of VARIANT_NAMES ("none" is None); patch sizes cap at the input."""
+    if name not in VARIANT_NAMES:
+        raise ValueError(f"bad discriminator name {name!r}")
     if name == "none":
         return None
-    if name == "pixel":
-        return DiscriminatorVariant.pixel()
-    if name == "image":
-        return DiscriminatorVariant.image()
     if name.startswith("patch"):
-        try:
-            k = int(name[len("patch") :])
-        except ValueError:
-            raise ValueError(f"bad discriminator name {name!r}") from None
-        return DiscriminatorVariant.patch(min(k, min(input_size)))
-    raise ValueError(f"bad discriminator name {name!r}")
+        return DiscriminatorVariant.patch(min(int(name[len("patch") :]), *input_size))
+    return DiscriminatorVariant(name)

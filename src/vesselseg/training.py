@@ -9,8 +9,12 @@ loss magnitudes stay comparable across discriminator variants.
 from __future__ import annotations
 
 import hashlib
+import io
+import itertools
+import math
 import struct
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
 
@@ -36,16 +40,23 @@ class TrainConfig:
     eps_clamp: float = 1e-7
 
     def __post_init__(self):
-        if self.lambda_ < 0:
-            raise ValueError(f"lambda must be non-negative, got {self.lambda_}")
+        # each test is written so that NaN fails it; messages use the config keys
+        if not 0.0 <= self.lambda_ < math.inf:
+            raise ValueError(f"lambda must be non-negative and finite, got {self.lambda_}")
+        if not 0.0 < self.lr < math.inf:
+            raise ValueError(f"lr must be positive and finite, got {self.lr}")
+        if not (0.0 <= self.beta1 < 1.0 and 0.0 <= self.beta2 < 1.0):
+            raise ValueError(f"beta1 and beta2 must lie in [0,1), got {self.beta1}, {self.beta2}")
         if not 0.0 < self.val_fraction < 1.0:
             raise ValueError(f"val_fraction must lie in (0,1), got {self.val_fraction}")
         if not 0.0 < self.eps_clamp < 0.5:
             raise ValueError(f"eps_clamp must lie in (0,0.5), got {self.eps_clamp}")
         if self.rounds < 1 or self.batch_size < 1:
-            raise ValueError("rounds and batch_size must be positive")
+            raise ValueError(
+                f"rounds and batch_size must be positive, got {self.rounds}, {self.batch_size}"
+            )
         if self.seed < 0:
-            raise ValueError("seed must be non-negative")
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
 
 
 # ---------------------------------------------------------------------------
@@ -226,8 +237,6 @@ class Checkpoint:
     disc_spec: mdl.DiscriminatorSpec | None
     gen_params: dict
     disc_params: dict | None
-    opt_g_state: dict
-    opt_d_state: dict | None
     val_g_loss: float
     fingerprint: str
 
@@ -236,8 +245,6 @@ class Checkpoint:
 class FitResult:
     checkpoint: Checkpoint
     history: list = field(default_factory=list)
-    train_samples: list = field(default_factory=list)
-    val_samples: list = field(default_factory=list)
 
 
 def config_fingerprint(cfg, g, d):
@@ -245,28 +252,26 @@ def config_fingerprint(cfg, g, d):
     return hashlib.sha256(text.encode()).hexdigest()
 
 
-def _snapshot(g, d, opt_g, opt_d, round_index, val_loss, fingerprint):
+def _snapshot(g, d, round_index, val_loss, fingerprint):
     return Checkpoint(
         round_index=round_index,
         gen_spec=g.spec,
         disc_spec=d.spec if d is not None else None,
         gen_params={k: p.data.copy() for k, p in g.params.items()},
         disc_params={k: p.data.copy() for k, p in d.params.items()} if d is not None else None,
-        opt_g_state=opt_g.state_dict(),
-        opt_d_state=opt_d.state_dict() if opt_d is not None else None,
         val_g_loss=val_loss,
         fingerprint=fingerprint,
     )
 
 
-def fit(g, d, samples, cfg, val_loss_fn=None, progress=None):
+def fit(g, d, train, val, cfg, val_loss_fn=None, progress=None):
     """Run cfg.rounds alternating rounds; keep the best-validation checkpoint.
 
-    Returns a FitResult whose checkpoint is the one with minimum validation
-    generator loss (earliest round on ties).  val_loss_fn may be injected
-    for testing; it receives (g, d, val_samples, cfg).
+    train and val are the two parts of :func:`split_train_val`.  Returns a
+    FitResult whose checkpoint is the one with minimum validation generator
+    loss (earliest round on ties).  val_loss_fn may be injected for testing;
+    it receives (g, d, val, cfg).
     """
-    train, val = split_train_val(samples, cfg)
     if not val:
         raise ValueError("empty validation split")
     opt_g = Adam(g.parameters(), cfg.lr, cfg.beta1, cfg.beta2)
@@ -281,32 +286,46 @@ def fit(g, d, samples, cfg, val_loss_fn=None, progress=None):
         stats.val_g_loss = float(evaluate(g, d, val, cfg))
         history.append(stats)
         if best is None or stats.val_g_loss < best.val_g_loss:
-            best = _snapshot(g, d, opt_g, opt_d, r, stats.val_g_loss, fingerprint)
+            best = _snapshot(g, d, r, stats.val_g_loss, fingerprint)
         if progress is not None:
             progress(stats)
-    return FitResult(checkpoint=best, history=history, train_samples=train, val_samples=val)
+    return FitResult(checkpoint=best, history=history)
+
+
+def _restore(spec, layout, arrays, what):
+    # islice: a corrupt spec can describe far more parameters than were stored
+    want = dict(itertools.islice(mdl.param_shapes(layout), len(arrays) + 1))
+    got = {k: v.shape for k, v in arrays.items()}
+    if want != got:
+        differ = sorted(k for k in want.keys() | got.keys() if want.get(k) != got.get(k))
+        raise CheckpointError(f"{what} parameters missing, unexpected or misshapen: {differ}")
+    return mdl.Model(spec, {k: mdl.parameter(k, arrays[k].copy()) for k in want})
 
 
 def rebuild_models(ckpt: Checkpoint):
-    """Reconstruct (generator, discriminator) with the checkpointed weights."""
-    g = mdl.build_generator(ckpt.gen_spec, seed=0)
-    for k, arr in ckpt.gen_params.items():
-        g.params[k].data = arr.copy()
+    """Reconstruct (generator, discriminator) holding exactly the checkpointed weights.
+
+    Raises CheckpointError unless the stored parameter names and shapes are
+    exactly those the stored specs build.
+    """
+    gs, ds = ckpt.gen_spec, ckpt.disc_spec
+    g = _restore(gs, mdl.generator_layout(gs), ckpt.gen_params, "generator")
     d = None
-    if ckpt.disc_spec is not None:
-        spec = ckpt.disc_spec
-        d = mdl.build_discriminator(spec.variant, spec.input_size, spec.base_channels, seed=0)
-        for k, arr in ckpt.disc_params.items():
-            d.params[k].data = arr.copy()
+    if ds is not None:
+        d = _restore(ds, mdl.discriminator_layout(ds), ckpt.disc_params, "discriminator")
     return g, d
 
 
 # ---------------------------------------------------------------------------
-# checkpoint serialization: magic, u16 version, then per-tensor records of
-# (u16 name length, name bytes, u32 rank, u32 extents, little-endian f32 data)
+# checkpoint serialization: magic, u16 version, per-tensor records of
+# (u16 name length, name bytes, u32 rank, u32 extents, little-endian f32 data),
+# then the sha256 of everything before it.  Records: meta/*, g/<param> and,
+# with a discriminator, d/<param>; no optimizer state is stored.
 
 MAGIC = b"VGANCKPT"
-VERSION = 1
+VERSION = 2
+_HEAD = len(MAGIC) + 2
+_DIGEST = hashlib.sha256().digest_size
 
 _KIND_CODES = {"pixel": 1, "patch": 2, "image": 3}
 _KIND_NAMES = {v: k for k, v in _KIND_CODES.items()}
@@ -322,7 +341,7 @@ def _write_record(fh, name, values):
     fh.write(arr.tobytes())
 
 
-def _meta_records(ckpt):
+def _records(ckpt):
     yield "meta/round", np.array([ckpt.round_index], dtype=np.float32)
     yield "meta/val_g_loss", np.array([ckpt.val_g_loss], dtype=np.float32)
     fp = np.frombuffer(ckpt.fingerprint.encode(), dtype=np.uint8).astype(np.float32)
@@ -343,116 +362,105 @@ def _meta_records(ckpt):
             ],
             dtype=np.float32,
         )
-
-
-def _opt_records(prefix, state):
-    yield f"{prefix}/t", np.array([state["t"]], dtype=np.float32)
-    for k, v in state["m"].items():
-        yield f"{prefix}/m/{k}", v
-    for k, v in state["v"].items():
-        yield f"{prefix}/v/{k}", v
+    for k, v in ckpt.gen_params.items():
+        yield f"g/{k}", v
+    if ckpt.disc_params is not None:
+        for k, v in ckpt.disc_params.items():
+            yield f"d/{k}", v
 
 
 def save_checkpoint(ckpt: Checkpoint, path):
-    with open(path, "wb") as fh:
-        fh.write(MAGIC)
-        fh.write(struct.pack("<H", VERSION))
-        for name, values in _meta_records(ckpt):
-            _write_record(fh, name, values)
-        for k, v in ckpt.gen_params.items():
-            _write_record(fh, f"g/{k}", v)
-        for name, values in _opt_records("opt_g", ckpt.opt_g_state):
-            _write_record(fh, name, values)
-        if ckpt.disc_params is not None:
-            for k, v in ckpt.disc_params.items():
-                _write_record(fh, f"d/{k}", v)
-            for name, values in _opt_records("opt_d", ckpt.opt_d_state):
-                _write_record(fh, name, values)
+    buf = io.BytesIO()
+    buf.write(MAGIC)
+    buf.write(struct.pack("<H", VERSION))
+    for name, values in _records(ckpt):
+        _write_record(buf, name, values)
+    body = buf.getvalue()
+    Path(path).write_bytes(body + hashlib.sha256(body).digest())
 
 
-def _read_exact(fh, n, what):
-    data = fh.read(n)
-    if len(data) != n:
-        raise CheckpointError(
-            f"truncated checkpoint: wanted {n} bytes for {what} at offset {fh.tell() - len(data)}"
-        )
-    return data
-
-
-def _read_records(fh):
+def _read_records(raw, pos, end):
     records = {}
-    while True:
-        head = fh.read(2)
-        if not head:
-            return records
-        if len(head) != 2:
-            raise CheckpointError(f"truncated record header at offset {fh.tell() - len(head)}")
-        (name_len,) = struct.unpack("<H", head)
-        name = _read_exact(fh, name_len, "record name").decode()
-        (rank,) = struct.unpack("<I", _read_exact(fh, 4, f"rank of {name}"))
-        shape = struct.unpack(f"<{rank}I", _read_exact(fh, 4 * rank, f"extents of {name}"))
-        count = int(np.prod(shape)) if rank else 1
-        raw = _read_exact(fh, 4 * count, f"values of {name}")
-        records[name] = np.frombuffer(raw, dtype="<f4").reshape(shape).copy()
+
+    def take(n, what):
+        nonlocal pos
+        if n > end - pos:
+            raise CheckpointError(
+                f"truncated checkpoint: wanted {n} bytes for {what} at offset {pos}"
+            )
+        pos += n
+        return raw[pos - n : pos]
+
+    while pos < end:
+        at = pos
+        (name_len,) = struct.unpack("<H", take(2, "record header"))
+        try:
+            name = take(name_len, "record name").decode()
+        except UnicodeDecodeError:
+            raise CheckpointError(f"record name at offset {at + 2} is not UTF-8") from None
+        if name in records:
+            raise CheckpointError(f"duplicate record {name!r} at offset {at}")
+        (rank,) = struct.unpack("<I", take(4, f"rank of {name}"))
+        shape = struct.unpack(f"<{rank}I", take(4 * rank, f"extents of {name}"))
+        raw_values = take(4 * math.prod(shape), f"values of {name}")
+        records[name] = np.frombuffer(raw_values, dtype="<f4").reshape(shape).copy()
     return records
 
 
-def load_checkpoint(path) -> Checkpoint:
-    with open(path, "rb") as fh:
-        magic = fh.read(len(MAGIC))
-        if magic != MAGIC:
-            raise CheckpointError(
-                f"bad magic at offset 0: expected {MAGIC!r}, got {magic!r}"
-            )
-        version_raw = _read_exact(fh, 2, "version")
-        (version,) = struct.unpack("<H", version_raw)
-        if version != VERSION:
-            raise CheckpointError(f"unsupported checkpoint version {version} at offset 8")
-        records = _read_records(fh)
-
+def _decode(records):
     def take(name):
-        if name not in records:
-            raise CheckpointError(f"checkpoint missing required record {name!r}")
-        return records.pop(name)
+        return records.pop(name).ravel()
 
-    round_index = int(take("meta/round")[0])
-    val_g_loss = float(take("meta/val_g_loss")[0])
-    fingerprint = bytes(take("meta/config_fingerprint").astype(np.uint8)).decode()
+    def collect(prefix):
+        names = [n for n in records if n.startswith(prefix)]
+        return {n[len(prefix) :]: records.pop(n) for n in names}
+
+    (round_index,) = (int(v) for v in take("meta/round"))
+    (val_g_loss,) = (float(v) for v in take("meta/val_g_loss"))
+    fp = take("meta/config_fingerprint")
+    if not np.all((fp >= 0) & (fp < 128) & (fp == np.floor(fp))):
+        raise ValueError("meta/config_fingerprint holds values that are not ASCII codes")
+    fingerprint = bytes(fp.astype(np.uint8)).decode()
     gi, gs, gb, gk = (int(v) for v in take("meta/gen_spec"))
     gen_spec = mdl.GeneratorSpec(gi, gs, gb, gk)
-
     disc_spec = None
     if "meta/disc_spec" in records:
         kind_code, patch, base, h, w = (int(v) for v in take("meta/disc_spec"))
         variant = mdl.DiscriminatorVariant(_KIND_NAMES[kind_code], patch or None)
-        probe = mdl.build_discriminator(variant, (h, w), base, seed=0)
-        disc_spec = probe.spec
-
-    def collect(prefix):
-        got = {}
-        for name in [n for n in records if n.startswith(prefix)]:
-            got[name[len(prefix) :]] = records.pop(name)
-        return got
-
-    def opt_state(prefix):
-        t = int(take(f"{prefix}/t")[0])
-        return {"t": t, "m": collect(f"{prefix}/m/"), "v": collect(f"{prefix}/v/")}
-
-    gen_params = collect("g/")
-    opt_g_state = opt_state("opt_g")
-    disc_params = None
-    opt_d_state = None
-    if disc_spec is not None:
-        disc_params = collect("d/")
-        opt_d_state = opt_state("opt_d")
+        disc_spec = mdl.discriminator_spec(variant, (h, w), base)
     return Checkpoint(
         round_index=round_index,
         gen_spec=gen_spec,
         disc_spec=disc_spec,
-        gen_params=gen_params,
-        disc_params=disc_params,
-        opt_g_state=opt_g_state,
-        opt_d_state=opt_d_state,
+        gen_params=collect("g/"),
+        disc_params=collect("d/") if disc_spec is not None else None,
         val_g_loss=val_g_loss,
         fingerprint=fingerprint,
     )
+
+
+def load_checkpoint(path) -> Checkpoint:
+    """Read a checkpoint exactly as saved, or raise CheckpointError."""
+    raw = Path(path).read_bytes()
+    if raw[: len(MAGIC)] != MAGIC:
+        raise CheckpointError(
+            f"bad magic at offset 0: expected {MAGIC!r}, got {raw[: len(MAGIC)]!r}"
+        )
+    if raw[len(MAGIC) : _HEAD] != struct.pack("<H", VERSION):
+        version = int.from_bytes(raw[len(MAGIC) : _HEAD], "little")
+        raise CheckpointError(f"unsupported checkpoint version {version} at offset {len(MAGIC)}")
+    end = max(len(raw) - _DIGEST, _HEAD)
+    if hashlib.sha256(raw[:end]).digest() != raw[end:]:
+        raise CheckpointError(
+            f"corrupt or truncated checkpoint: the sha256 at offset {end} does not match "
+            "the bytes before it"
+        )
+    records = _read_records(raw, _HEAD, end)
+    try:
+        ckpt = _decode(records)
+    except (KeyError, ValueError, OverflowError) as exc:  # a missing record is a KeyError
+        name = type(exc).__name__
+        raise CheckpointError(f"malformed checkpoint metadata ({name}: {exc})") from None
+    if records:
+        raise CheckpointError(f"unexpected checkpoint records {sorted(records)}")
+    return ckpt

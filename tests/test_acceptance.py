@@ -306,17 +306,7 @@ def _train_run(tmp_path, tag, disc):
 def _train_set_dice(out_dir):
     cfg = cli.parse_config_text((out_dir / "config.resolved").read_text())
     pool = cli._synthetic_samples(cfg)
-    tcfg = training.TrainConfig(
-        lambda_=cfg["lambda"],
-        lr=cfg["lr"],
-        beta1=cfg["beta1"],
-        beta2=cfg["beta2"],
-        rounds=cfg["rounds"],
-        batch_size=cfg["batch_size"],
-        seed=cfg["seed"],
-        val_fraction=cfg["val_fraction"],
-    )
-    train, _ = training.split_train_val(pool, tcfg)
+    train, _ = training.split_train_val(pool, cli.train_config(cfg))
     ckpt = training.load_checkpoint(out_dir / "best.ckpt")
     g, _ = training.rebuild_models(ckpt)
     maps, golds, masks = [], [], []

@@ -76,6 +76,32 @@ def test_usage_error_is_config_exit():
     assert run(["train"]) == cli.EXIT_CONFIG
 
 
+@pytest.mark.parametrize(
+    "key,value",
+    [
+        ("lambda", -1),
+        ("lambda", "nan"),
+        ("lr", "nan"),
+        ("beta1", 2),
+        ("rounds", 0),
+        ("batch_size", 0),
+        ("val_fraction", 1.5),
+        ("seed", -1),
+        ("scales", 0),
+        ("base_channels", 0),
+        ("synthetic_count", 0),
+        ("synthetic_count", 1),
+        ("image_size", 0),
+    ],
+)
+def test_bad_config_value_is_located_config_exit(capsys, tmp_path, key, value):
+    cfg = write_cfg(tmp_path / "c.cfg", **{key: value})
+    out = tmp_path / "o"
+    assert run(["train", "--config", str(cfg), "--out", str(out)]) == cli.EXIT_CONFIG
+    assert key in capsys.readouterr().err
+    assert not out.exists()  # refused before anything is written
+
+
 # ---------------------------------------------------------------------------
 # train
 
@@ -164,6 +190,21 @@ def test_infer_odd_size_pads_and_crops(trained_run, tmp_path):
     assert run(["infer", "--checkpoint", str(out_dir / "best.ckpt"),
                 "--image", str(img_path), "--out", str(out_path)]) == 0
     assert data.load_image(out_path).pixels.shape[:2] == (30, 26)
+
+
+def test_infer_corrupt_checkpoint_is_data_exit(trained_run, tmp_path, capsys):
+    out_dir, sample, _ = trained_run
+    img_path = tmp_path / "f.ppm"
+    _as_p6(sample, img_path)
+    raw = bytearray((out_dir / "best.ckpt").read_bytes())
+    raw[len(raw) // 3] ^= 0x40
+    bad = tmp_path / "bad.ckpt"
+    bad.write_bytes(bytes(raw))
+    rc = run(["infer", "--checkpoint", str(bad), "--image", str(img_path),
+              "--out", str(tmp_path / "p.pgm")])
+    assert rc == cli.EXIT_DATA
+    assert capsys.readouterr().err.startswith("data error: ")
+    assert not (tmp_path / "p.pgm").exists()
 
 
 def test_infer_byte_identical_repeat(trained_run, tmp_path):
@@ -283,20 +324,32 @@ def test_overlay_byte_identical(tmp_path):
 # program entry
 
 BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
+SRC = Path(cli.__file__).resolve().parents[1]
+
+
+def _python(args, **preset):
+    env = {k: v for k, v in os.environ.items() if k not in BLAS_VARS}
+    env.update(preset)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, *args], env=env, capture_output=True, text=True, timeout=60, check=True
+    )
 
 
 def _blas_env_after_import(**preset):
-    env = {k: v for k, v in os.environ.items() if k not in BLAS_VARS}
-    env.update(preset)
-    src = str(Path(cli.__file__).resolve().parents[1])
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     code = f"import os, vesselseg.cli; print(*(os.environ[k] for k in {BLAS_VARS!r}))"
-    out = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60, check=True
-    )
-    return out.stdout.split()
+    return _python(["-c", code], **preset).stdout.split()
 
 
 def test_import_pins_blas_threads_unless_set():
     assert _blas_env_after_import() == ["1", "1"]
     assert _blas_env_after_import(OPENBLAS_NUM_THREADS="3", OMP_NUM_THREADS="2") == ["3", "2"]
+
+
+@pytest.mark.parametrize("script", ["run_synthetic_pipeline.py", "run_discriminator_ablation.py"])
+def test_script_runs_end_to_end(tmp_path, script):
+    path = SRC.parent / "scripts" / script
+    args = [str(path), "--out", str(tmp_path), "--rounds", "1", "--image-size", "16", "--count", "3"]
+    _python(args)
+    report = "report/summary.csv" if script.startswith("run_synthetic") else "ablation.csv"
+    assert (tmp_path / report).is_file()

@@ -221,22 +221,14 @@ def test_fov_mask_fills_holes_and_is_single_component():
 
 def test_make_split_stare_first_ten():
     ids = [f"im{i:04d}" for i in range(1, 21)]
-    plan = data.make_split(ids, "stare", seed=0, val_fraction=0.0)
+    plan = data.make_split(ids, "stare", seed=0)
     assert plan.train == ids[:10]
     assert plan.test == ids[10:]
-    assert plan.val == []
-
-
-def test_make_split_19_to_1():
-    ids = [f"aug{i:04d}" for i in range(160)]
-    plan = data.make_split(ids, "custom", seed=0, test_fraction=0.0)
-    assert len(plan.train) == 152 and len(plan.val) == 8
-    assert plan.test == []
 
 
 def test_make_split_drive_by_name():
     ids = [f"{i:02d}_test" for i in range(1, 21)] + [f"{i}_training" for i in range(21, 41)]
-    plan = data.make_split(ids, "drive", seed=0, val_fraction=0.0)
+    plan = data.make_split(ids, "drive", seed=0)
     assert all("_training" in i for i in plan.train)
     assert all("_test" in i for i in plan.test)
     assert len(plan.train) == 20 and len(plan.test) == 20
@@ -252,9 +244,9 @@ def test_make_split_rejects_small_stare():
 def test_make_split_disjoint_union(n, seed):
     ids = [f"id{i:03d}" for i in range(n)]
     plan = data.make_split(ids, "custom", seed=seed, test_fraction=0.3)
-    parts = [set(plan.train), set(plan.val), set(plan.test)]
-    assert parts[0] | parts[1] | parts[2] == set(ids)
-    assert not (parts[0] & parts[1]) and not (parts[0] & parts[2]) and not (parts[1] & parts[2])
+    train, test = set(plan.train), set(plan.test)
+    assert train | test == set(ids)
+    assert not (train & test)
 
 
 # ---------------------------------------------------------------------------

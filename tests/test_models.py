@@ -216,3 +216,5 @@ def test_parse_variant_names():
     assert models.parse_variant("patch80", (64, 64)).patch_size == 64  # capped
     with pytest.raises(ValueError):
         models.parse_variant("gibberish", (64, 64))
+    with pytest.raises(ValueError):
+        models.parse_variant("patch12", (64, 64))  # only the documented sizes

@@ -1,4 +1,7 @@
+import hashlib
+import io
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -246,11 +249,14 @@ def test_g_phase_backward_leaves_frozen_discriminator_grads():
 
 def test_train_round_unfreezes_discriminator():
     g, d, samples = tiny_setup(variant=DiscriminatorVariant.pixel())
-    training.train_round(g, d, samples, TrainConfig(seed=1))
+    cfg = TrainConfig(seed=1)
+    training.train_round(g, d, samples, cfg)
     assert all(p.requires_grad for p in d.params.values())
-    # a NaN lambda passes the D phase and fails the G phase mid-loop
+    # a NaN lambda passes the D phase and fails the G phase mid-loop; set after
+    # construction because TrainConfig refuses it
+    cfg.lambda_ = float("nan")
     with pytest.raises(ag.NumericalError, match="generator"):
-        training.train_round(g, d, samples, TrainConfig(seed=1, lambda_=float("nan")))
+        training.train_round(g, d, samples, cfg)
     assert all(p.requires_grad for p in d.params.values())
 
 
@@ -266,7 +272,7 @@ def mdl_forward_detached(g, x):
 def test_fit_single_round_returns_it():
     g, d, samples = tiny_setup(n_samples=3, variant=None)
     cfg = TrainConfig(rounds=1, seed=2)
-    result = training.fit(g, d, samples, cfg)
+    result = training.fit(g, d, *training.split_train_val(samples, cfg), cfg)
     assert result.checkpoint.round_index == 1
 
 
@@ -274,7 +280,8 @@ def test_fit_selects_min_validation_loss():
     g, _, samples = tiny_setup(n_samples=3, variant=None)
     cfg = TrainConfig(rounds=3, seed=2)
     injected = iter([0.9, 0.4, 0.6])
-    result = training.fit(g, None, samples, cfg, val_loss_fn=lambda *a: next(injected))
+    split = training.split_train_val(samples, cfg)
+    result = training.fit(g, None, *split, cfg, val_loss_fn=lambda *a: next(injected))
     assert result.checkpoint.round_index == 2
     assert result.checkpoint.val_g_loss == pytest.approx(0.4)
 
@@ -283,14 +290,18 @@ def test_fit_tie_keeps_earliest():
     g, _, samples = tiny_setup(n_samples=3, variant=None)
     cfg = TrainConfig(rounds=2, seed=2)
     injected = iter([0.5, 0.5])
-    result = training.fit(g, None, samples, cfg, val_loss_fn=lambda *a: next(injected))
+    split = training.split_train_val(samples, cfg)
+    result = training.fit(g, None, *split, cfg, val_loss_fn=lambda *a: next(injected))
     assert result.checkpoint.round_index == 1
 
 
 def test_fit_rejects_empty_validation():
     g, _, samples = tiny_setup(n_samples=1, variant=None)
+    cfg = TrainConfig(rounds=1, seed=0)
     with pytest.raises(ValueError):
-        training.fit(g, None, samples, TrainConfig(rounds=1, seed=0))
+        training.fit(g, None, samples, [], cfg)
+    with pytest.raises(ValueError):
+        training.split_train_val(samples, cfg)
 
 
 def test_split_train_val_ratio():
@@ -311,7 +322,7 @@ def make_checkpoint(with_disc=True, seed=0):
         n_samples=3, variant=DiscriminatorVariant.patch(10) if with_disc else None, seed=seed
     )
     cfg = TrainConfig(rounds=1, seed=seed)
-    return training.fit(g, d, samples, cfg).checkpoint, samples
+    return training.fit(g, d, *training.split_train_val(samples, cfg), cfg).checkpoint, samples
 
 
 def test_checkpoint_roundtrip_bit_exact(tmp_path):
@@ -327,9 +338,9 @@ def test_checkpoint_roundtrip_bit_exact(tmp_path):
         np.testing.assert_array_equal(loaded.gen_params[k], ckpt.gen_params[k])
     for k in ckpt.disc_params:
         np.testing.assert_array_equal(loaded.disc_params[k], ckpt.disc_params[k])
-    assert loaded.opt_g_state["t"] == ckpt.opt_g_state["t"]
-    for k in ckpt.opt_g_state["m"]:
-        np.testing.assert_array_equal(loaded.opt_g_state["m"][k], ckpt.opt_g_state["m"][k])
+    raw = path.read_bytes()
+    names = training._read_records(raw, training._HEAD, len(raw) - training._DIGEST)
+    assert {n.split("/")[0] for n in names} == {"meta", "g", "d"}  # no optimizer state
 
     g1, _ = training.rebuild_models(ckpt)
     g2, _ = training.rebuild_models(loaded)
@@ -379,3 +390,87 @@ def test_config_validation():
         TrainConfig(eps_clamp=0.7)
     with pytest.raises(ValueError):
         TrainConfig(seed=-1)
+    for bad in (
+        {"lambda_": float("nan")},
+        {"lambda_": float("inf")},
+        {"lr": 0.0},
+        {"lr": float("nan")},
+        {"beta1": 2.0},
+        {"beta2": 1.0},
+        {"beta1": float("nan")},
+    ):
+        with pytest.raises(ValueError):
+            TrainConfig(**bad)
+
+
+def saved_bytes(ckpt, tmp_path):
+    path = tmp_path / "m.ckpt"
+    training.save_checkpoint(ckpt, path)
+    return path, path.read_bytes()
+
+
+def with_digest(body):
+    return body + hashlib.sha256(body).digest()
+
+
+def test_checkpoint_v1_refused(tmp_path):
+    # a v1 file: the same records plus Adam state, and no digest
+    ckpt, _ = make_checkpoint(with_disc=False)
+    buf = io.BytesIO()
+    buf.write(training.MAGIC + struct.pack("<H", 1))
+    for name, values in training._records(ckpt):
+        training._write_record(buf, name, values)
+    training._write_record(buf, "opt_g/t", np.array([1.0], np.float32))
+    path = tmp_path / "v1.ckpt"
+    path.write_bytes(buf.getvalue())
+    with pytest.raises(training.CheckpointError, match="version 1"):
+        training.load_checkpoint(path)
+    # relabelled as v2 with a valid digest, the Adam record is left over
+    v2 = bytearray(buf.getvalue())
+    v2[len(training.MAGIC)] = training.VERSION
+    path.write_bytes(with_digest(bytes(v2)))
+    with pytest.raises(training.CheckpointError, match="opt_g/t"):
+        training.load_checkpoint(path)
+
+
+def test_checkpoint_digest_mismatch_refused(tmp_path):
+    ckpt, _ = make_checkpoint(with_disc=False)
+    path, raw = saved_bytes(ckpt, tmp_path)
+    flipped = bytearray(raw)
+    flipped[len(raw) // 2] ^= 0x01
+    path.write_bytes(bytes(flipped))
+    with pytest.raises(training.CheckpointError, match="sha256"):
+        training.load_checkpoint(path)
+
+
+@pytest.mark.parametrize("fault", ["missing", "extra", "shape"])
+def test_rebuild_refuses_parameters_unlike_the_spec(fault):
+    ckpt, _ = make_checkpoint()
+    params = ckpt.disc_params if fault == "extra" else ckpt.gen_params
+    if fault == "missing":
+        del params["head_w"]
+    elif fault == "extra":
+        params["layer9_w"] = np.zeros((1, 1, 1, 1), np.float32)
+    else:
+        params["head_b"] = np.zeros(5, np.float32)
+    with pytest.raises(training.CheckpointError):
+        training.rebuild_models(ckpt)
+
+
+def test_checkpoint_mutants_load_or_raise_checkpoint_error(tmp_path):
+    # flip one byte of the body and re-seal it with a fresh digest, so each
+    # mutant reaches the record parser and the spec checks
+    ckpt, _ = make_checkpoint()
+    path, raw = saved_bytes(ckpt, tmp_path)
+    body = raw[: -training._DIGEST]
+    rng = np.random.default_rng(1234)
+    refused = 0
+    for _ in range(400):
+        mutant = bytearray(body)
+        mutant[rng.integers(len(body))] ^= int(rng.integers(1, 256))
+        path.write_bytes(with_digest(bytes(mutant)))
+        try:
+            training.rebuild_models(training.load_checkpoint(path))
+        except training.CheckpointError:
+            refused += 1
+    assert 0 < refused < 400  # weight flips load, header and spec flips are refused
