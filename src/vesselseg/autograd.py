@@ -18,6 +18,14 @@ block raises, and both nest.
 Gradient-tracking leaves (``Tensor(..., requires_grad=True)``) hold a zeroed
 ``grad`` from construction; interior op results start with ``grad = None``
 and allocate it on the first accumulation during :func:`backward`.
+
+The convolutions are BLAS matrix products on contiguous operands.
+``conv2d`` lays its im2col columns out channel-major, one (Cin*kh*kw, Ho*Wo)
+matrix per image with rows in the kernel's flattened (cin, i, j) order, so
+the kernel matrix times the columns lands in NCHW directly.  Each tap's
+in-bounds window is copied from the unpadded input into a zeroed buffer; no
+padded copy of the input is made.  ``transposed_conv2d`` (kernel == stride)
+is one product of the kernel matrix with the (Cin, H*W) input per image.
 """
 
 from __future__ import annotations
@@ -325,31 +333,54 @@ def concat_channels(a, b):
 # ---------------------------------------------------------------------------
 # convolution family
 
+def _out_size(size, k, stride, padding):
+    return (size + 2 * padding - k) // stride + 1
+
+
+def _tap_window(size, out_size, tap, stride, padding):
+    """For one kernel tap along one axis: the output slice whose tap lands
+    inside the unpadded input, and the input slice it reads; None if none."""
+    lo = max(0, -((tap - padding) // stride))
+    hi = min(out_size, (size - 1 + padding - tap) // stride + 1)
+    if hi <= lo:
+        return None
+    start = lo * stride + tap - padding
+    return slice(lo, hi), slice(start, start + (hi - lo - 1) * stride + 1, stride)
+
+
+def _taps(x_shape, kh, kw, stride, padding):
+    """(i, j, output window, input window) for every tap that reads input;
+    the output positions a tap reads from zero padding are not listed."""
+    h, w = x_shape[2:]
+    ho, wo = _out_size(h, kh, stride, padding), _out_size(w, kw, stride, padding)
+    rows = [_tap_window(h, ho, i, stride, padding) for i in range(kh)]
+    cols = [_tap_window(w, wo, j, stride, padding) for j in range(kw)]
+    for i, r in enumerate(rows):
+        for j, c in enumerate(cols):
+            if r is not None and c is not None:
+                yield i, j, (..., r[0], c[0]), (..., r[1], c[1])
+
+
 def _im2col(x, kh, kw, stride, padding):
+    """Columns (N, C*kh*kw, Ho*Wo), rows ordered like a flattened kernel."""
     n, c, h, w = x.shape
-    ho = (h + 2 * padding - kh) // stride + 1
-    wo = (w + 2 * padding - kw) // stride + 1
-    if padding:
-        x = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
-    cols = np.empty((n, c, kh, kw, ho, wo), dtype=x.dtype)
-    for i in range(kh):
-        for j in range(kw):
-            cols[:, :, i, j] = x[:, :, i : i + stride * ho : stride, j : j + stride * wo : stride]
-    return cols.transpose(0, 4, 5, 1, 2, 3).reshape(n * ho * wo, c * kh * kw), ho, wo
+    ho, wo = _out_size(h, kh, stride, padding), _out_size(w, kw, stride, padding)
+    cols = np.zeros((n, c, kh, kw, ho, wo), dtype=x.dtype)
+    for i, j, out_win, in_win in _taps(x.shape, kh, kw, stride, padding):
+        cols[:, :, i, j][out_win] = x[in_win]
+    return cols.reshape(n, c * kh * kw, ho * wo), ho, wo
 
 
-def _col2im(cols2d, x_shape, kh, kw, stride, padding):
+def _col2im(cols, x_shape, kh, kw, stride, padding):
+    """The adjoint of :func:`_im2col`: sum every column entry back onto the
+    input pixel it was copied from."""
     n, c, h, w = x_shape
-    ho = (h + 2 * padding - kh) // stride + 1
-    wo = (w + 2 * padding - kw) // stride + 1
-    cols = cols2d.reshape(n, ho, wo, c, kh, kw).transpose(0, 3, 4, 5, 1, 2)
-    xp = np.zeros((n, c, h + 2 * padding, w + 2 * padding), dtype=cols2d.dtype)
-    for i in range(kh):
-        for j in range(kw):
-            xp[:, :, i : i + stride * ho : stride, j : j + stride * wo : stride] += cols[:, :, i, j]
-    if padding:
-        return xp[:, :, padding : padding + h, padding : padding + w]
-    return xp
+    ho, wo = _out_size(h, kh, stride, padding), _out_size(w, kw, stride, padding)
+    cols = cols.reshape(n, c, kh, kw, ho, wo)
+    dx = np.zeros(x_shape, dtype=cols.dtype)
+    for i, j, out_win, in_win in _taps(x_shape, kh, kw, stride, padding):
+        dx[in_win] += cols[:, :, i, j][out_win]
+    return dx
 
 
 def conv2d(x, kernel, bias, stride=1, padding=0):
@@ -375,18 +406,19 @@ def conv2d(x, kernel, bias, stride=1, padding=0):
 
     cols, ho, wo = _im2col(x.data, kh, kw, stride, padding)
     wcol = kernel.data.reshape(cout, -1)
-    out = (cols @ wcol.T + bias.data).reshape(n, ho, wo, cout).transpose(0, 3, 1, 2)
+    out = wcol @ cols
+    out += bias.data[:, None]
 
     def bw(g):
-        gr = np.ascontiguousarray(g.transpose(0, 2, 3, 1)).reshape(-1, cout)
+        g = g.reshape(n, cout, ho * wo)
         if kernel.requires_grad:
-            _accum(kernel, (gr.T @ cols).reshape(kernel.data.shape))
+            _accum(kernel, (g @ cols.transpose(0, 2, 1)).sum(axis=0).reshape(kernel.data.shape))
         if bias.requires_grad:
-            _accum(bias, gr.sum(axis=0))
+            _accum(bias, g.sum(axis=(0, 2)))
         if x.requires_grad:
-            _accum(x, _col2im(gr @ wcol, x.data.shape, kh, kw, stride, padding))
+            _accum(x, _col2im(wcol.T @ g, x.data.shape, kh, kw, stride, padding))
 
-    return _result(out, (x, kernel, bias), bw)
+    return _result(out.reshape(n, cout, ho, wo), (x, kernel, bias), bw)
 
 
 def transposed_conv2d(x, kernel, bias, stride):
@@ -413,16 +445,21 @@ def transposed_conv2d(x, kernel, bias, stride):
     if bias.data.shape != (cout,):
         raise ValueError(f"transposed_conv2d: bias shape {bias.data.shape} does not match ({cout},)")
 
+    # taps never overlap, so each (input pixel, tap) product is one output
+    # pixel: a GEMM gives (N, Cout*s*s, H*W) and one transpose interleaves it
     s = stride
-    out = np.einsum("ncij,coab->noiajb", x.data, kernel.data).reshape(n, cout, h * s, w * s)
-    out = out + bias.data[None, :, None, None]
+    k2 = kernel.data.reshape(cin, cout * s * s)
+    x2 = x.data.reshape(n, cin, h * w)
+    y = k2.T @ x2
+    out = y.reshape(n, cout, s, s, h, w).transpose(0, 1, 4, 2, 5, 3).reshape(n, cout, h * s, w * s)
+    out += bias.data[:, None, None]
 
     def bw(g):
-        g6 = g.reshape(n, cout, h, s, w, s)
+        g2 = g.reshape(n, cout, h, s, w, s).transpose(0, 1, 3, 5, 2, 4).reshape(n, cout * s * s, h * w)
         if x.requires_grad:
-            _accum(x, np.einsum("noiajb,coab->ncij", g6, kernel.data))
+            _accum(x, (k2 @ g2).reshape(x.data.shape))
         if kernel.requires_grad:
-            _accum(kernel, np.einsum("ncij,noiajb->coab", x.data, g6))
+            _accum(kernel, (x2 @ g2.transpose(0, 2, 1)).sum(axis=0).reshape(kernel.data.shape))
         if bias.requires_grad:
             _accum(bias, g.sum(axis=(0, 2, 3)))
 
@@ -485,7 +522,9 @@ def backward(loss):
     """Populate grads of every reachable gradient-tracking tensor.
 
     Gradients of a node used by several consumers sum; leaves keep whatever
-    was already accumulated, so zero them between steps.
+    was already accumulated, so zero them between steps.  Each node's closure
+    and parent links are dropped once it has run, which frees the buffers
+    the closure holds during the pass; the graph cannot be walked again.
     """
     if loss.data.size != 1:
         raise ValueError(f"backward: loss must be scalar, got shape {loss.data.shape}")
@@ -493,9 +532,12 @@ def backward(loss):
     if loss.grad is None:
         loss.grad = np.zeros_like(loss.data)
     loss.grad += np.ones_like(loss.data)
-    for node in reversed(order):
+    while order:
+        node = order.pop()
         if node._backward is not None:
             node._backward(node.grad)
+            node._backward = None
+            node._parents = ()
 
 
 def zero_grads(tensors):

@@ -148,9 +148,14 @@ def _real_samples(cfg):
     if not cfg["data_dir"] or not root.is_dir():
         raise DataError(f"data_dir {cfg['data_dir']!r} is not a readable directory")
     samples = data.load_dataset(root, cfg["fov_threshold"])
-    plan = data.make_split(
-        [s.id for s in samples], cfg["dataset"], cfg["seed"], test_fraction=cfg["test_fraction"]
-    )
+    try:
+        plan = data.make_split(
+            [s.id for s in samples], cfg["dataset"], cfg["seed"], test_fraction=cfg["test_fraction"]
+        )
+    except ValueError as exc:
+        raise DataError(
+            f"data_dir {cfg['data_dir']!r} cannot be split as dataset={cfg['dataset']}: {exc}"
+        ) from exc
     by_id = {s.id: s for s in samples}
     pool = [by_id[i] for i in plan.train]
     sizes = {s.y.shape for s in pool}
@@ -400,7 +405,7 @@ def main(argv=None):
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (DataError, CheckpointError, FileNotFoundError) as exc:
+    except (DataError, CheckpointError, OSError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except NumericalError as exc:

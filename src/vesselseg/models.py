@@ -175,7 +175,7 @@ def generator_forward(model: Model, x: Tensor) -> Tensor:
         t = ag.transposed_conv2d(
             t, model.params[f"dec{lvl}_up_w"], model.params[f"dec{lvl}_up_b"], stride=2
         )
-        t = ag.concat_channels(skips[lvl], t)
+        t = ag.concat_channels(skips.pop(), t)
         t = ag.relu(_conv(model, f"dec{lvl}_conv1", t, padding=pad))
         t = ag.relu(_conv(model, f"dec{lvl}_conv2", t, padding=pad))
     return ag.sigmoid(_conv(model, "head", t))

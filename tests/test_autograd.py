@@ -140,6 +140,36 @@ def test_conv2d_shape_mismatch_names_both_shapes():
 # transposed conv
 
 
+def transposed_conv2d_naive(x, k, b, stride):
+    """Loop reference: each input pixel scatters kernel-weighted copies of
+    itself onto its own stride x stride output block, in float64."""
+    n, cin, h, w = x.shape
+    _, cout, kh, kw = k.shape
+    out = np.zeros((n, cout, h * stride, w * stride))
+    for ni in range(n):
+        for ci in range(cin):
+            for i in range(h):
+                for j in range(w):
+                    for co in range(cout):
+                        for a in range(kh):
+                            for bb in range(kw):
+                                out[ni, co, i * stride + a, j * stride + bb] += x[ni, ci, i, j] * k[ci, co, a, bb]
+    return out + b[None, :, None, None]
+
+
+def test_tconv_matches_naive_oracle_random():
+    rng = np.random.default_rng(5)
+    for trial in range(10):
+        n, stride = 1 + trial % 2, int(rng.integers(1, 4))
+        cin, cout = int(rng.integers(1, 4)), int(rng.integers(1, 4))
+        h, w = int(rng.integers(1, 5)), int(rng.integers(1, 5))
+        x = rng.uniform(-1, 1, (n, cin, h, w))
+        k = rng.uniform(-1, 1, (cin, cout, stride, stride))
+        b = rng.uniform(-1, 1, cout)
+        got = ag.transposed_conv2d(Tensor(x), Tensor(k), Tensor(b), stride=stride)
+        np.testing.assert_allclose(got.data, transposed_conv2d_naive(x, k, b, stride), atol=1e-12)
+
+
 def test_tconv_single_pixel_broadcast():
     x = Tensor(np.full((1, 1, 1, 1), 3.5))
     k = Tensor(np.ones((1, 1, 2, 2)))
@@ -317,6 +347,35 @@ def test_grad_transposed_conv2d():
         check_grad(loss, [x, k, b], wrt=trial % 3)
 
 
+def test_grad_conv2d_batch2_padded():
+    # kernel and bias grads sum over the batch
+    rng = np.random.default_rng(18)
+    for trial in range(6):
+        x = rng.uniform(-1, 1, (2, 2, 4, 5))
+        k = rng.uniform(-1, 1, (3, 2, 3, 3))
+        b = rng.uniform(-1, 1, 3)
+        w = rng.uniform(0.2, 1.0, (2, 3, 4, 5)) * rng.choice([-1, 1], (2, 3, 4, 5))
+
+        def loss(xt, kt, bt):
+            return weighted_sum(ag.conv2d(xt, kt, bt, stride=1, padding=1), w)
+
+        check_grad(loss, [x, k, b], wrt=trial % 3)
+
+
+def test_grad_transposed_conv2d_batch2():
+    rng = np.random.default_rng(19)
+    for trial in range(6):
+        x = rng.uniform(-1, 1, (2, 2, 3, 4))
+        k = rng.uniform(-1, 1, (2, 3, 2, 2))
+        b = rng.uniform(-1, 1, 3)
+        w = rng.uniform(0.2, 1.0, (2, 3, 6, 8)) * rng.choice([-1, 1], (2, 3, 6, 8))
+
+        def loss(xt, kt, bt):
+            return weighted_sum(ag.transposed_conv2d(xt, kt, bt, stride=2), w)
+
+        check_grad(loss, [x, k, b], wrt=trial % 3)
+
+
 def test_grad_maxpool():
     rng = np.random.default_rng(13)
     done = 0
@@ -414,6 +473,35 @@ def test_conv_backward_sum_conservation():
         per_out_position = out.data.shape[0] * out.data.shape[2] * out.data.shape[3]
         expected = per_out_position * k.data.sum()
         assert float(x.grad.sum()) == pytest.approx(float(expected), rel=1e-5)
+
+
+def test_backward_releases_every_closure():
+    def graph():
+        rng = np.random.default_rng(20)
+        x = Tensor(rng.uniform(-1, 1, (2, 2, 4, 4)), requires_grad=True)
+        k = Tensor(rng.uniform(-1, 1, (3, 2, 3, 3)), requires_grad=True)
+        kt = Tensor(rng.uniform(-1, 1, (3, 2, 2, 2)), requires_grad=True)
+        b3, b2 = Tensor(rng.uniform(-1, 1, 3), requires_grad=True), Tensor(np.zeros(2), requires_grad=True)
+        h = ag.maxpool2x2(ag.relu(ag.conv2d(x, k, b3, stride=1, padding=1)))
+        up = ag.transposed_conv2d(h, kt, b2, stride=2)
+        loss = ag.global_mean(ag.sigmoid(ag.concat_channels(x, up)))
+        return loss, [x, k, kt, b3, b2]
+
+    # reference: run every closure in the same order and keep the graph
+    loss, leaves = graph()
+    loss.grad = np.ones_like(loss.data)
+    for node in reversed(ag._topo_order(loss)):
+        if node._backward is not None:
+            node._backward(node.grad)
+    expected = [t.grad.copy() for t in leaves]
+
+    loss, leaves = graph()
+    nodes = ag._topo_order(loss)
+    assert sum(t._backward is not None for t in nodes) == 7
+    ag.backward(loss)
+    assert all(t._backward is None and t._parents == () for t in nodes)
+    for t, e in zip(leaves, expected):
+        np.testing.assert_array_equal(t.grad, e)
 
 
 def test_interior_grad_is_lazy():

@@ -72,6 +72,29 @@ def test_missing_data_dir_exit_code(capsys, tmp_path):
     assert "absent" in capsys.readouterr().err
 
 
+def _dataset(root, n=3, size=16):
+    rng = np.random.default_rng(6)
+    for sub in ("images", "labels"):
+        (root / sub).mkdir(parents=True)
+    for i in range(n):
+        px = rng.integers(40, 200, (size, size, 3)).astype(np.uint8)
+        gold = (rng.uniform(size=(size, size, 1)) > 0.7).astype(np.uint8) * 255
+        data.write_image(Image(pixels=px, maxval=255), root / "images" / f"im{i}.ppm")
+        data.write_image(Image(pixels=gold, maxval=255), root / "labels" / f"im{i}.pgm")
+    return root
+
+
+@pytest.mark.parametrize("dataset,fraction", [("stare", 0.2), ("custom", 1.0)])
+def test_unsplittable_dataset_is_data_exit(capsys, tmp_path, dataset, fraction):
+    root = _dataset(tmp_path / "ds")
+    cfg = write_cfg(tmp_path / "c.cfg", dataset=dataset, data_dir=str(root), test_fraction=fraction)
+    out = tmp_path / "o"
+    assert run(["train", "--config", str(cfg), "--out", str(out)]) == cli.EXIT_DATA
+    err = capsys.readouterr().err
+    assert err.startswith("data error: ") and str(root) in err and f"dataset={dataset}" in err
+    assert not out.exists()
+
+
 def test_usage_error_is_config_exit():
     assert run(["train"]) == cli.EXIT_CONFIG
 
@@ -201,6 +224,17 @@ def test_infer_corrupt_checkpoint_is_data_exit(trained_run, tmp_path, capsys):
     bad = tmp_path / "bad.ckpt"
     bad.write_bytes(bytes(raw))
     rc = run(["infer", "--checkpoint", str(bad), "--image", str(img_path),
+              "--out", str(tmp_path / "p.pgm")])
+    assert rc == cli.EXIT_DATA
+    assert capsys.readouterr().err.startswith("data error: ")
+    assert not (tmp_path / "p.pgm").exists()
+
+
+def test_infer_directory_checkpoint_is_data_exit(trained_run, tmp_path, capsys):
+    _, sample, _ = trained_run
+    img_path = tmp_path / "f.ppm"
+    _as_p6(sample, img_path)
+    rc = run(["infer", "--checkpoint", str(tmp_path), "--image", str(img_path),
               "--out", str(tmp_path / "p.pgm")])
     assert rc == cli.EXIT_DATA
     assert capsys.readouterr().err.startswith("data error: ")
