@@ -8,9 +8,9 @@ for high-precision checks.
 
 Graphs are built only where gradients can flow.  Inside ``with no_grad():``
 no op records parents or a backward closure, so every intermediate buffer
-(im2col columns, activations) is freed as soon as the next op has consumed
-it; use it for any forward pass nobody calls :func:`backward` on.  Inside
-``with frozen(params):`` the given parameters act as constants, so backward
+(padded convolution inputs, activations) is freed as soon as the next op
+has consumed it; use it for any forward pass nobody calls :func:`backward`
+on.  Inside ``with frozen(params):`` the given parameters act as constants, so backward
 computes no gradient for them but still flows through them to whatever else
 tracks gradients.  Both restore their previous state on exit, also when the
 block raises, and both nest.
@@ -19,13 +19,20 @@ Gradient-tracking leaves (``Tensor(..., requires_grad=True)``) hold a zeroed
 ``grad`` from construction; interior op results start with ``grad = None``
 and allocate it on the first accumulation during :func:`backward`.
 
-The convolutions are BLAS matrix products on contiguous operands.
-``conv2d`` lays its im2col columns out channel-major, one (Cin*kh*kw, Ho*Wo)
-matrix per image with rows in the kernel's flattened (cin, i, j) order, so
-the kernel matrix times the columns lands in NCHW directly.  Each tap's
-in-bounds window is copied from the unpadded input into a zeroed buffer; no
-padded copy of the input is made.  ``transposed_conv2d`` (kernel == stride)
-is one product of the kernel matrix with the (Cin, H*W) input per image.
+The convolutions are BLAS matrix products; ``conv2d`` builds no im2col
+columns.  It copies the input once into a zero-padded buffer split into
+stride x stride phase planes (one plane at stride 1), each flattened
+row-major with row width ``wq = Wo + (kw - 1) // stride``.  Kernel tap
+(i, j) then reads a contiguous slice of plane (i % stride, j % stride)
+starting at ``(i // stride) * wq + j // stride``, and the (N, Cout, Ho*wq)
+output accumulates the tap's (Cout, Cin) kernel matrix times that slice; a
+view drops the ``wq - Wo`` columns of each row that wrap into the next plane
+row.  The backward runs the same slices against the output grad with those
+columns zeroed, so a closure keeps the planes (about the input's size), not
+kh*kw copies of it.  Both walk the flattened output in blocks so that a
+block's per-tap products stay in cache.  A 1x1, stride-1, unpadded conv
+multiplies the input itself.  ``transposed_conv2d`` (kernel == stride) is
+one product of the kernel matrix with the (Cin, H*W) input per image.
 """
 
 from __future__ import annotations
@@ -337,50 +344,30 @@ def _out_size(size, k, stride, padding):
     return (size + 2 * padding - k) // stride + 1
 
 
-def _tap_window(size, out_size, tap, stride, padding):
-    """For one kernel tap along one axis: the output slice whose tap lands
-    inside the unpadded input, and the input slice it reads; None if none."""
-    lo = max(0, -((tap - padding) // stride))
-    hi = min(out_size, (size - 1 + padding - tap) // stride + 1)
-    if hi <= lo:
-        return None
-    start = lo * stride + tap - padding
-    return slice(lo, hi), slice(start, start + (hi - lo - 1) * stride + 1, stride)
+def _phase_windows(x_shape, stride, padding, hq, wq):
+    """For each phase (a, b): the region of its (hq, wq) plane that holds
+    input pixels, and the input slice those pixels come from.
 
-
-def _taps(x_shape, kh, kw, stride, padding):
-    """(i, j, output window, input window) for every tap that reads input;
-    the output positions a tap reads from zero padding are not listed."""
+    Plane (a, b) holds padded rows a, a + s, ... and padded columns
+    b, b + s, ...; padded rows and columns past hq*s, wq*s are never read.
+    """
     h, w = x_shape[2:]
-    ho, wo = _out_size(h, kh, stride, padding), _out_size(w, kw, stride, padding)
-    rows = [_tap_window(h, ho, i, stride, padding) for i in range(kh)]
-    cols = [_tap_window(w, wo, j, stride, padding) for j in range(kw)]
-    for i, r in enumerate(rows):
-        for j, c in enumerate(cols):
-            if r is not None and c is not None:
-                yield i, j, (..., r[0], c[0]), (..., r[1], c[1])
+    s, p = stride, padding
+    for a in range(s):
+        rows = range((a - p) % s, min(h, hq * s - p), s)
+        r0 = (rows.start + p) // s
+        for b in range(s):
+            cols = range((b - p) % s, min(w, wq * s - p), s)
+            c0 = (cols.start + p) // s
+            plane_win = (..., slice(r0, r0 + len(rows)), slice(c0, c0 + len(cols)))
+            x_win = (..., slice(rows.start, rows.stop, s), slice(cols.start, cols.stop, s))
+            yield a, b, plane_win, x_win
 
 
-def _im2col(x, kh, kw, stride, padding):
-    """Columns (N, C*kh*kw, Ho*Wo), rows ordered like a flattened kernel."""
-    n, c, h, w = x.shape
-    ho, wo = _out_size(h, kh, stride, padding), _out_size(w, kw, stride, padding)
-    cols = np.zeros((n, c, kh, kw, ho, wo), dtype=x.dtype)
-    for i, j, out_win, in_win in _taps(x.shape, kh, kw, stride, padding):
-        cols[:, :, i, j][out_win] = x[in_win]
-    return cols.reshape(n, c * kh * kw, ho * wo), ho, wo
-
-
-def _col2im(cols, x_shape, kh, kw, stride, padding):
-    """The adjoint of :func:`_im2col`: sum every column entry back onto the
-    input pixel it was copied from."""
-    n, c, h, w = x_shape
-    ho, wo = _out_size(h, kh, stride, padding), _out_size(w, kw, stride, padding)
-    cols = cols.reshape(n, c, kh, kw, ho, wo)
-    dx = np.zeros(x_shape, dtype=cols.dtype)
-    for i, j, out_win, in_win in _taps(x_shape, kh, kw, stride, padding):
-        dx[in_win] += cols[:, :, i, j][out_win]
-    return dx
+# Flattened output columns per block, at least: a block's operand, product
+# and accumulator rows stay in cache across its taps, and blocks are long
+# enough that the per-GEMM call overhead stays small.
+_BLOCK = 4096
 
 
 def conv2d(x, kernel, bias, stride=1, padding=0):
@@ -404,21 +391,66 @@ def conv2d(x, kernel, bias, stride=1, padding=0):
             f"conv2d: padded input {x.data.shape} smaller than kernel {kernel.data.shape}"
         )
 
-    cols, ho, wo = _im2col(x.data, kh, kw, stride, padding)
-    wcol = kernel.data.reshape(cout, -1)
-    out = wcol @ cols
-    out += bias.data[:, None]
+    s, dtype = stride, np.result_type(x.data, kernel.data, bias.data)
+    ho, wo = _out_size(h, kh, s, padding), _out_size(w, kw, s, padding)
+    hq, wq = ho + (kh - 1) // s, wo + (kw - 1) // s
+    length = ho * wq
+    size = hq * wq + (kw - 1) // s  # the last tap's slice runs past row hq
+    if s == 1 and padding == 0 and kw == 1:
+        # the input is its own (only) plane and no slice runs past its end
+        planes = x.data.reshape(1, 1, n, cin, h * w)
+    else:
+        planes = np.zeros((s, s, n, cin, size), dtype=x.data.dtype)
+        grid = planes[..., : hq * wq].reshape(s, s, n, cin, hq, wq)
+        for a, b, plane_win, x_win in _phase_windows(x.data.shape, s, padding, hq, wq):
+            grid[a, b][plane_win] = x.data[x_win]
+    taps = [(i, j, (i % s, j % s), (i // s) * wq + j // s) for i in range(kh) for j in range(kw)]
+    ktap = np.ascontiguousarray(kernel.data.transpose(2, 3, 0, 1))  # (kh, kw, Cout, Cin)
+    step = -(-length // max(1, length // _BLOCK))
+    blocks = [slice(b, min(b + step, length)) for b in range(0, length, step)]
+
+    def window(arr, phase, offset, blk):
+        """Tap slice of a phase-plane buffer for one block of the output."""
+        return arr[phase][..., offset + blk.start : offset + blk.stop]
+
+    # out[:, :, y*wq + x] is output pixel (y, x) for x < wo; the wq - wo
+    # columns past it wrap into the next plane row and are dropped
+    out = np.empty((n, cout, length), dtype=dtype)
+    prod = np.empty((n, cout, step), dtype=dtype)
+    for blk in blocks:
+        acc, p = out[..., blk], prod[..., : blk.stop - blk.start]
+        acc[...] = bias.data[:, None]
+        for i, j, phase, offset in taps:
+            acc += np.matmul(ktap[i, j], window(planes, phase, offset, blk), out=p)
 
     def bw(g):
-        g = g.reshape(n, cout, ho * wo)
-        if kernel.requires_grad:
-            _accum(kernel, (g @ cols.transpose(0, 2, 1)).sum(axis=0).reshape(kernel.data.shape))
         if bias.requires_grad:
-            _accum(bias, g.sum(axis=(0, 2)))
+            _accum(bias, g.sum(axis=(0, 2, 3)))
+        # the output grad in the (ho, wq) layout, zero in the wrap columns
+        gq = np.zeros((n, cout, ho, wq), dtype=dtype)
+        gq[..., :wo] = g
+        gq = gq.reshape(n, cout, length)
+        if kernel.requires_grad:
+            dk = np.zeros_like(ktap)
+            for blk in blocks:
+                gb = gq[..., blk]
+                for i, j, phase, offset in taps:
+                    dk[i, j] += (gb @ window(planes, phase, offset, blk).transpose(0, 2, 1)).sum(axis=0)
+            _accum(kernel, dk.transpose(2, 3, 0, 1))
         if x.requires_grad:
-            _accum(x, _col2im(wcol.T @ g, x.data.shape, kh, kw, stride, padding))
+            dplanes = np.zeros((s, s, n, cin, size), dtype=dtype)
+            dprod = np.empty((n, cin, step), dtype=dtype)
+            for blk in blocks:
+                gb, p = gq[..., blk], dprod[..., : blk.stop - blk.start]
+                for i, j, phase, offset in taps:
+                    window(dplanes, phase, offset, blk)[...] += np.matmul(ktap[i, j].T, gb, out=p)
+            dgrid = dplanes[..., : hq * wq].reshape(s, s, n, cin, hq, wq)
+            dx = np.zeros(x.data.shape, dtype=dtype)
+            for a, b, plane_win, x_win in _phase_windows(x.data.shape, s, padding, hq, wq):
+                dx[x_win] = dgrid[a, b][plane_win]
+            _accum(x, dx)
 
-    return _result(out.reshape(n, cout, ho, wo), (x, kernel, bias), bw)
+    return _result(out.reshape(n, cout, ho, wq)[..., :wo], (x, kernel, bias), bw)
 
 
 def transposed_conv2d(x, kernel, bias, stride):

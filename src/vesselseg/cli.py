@@ -259,6 +259,13 @@ def _load_binary(path):
     return data.binarize(img)
 
 
+def _fov_mask(path, threshold):
+    fundus = data.load_image(path)
+    if fundus.channels != 3:
+        raise DataError(f"{path}: FOV detection needs a 3-channel P6 fundus image")
+    return data.generate_fov_mask(fundus, threshold)
+
+
 def _stem_map(directory, suffixes=(".pgm",)):
     d = Path(directory)
     if not d.is_dir():
@@ -283,8 +290,6 @@ def cmd_eval(args):
             raise DataError("mask directory lacks masks for: " + ", ".join(missing))
     images = _stem_map(args.image_dir, suffixes=(".ppm",)) if args.image_dir else {}
 
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     notes = []
     prob_list, gold_list, mask_list, ids = [], [], [], []
     for stem in sorted(preds):
@@ -295,21 +300,31 @@ def cmd_eval(args):
         if stem in masks:
             mask = _load_binary(masks[stem])
         elif stem in images:
-            mask = data.generate_fov_mask(data.load_image(images[stem]), args.fov_threshold)
+            mask = _fov_mask(images[stem], args.fov_threshold)
             notes.append(f"{stem}: FOV mask synthesized from {images[stem]}")
         else:
             mask = np.ones_like(gold)
             notes.append(f"{stem}: no mask available, counted all pixels")
         if mask.shape != gold.shape:
             raise DataError(f"{stem}: mask {mask.shape} and gold {gold.shape} differ")
+        if args.per_image_otsu and not mask.any():
+            raise DataError(f"{stem}: empty FOV mask, no pixel to pick an Otsu threshold from")
         prob_list.append(probs)
         gold_list.append(gold)
         mask_list.append(mask)
         ids.append(stem)
+    # the pooled ROC needs vessel and background pixels inside the FOV
+    fov = sum(int(np.count_nonzero(m)) for m in mask_list)
+    vessel = sum(int(np.count_nonzero(g & m)) for g, m in zip(gold_list, mask_list))
+    for count, kind in ((vessel, "vessel"), (fov - vessel, "background")):
+        if count == 0:
+            raise DataError(f"no {kind} pixel inside the FOV of any gold map: {', '.join(ids)}")
 
     report = metrics.evaluate(
         prob_list, gold_list, mask_list, ids=ids, per_image_threshold=args.per_image_otsu
     )
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
     metrics.write_curve_csv(report.roc, out / "roc.csv")
     metrics.write_curve_csv(report.pr, out / "pr.csv")
     metrics.write_summary_csv(report, out / "summary.csv")
@@ -331,11 +346,17 @@ def cmd_eval(args):
 def cmd_overlay(args):
     probs = _load_prob(args.pred)
     gold = _load_binary(args.gold)
+    if gold.shape != probs.shape:
+        raise DataError(f"{args.gold}: gold {gold.shape} and prediction {probs.shape} differ")
     if args.mask:
         mask = _load_binary(args.mask)
+        if mask.shape != probs.shape:
+            raise DataError(f"{args.mask}: mask {mask.shape} and prediction {probs.shape} differ")
     else:
         mask = np.ones_like(gold)
     if args.threshold == "otsu":
+        if not mask.any():
+            raise DataError(f"{args.mask}: empty FOV mask, no pixel to pick an Otsu threshold from")
         thr = metrics.otsu_threshold(probs[mask.astype(bool)])
     else:
         try:

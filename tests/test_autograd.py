@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -125,6 +127,76 @@ def test_conv2d_matches_naive_oracle_random():
         b = rng.uniform(-1, 1, cout)
         got = ag.conv2d(Tensor(x), Tensor(k), Tensor(b), stride=stride, padding=padding)
         np.testing.assert_allclose(got.data, conv2d_naive(x, k, b, stride, padding), atol=1e-12)
+    # edges of the phase-plane layout: stride 3, non-square kernels up to 5x5,
+    # padding at least half the kernel or the whole kernel, trailing rows or
+    # columns no tap reads ((h + 2p - k) % s != 0), n = 2
+    edges = [  # n, cin, cout, kh, kw, stride, padding, h, w
+        (2, 2, 3, 3, 3, 3, 2, 8, 10),
+        (2, 1, 2, 5, 3, 2, 3, 7, 6),
+        (1, 2, 2, 2, 5, 3, 2, 6, 9),
+        (2, 3, 1, 4, 1, 3, 5, 2, 3),
+        (1, 2, 2, 5, 5, 1, 4, 3, 4),
+        (2, 2, 2, 1, 4, 2, 0, 7, 9),
+        (1, 1, 1, 3, 2, 3, 6, 1, 1),
+        (2, 2, 3, 5, 4, 2, 2, 11, 10),
+    ]
+    for _ in range(12):
+        kh, kw, stride, padding = (int(v) for v in rng.integers(1, (6, 6, 4, 7)))
+        h = int(rng.integers(max(1, kh - 2 * padding), kh + 7))
+        w = int(rng.integers(max(1, kw - 2 * padding), kw + 7))
+        edges.append((int(rng.integers(1, 3)), 2, 2, kh, kw, stride, padding, h, w))
+    for n, cin, cout, kh, kw, stride, padding, h, w in edges:
+        x = rng.uniform(-1, 1, (n, cin, h, w))
+        k = rng.uniform(-1, 1, (cout, cin, kh, kw))
+        b = rng.uniform(-1, 1, cout)
+        got = ag.conv2d(Tensor(x), Tensor(k), Tensor(b), stride=stride, padding=padding)
+        np.testing.assert_allclose(got.data, conv2d_naive(x, k, b, stride, padding), atol=1e-12)
+
+
+def test_conv2d_block_split_matches_one_block(monkeypatch):
+    # the flattened output is processed in blocks; splitting it differently
+    # changes neither the output nor any gradient
+    rng = np.random.default_rng(23)
+    for n, cin, cout, kh, kw, stride, padding, h, w in [
+        (2, 2, 3, 3, 3, 1, 1, 9, 7),
+        (1, 3, 2, 3, 4, 2, 1, 11, 10),
+        (2, 2, 2, 5, 2, 3, 2, 10, 8),
+        (1, 4, 1, 1, 1, 1, 0, 6, 5),
+    ]:
+        arrays = [
+            rng.uniform(-1, 1, (n, cin, h, w)),
+            rng.uniform(-1, 1, (cout, cin, kh, kw)),
+            rng.uniform(-1, 1, cout),
+        ]
+
+        def run():
+            leaves = [Tensor(a, requires_grad=True) for a in arrays]
+            out = ag.conv2d(*leaves, stride=stride, padding=padding)
+            ag.backward(weighted_sum(out, np.linspace(-1, 1, out.data.size).reshape(out.data.shape)))
+            return [out.data.copy()] + [t.grad for t in leaves]
+
+        whole = run()
+        for block in (1, 3, 7):
+            monkeypatch.setattr(ag, "_BLOCK", block)
+            for got, want in zip(run(), whole):
+                np.testing.assert_allclose(got, want, atol=1e-12)
+            monkeypatch.undo()
+
+
+def test_conv2d_1x1_reads_input_in_place():
+    # a 1x1, stride-1, unpadded conv multiplies the input itself: no copy
+    x = Tensor(np.random.default_rng(24).uniform(-1, 1, (1, 8, 256, 256)).astype(np.float32))
+    k = Tensor(np.full((1, 8, 1, 1), 0.5, dtype=np.float32))
+    b = Tensor(np.zeros(1, dtype=np.float32))
+    tracemalloc.start()
+    try:
+        with ag.no_grad():
+            out = ag.conv2d(x, k, b)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    np.testing.assert_allclose(out.data, 0.5 * x.data.sum(axis=1, keepdims=True), rtol=1e-5, atol=1e-5)
+    assert peak < x.data.nbytes, (peak, x.data.nbytes)
 
 
 def test_conv2d_shape_mismatch_names_both_shapes():
@@ -329,6 +401,24 @@ def test_grad_conv2d_strided():
 
         def loss(xt, kt, bt):
             return weighted_sum(ag.conv2d(xt, kt, bt, stride=2, padding=1), w)
+
+        check_grad(loss, [x, k, b], wrt=trial % 3)
+
+
+def test_grad_conv2d_stride23_nonsquare_batch2():
+    # strides 2 and 3 read several phase planes; at padding 1, h + 2p - k is
+    # 7 on both axes, so a trailing padded row and column is never read
+    rng = np.random.default_rng(25)
+    for trial in range(6):
+        stride, padding = 2 + trial % 2, 1 + (trial // 2) % 2
+        x = rng.uniform(-1, 1, (2, 2, 8, 9))
+        k = rng.uniform(-1, 1, (3, 2, 3, 4))
+        b = rng.uniform(-1, 1, 3)
+        out_shape = ag.conv2d(Tensor(x), Tensor(k), Tensor(b), stride, padding).data.shape
+        w = rng.uniform(0.2, 1.0, out_shape) * rng.choice([-1, 1], out_shape)
+
+        def loss(xt, kt, bt):
+            return weighted_sum(ag.conv2d(xt, kt, bt, stride=stride, padding=padding), w)
 
         check_grad(loss, [x, k, b], wrt=trial % 3)
 

@@ -313,6 +313,45 @@ def test_eval_empty_dir(tmp_path):
     assert rc == cli.EXIT_DATA
 
 
+def test_eval_gold_without_vessels_in_fov_is_data_exit(tmp_path, capsys):
+    pred_d, gold_d, mask_d = _gold_dirs(tmp_path)
+    for stem in ("im0", "im1"):
+        data.write_image(Image(pixels=np.zeros((16, 16, 1), np.uint8), maxval=255),
+                         gold_d / f"{stem}.pgm")
+    out = tmp_path / "report"
+    rc = run(["eval", "--pred-dir", str(pred_d), "--gold-dir", str(gold_d),
+              "--mask-dir", str(mask_d), "--out", str(out)])
+    assert rc == cli.EXIT_DATA
+    err = capsys.readouterr().err
+    assert "no vessel pixel" in err and "im0" in err
+    assert not out.exists()
+
+
+def test_eval_per_image_otsu_empty_fov_is_data_exit(tmp_path, capsys):
+    pred_d, gold_d, mask_d = _gold_dirs(tmp_path)
+    data.write_image(Image(pixels=np.zeros((16, 16, 1), np.uint8), maxval=255), mask_d / "im1.pgm")
+    out = tmp_path / "report"
+    rc = run(["eval", "--pred-dir", str(pred_d), "--gold-dir", str(gold_d),
+              "--mask-dir", str(mask_d), "--per-image-otsu", "--out", str(out)])
+    assert rc == cli.EXIT_DATA
+    assert "im1" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_eval_single_channel_fundus_is_data_exit(tmp_path, capsys):
+    pred_d, gold_d, _ = _gold_dirs(tmp_path)
+    image_d = tmp_path / "images"
+    image_d.mkdir()
+    gray = image_d / "im0.ppm"  # a P5 file under the fundus-photo name
+    data.write_image(Image(pixels=np.full((16, 16, 1), 200, np.uint8), maxval=255), gray)
+    out = tmp_path / "report"
+    rc = run(["eval", "--pred-dir", str(pred_d), "--gold-dir", str(gold_d),
+              "--image-dir", str(image_d), "--out", str(out)])
+    assert rc == cli.EXIT_DATA
+    assert str(gray) in capsys.readouterr().err
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # overlay
 
@@ -344,6 +383,22 @@ def test_overlay_threshold_flag(tmp_path):
     rc = run(["overlay", "--pred", str(pred_p), "--gold", str(gold_p),
               "--threshold", "2.5", "--out", str(out)])
     assert rc == cli.EXIT_CONFIG
+
+
+@pytest.mark.parametrize("bad", ["mask_shape", "gold_shape", "empty_mask"])
+def test_overlay_bad_input_is_data_exit(tmp_path, capsys, bad):
+    pred_p, gold_p = _overlay_inputs(tmp_path)
+    mask_p = tmp_path / "mask.pgm"
+    shape = (12, 12) if bad == "empty_mask" else (12, 10)
+    data.write_image(Image(pixels=np.zeros((*shape, 1), np.uint8), maxval=255), mask_p)
+    args = ["--mask", str(mask_p)]
+    if bad == "gold_shape":
+        gold_p, args = mask_p, []
+    out = tmp_path / "ov.ppm"
+    rc = run(["overlay", "--pred", str(pred_p), "--gold", str(gold_p), *args, "--out", str(out)])
+    assert rc == cli.EXIT_DATA
+    assert str(mask_p) in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_overlay_byte_identical(tmp_path):

@@ -85,6 +85,22 @@ def test_no_grad_generator_forward_is_bit_equal_and_smaller():
     assert free_peak <= graph_peak / 2, (free_peak, graph_peak)
 
 
+def test_no_grad_generator_forward_needs_no_column_buffer():
+    # convolutions multiply shifted slices of a padded input: none builds
+    # the 9x im2col column matrix of its widest layer, not even briefly
+    g = models.build_generator(GeneratorSpec(scales=2, base_channels=8), seed=2)
+    x = rand_input((1, 3, 128, 128), seed=5)
+    widest_columns = 16 * 9 * 128 * 128 * 4  # dec0_conv1: 16 input channels, 3x3, float32
+    tracemalloc.start()
+    try:
+        with ag.no_grad():
+            models.generator_forward(g, x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < widest_columns, (peak, widest_columns)
+
+
 def test_generator_rejects_indivisible_size():
     g = models.build_generator(GeneratorSpec(scales=3, base_channels=4), seed=0)
     with pytest.raises(ValueError) as e:
