@@ -263,7 +263,10 @@ def _fov_mask(path, threshold):
     fundus = data.load_image(path)
     if fundus.channels != 3:
         raise DataError(f"{path}: FOV detection needs a 3-channel P6 fundus image")
-    return data.generate_fov_mask(fundus, threshold)
+    try:
+        return data.generate_fov_mask(fundus, threshold)
+    except DataError as exc:
+        raise DataError(f"{path}: {exc}") from exc
 
 
 def _stem_map(directory, suffixes=(".pgm",)):

@@ -339,7 +339,10 @@ def load_dataset(root, fov_threshold=DEFAULT_FOV_THRESHOLD):
                 raise DataError(f"{stem}: mask size differs from image size")
             m = binarize(mimg)
         else:
-            m = generate_fov_mask(img, fov_threshold)
+            try:
+                m = generate_fov_mask(img, fov_threshold)
+            except DataError as exc:
+                raise DataError(f"{images[stem]}: {exc}") from exc
         x = zscore_normalize(img).transpose(2, 0, 1)
         samples.append(Sample(id=stem, x=x, y=binarize(lbl), m=m))
     return samples

@@ -2,14 +2,18 @@
 
 Curves put a threshold at every distinct score with ties grouped, and
 integrate by trapezoid, so the ROC area equals the tie-corrected rank
-statistic.  The Otsu search runs over the 255 boundaries of a 256-bin
-histogram with exact integer moments, making the argmax reproducible
-against an exhaustive sweep.
+statistic.  Both curves come from one plain sort of the pooled scores,
+grouped once per ``ScoredPixels`` and shared by ROC and PR: each distinct
+score's at-or-above counts are binary searches into the sorted scores and
+into the sorted positive scores.  The Otsu search runs over the 255
+boundaries of a 256-bin histogram with exact integer moments, making the
+argmax reproducible against an exhaustive sweep.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -18,7 +22,10 @@ from .data import Image
 
 @dataclass
 class ScoredPixels:
-    """Index-aligned scores and labels of the pixels inside the FOV."""
+    """Index-aligned scores and labels of the pixels inside the FOV.
+
+    Scores must be finite and labels 0/1 (or bool).
+    """
 
     scores: np.ndarray
     labels: np.ndarray
@@ -31,6 +38,15 @@ class ScoredPixels:
                 f"scores and labels must be equal-length vectors, got "
                 f"{self.scores.shape} and {self.labels.shape}"
             )
+        if not np.isfinite(self.scores).all():
+            raise ValueError("scores must be finite")
+        if not ((self.labels == 0) | (self.labels == 1)).all():
+            raise ValueError("labels must be 0 or 1")
+
+    @cached_property
+    def grouped(self):
+        """``_group_counts`` of these pixels, computed on first use."""
+        return _group_counts(self)
 
 
 @dataclass
@@ -68,14 +84,20 @@ class MetricsReport:
 
 def _group_counts(sp: ScoredPixels):
     """Cumulative true/false positive counts at each distinct score, descending."""
-    order = np.argsort(-sp.scores, kind="stable")
-    s = sp.scores[order]
-    pos = sp.labels[order].astype(np.int64)
-    boundaries = np.nonzero(np.diff(s))[0]
-    ends = np.append(boundaries, len(s) - 1)
-    cum_tp = np.cumsum(pos)[ends]
-    cum_fp = (ends + 1) - cum_tp
-    return s[ends], cum_tp, cum_fp
+    s = np.sort(sp.scores)
+    pos = np.sort(sp.scores[sp.labels == 1])
+    # the last element of each run of equal scores is its distinct value
+    thresholds = s[np.append(np.flatnonzero(np.diff(s)), len(s) - 1)]
+    at_or_above = len(s) - np.searchsorted(s, thresholds)
+    cum_tp = len(pos) - np.searchsorted(pos, thresholds)
+    cum_fp = at_or_above - cum_tp
+    return thresholds[::-1], cum_tp[::-1], cum_fp[::-1]
+
+
+def _points(thresholds, x, y, anchor):
+    """(threshold, x, y) tuples ascending in threshold, ending at the +inf anchor."""
+    # the grouped thresholds are distinct and descending, so reversing sorts them
+    return list(zip(thresholds[::-1].tolist(), x[::-1].tolist(), y[::-1].tolist())) + [anchor]
 
 
 def roc_auc(sp: ScoredPixels):
@@ -84,16 +106,14 @@ def roc_auc(sp: ScoredPixels):
     n = int(np.sum(sp.labels == 0))
     if p == 0 or n == 0:
         raise ValueError(f"ROC needs both classes; got {p} positives, {n} negatives")
-    thresholds, cum_tp, cum_fp = _group_counts(sp)
+    thresholds, cum_tp, cum_fp = sp.grouped
     tpr = cum_tp / p
     fpr = cum_fp / n
     # trapezoid from the (0,0) anchor through each grouped threshold
     xs = np.concatenate([[0.0], fpr])
     ys = np.concatenate([[0.0], tpr])
     auc = float(np.trapezoid(ys, xs))
-    points = [(float("inf"), 0.0, 0.0)]
-    points += [(float(t), float(fx), float(ty)) for t, fx, ty in zip(thresholds, fpr, tpr)]
-    points.sort(key=lambda q: q[0])
+    points = _points(thresholds, fpr, tpr, (float("inf"), 0.0, 0.0))
     return Curve(points=points, auc=auc), auc
 
 
@@ -102,16 +122,14 @@ def pr_auc(sp: ScoredPixels):
     p = int(np.sum(sp.labels == 1))
     if p == 0:
         raise ValueError("PR curve needs at least one positive label")
-    thresholds, cum_tp, cum_fp = _group_counts(sp)
+    thresholds, cum_tp, cum_fp = sp.grouped
     recall = cum_tp / p
     precision = cum_tp / (cum_tp + cum_fp)
     # anchor at recall zero with the first point's precision
     xs = np.concatenate([[0.0], recall])
     ys = np.concatenate([[precision[0]], precision])
     auc = float(np.trapezoid(ys, xs))
-    points = [(float("inf"), 0.0, float(precision[0]))]
-    points += [(float(t), float(r), float(q)) for t, r, q in zip(thresholds, recall, precision)]
-    points.sort(key=lambda q: q[0])
+    points = _points(thresholds, recall, precision, (float("inf"), 0.0, float(precision[0])))
     return Curve(points=points, auc=auc), auc
 
 

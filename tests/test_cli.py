@@ -1,3 +1,4 @@
+import hashlib
 import os
 import subprocess
 import sys
@@ -350,6 +351,85 @@ def test_eval_single_channel_fundus_is_data_exit(tmp_path, capsys):
     assert rc == cli.EXIT_DATA
     assert str(gray) in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_eval_black_fundus_names_the_photo(tmp_path, capsys):
+    pred_d, gold_d, _ = _gold_dirs(tmp_path)
+    image_d = tmp_path / "images"
+    image_d.mkdir()
+    black = image_d / "im0.ppm"
+    data.write_image(Image(pixels=np.zeros((16, 16, 3), np.uint8), maxval=255), black)
+    out = tmp_path / "report"
+    rc = run(["eval", "--pred-dir", str(pred_d), "--gold-dir", str(gold_d),
+              "--image-dir", str(image_d), "--out", str(out)])
+    assert rc == cli.EXIT_DATA
+    err = capsys.readouterr().err
+    assert f"{black}: no blob found" in err
+    assert not out.exists()
+
+
+def test_train_black_fundus_names_the_photo(tmp_path, capsys):
+    root = _dataset(tmp_path / "ds", n=1)
+    black = root / "images" / "im0.ppm"
+    data.write_image(Image(pixels=np.zeros((16, 16, 3), np.uint8), maxval=255), black)
+    cfg = write_cfg(tmp_path / "c.cfg", dataset="custom", data_dir=str(root))
+    out = tmp_path / "o"
+    assert run(["train", "--config", str(cfg), "--out", str(out)]) == cli.EXIT_DATA
+    err = capsys.readouterr().err
+    assert f"{black}: no blob found" in err
+    assert not out.exists()
+
+
+def _golden_eval_inputs(root, size=40):
+    """Three tie-heavy 16-bit maps; im1's FOV is detected from a P6 photo."""
+    pred_d, gold_d, image_d = root / "pred", root / "gold", root / "images"
+    for d in (pred_d, gold_d, image_d):
+        d.mkdir()
+    rng = np.random.default_rng(20240)
+    u = rng.uniform(size=(3, size, size))
+    gold = rng.uniform(size=(3, size, size)) < 0.2
+    p = np.clip(0.6 * u + 0.4 * gold, 0.0, 1.0)
+    maps = [
+        np.round(p[0] * 16) * 4095,  # 17 levels
+        np.round(p[1] * 255) * 257,  # 8-bit levels
+        np.round(np.round(p[2], 2) * 65535),  # two decimals
+    ]
+    for i, (m, g) in enumerate(zip(maps, gold)):
+        data.write_image(Image(pixels=m.astype(np.uint16)[:, :, None], maxval=65535),
+                         pred_d / f"im{i}.pgm")
+        data.write_image(Image(pixels=(g[:, :, None] * 255).astype(np.uint8), maxval=255),
+                         gold_d / f"im{i}.pgm")
+    yy, xx = np.mgrid[:size, :size]
+    disc = (yy - size / 2) ** 2 + (xx - size / 2) ** 2 <= (0.4 * size) ** 2
+    photo = disc[:, :, None] * rng.integers(60, 200, (size, size, 3))
+    data.write_image(Image(pixels=photo.astype(np.uint8), maxval=255), image_d / "im1.ppm")
+    return pred_d, gold_d, image_d
+
+
+# sha256 of the CSVs of `eval` on _golden_eval_inputs, recorded from the
+# argsort-grouping implementation that preceded the one-sort grouping
+_GOLDEN_CURVES = {
+    "roc.csv": "6296376ad3911960cb20bdae892b86ba56b7eae62ff4d789e86eacf8fdbf8adc",
+    "pr.csv": "3fffc7ec25d7dacac71341f24abafebd688a505541ad14defa4849f0be2dd56d",
+}
+GOLDEN_EVAL_SHA256 = {
+    False: {**_GOLDEN_CURVES,
+            "summary.csv": "4bf3e01b699c60cab299c77be9d55422c94b35d498eb0aa5f1e0594591b1e269"},
+    True: {**_GOLDEN_CURVES,
+           "summary.csv": "846bdcd4179b017061ed67d8a020363601113f483705da3cc9fa704974acb52b"},
+}
+
+
+@pytest.mark.parametrize("per_image", [False, True])
+def test_eval_csv_bytes_pinned(tmp_path, per_image):
+    pred_d, gold_d, image_d = _golden_eval_inputs(tmp_path)
+    out = tmp_path / "report"
+    argv = ["eval", "--pred-dir", str(pred_d), "--gold-dir", str(gold_d),
+            "--image-dir", str(image_d), "--out", str(out)]
+    assert run(argv + ["--per-image-otsu"] * per_image) == 0
+    digests = {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+               for name in ("roc.csv", "pr.csv", "summary.csv")}
+    assert digests == GOLDEN_EVAL_SHA256[per_image]
 
 
 # ---------------------------------------------------------------------------

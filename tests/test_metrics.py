@@ -61,6 +61,38 @@ def otsu_bruteforce(scores):
     return float(best_k / 256)
 
 
+def group_counts_argsort(sp):
+    """Stable descending argsort, then a cumulative sum at each run's end."""
+    order = np.argsort(-sp.scores, kind="stable")
+    s = sp.scores[order]
+    pos = sp.labels[order].astype(np.int64)
+    boundaries = np.nonzero(np.diff(s))[0]
+    ends = np.append(boundaries, len(s) - 1)
+    cum_tp = np.cumsum(pos)[ends]
+    cum_fp = (ends + 1) - cum_tp
+    return s[ends], cum_tp, cum_fp
+
+
+def curves_argsort(sp):
+    """ROC and PR points and areas built point by point from the argsort grouping."""
+    thresholds, cum_tp, cum_fp = group_counts_argsort(sp)
+    p = int(np.sum(sp.labels == 1))
+    n = int(np.sum(sp.labels == 0))
+    fpr, tpr = cum_fp / n, cum_tp / p
+    roc_area = float(np.trapezoid(np.concatenate([[0.0], tpr]), np.concatenate([[0.0], fpr])))
+    roc_points = [(float("inf"), 0.0, 0.0)]
+    roc_points += [(float(t), float(x), float(y)) for t, x, y in zip(thresholds, fpr, tpr)]
+    roc_points.sort(key=lambda q: q[0])
+    recall, precision = cum_tp / p, cum_tp / (cum_tp + cum_fp)
+    pr_area = float(
+        np.trapezoid(np.concatenate([[precision[0]], precision]), np.concatenate([[0.0], recall]))
+    )
+    pr_points = [(float("inf"), 0.0, float(precision[0]))]
+    pr_points += [(float(t), float(r), float(q)) for t, r, q in zip(thresholds, recall, precision)]
+    pr_points.sort(key=lambda q: q[0])
+    return roc_points, roc_area, pr_points, pr_area
+
+
 # ---------------------------------------------------------------------------
 # roc
 
@@ -123,6 +155,99 @@ def test_roc_curve_monotone_in_threshold():
     ys = [p[2] for p in curve.points]
     assert all(a >= b for a, b in zip(xs, xs[1:]))
     assert all(a >= b for a, b in zip(ys, ys[1:]))
+
+
+# ---------------------------------------------------------------------------
+# grouping against the argsort oracle
+
+
+def assert_matches_argsort(scores, labels):
+    sp = ScoredPixels(scores, labels)
+    grouped = metrics._group_counts(sp)
+    for got, want in zip(grouped, group_counts_argsort(sp)):
+        assert got.dtype == want.dtype
+        assert np.array_equal(got, want)
+    roc_points, roc_area, pr_points, pr_area = curves_argsort(sp)
+    roc_curve, area = metrics.roc_auc(sp)
+    assert roc_curve.points == roc_points
+    assert area == roc_curve.auc == roc_area
+    pr_curve, area = metrics.pr_auc(sp)
+    assert pr_curve.points == pr_points
+    assert area == pr_curve.auc == pr_area
+
+
+def tie_heavy_scores(rng, n, kind):
+    u = rng.uniform(0, 1, n)
+    if kind == "k/65535":
+        return np.round(u * 65535) / 65535
+    return np.round(u, kind)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(0, 2**31 - 1),
+    st.integers(2, 400),
+    st.sampled_from([1, 2, 4, "k/65535"]),
+    st.floats(0.05, 0.95),
+)
+def test_grouping_matches_argsort_oracle(seed, n, kind, vessel_share):
+    rng = np.random.default_rng(seed)
+    labels = (rng.uniform(0, 1, n) < vessel_share).astype(np.uint8)
+    labels[0], labels[-1] = 1, 0  # both classes, so both curves exist
+    assert_matches_argsort(tie_heavy_scores(rng, n, kind), labels)
+
+
+@pytest.mark.parametrize(
+    "scores,labels",
+    [
+        ([0.5] * 7, [1, 0, 0, 1, 0, 0, 0]),  # a single distinct score
+        ([0.3, 0.9, 0.1, 0.3, 0.7], [0, 0, 1, 0, 0]),  # one positive, near the bottom
+        ([0.2, 0.9, 0.5, 0.2, 0.9], [0, 1, 0, 0, 0]),  # a positive only at the top score
+        ([0.4, 0.8], [1, 0]),  # n = 2, distinct scores
+        ([0.6, 0.6], [0, 1]),  # n = 2, one tied score
+    ],
+)
+def test_grouping_matches_argsort_oracle_edge_cases(scores, labels):
+    assert_matches_argsort(scores, labels)
+
+
+def test_roc_and_pr_share_one_grouping(monkeypatch):
+    calls = []
+    original = metrics._group_counts
+
+    def counting(sp):
+        calls.append(sp)
+        return original(sp)
+
+    monkeypatch.setattr(metrics, "_group_counts", counting)
+    sp = ScoredPixels([0.1, 0.4, 0.4, 0.9], [0, 1, 0, 1])
+    metrics.roc_auc(sp)
+    metrics.pr_auc(sp)
+    assert len(calls) == 1 and calls[0] is sp
+
+
+# ---------------------------------------------------------------------------
+# input checks
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_scored_pixels_rejects_non_finite_score(bad):
+    with pytest.raises(ValueError, match="finite"):
+        ScoredPixels([0.2, bad, 0.7], [0, 1, 1])
+
+
+@pytest.mark.parametrize("labels", [[0, 2, 1], [0, 1, -1], [0.5, 1, 0]])
+def test_scored_pixels_rejects_labels_other_than_0_1(labels):
+    with pytest.raises(ValueError, match="0 or 1"):
+        ScoredPixels([0.2, 0.5, 0.7], labels)
+
+
+def test_scored_pixels_accepts_bool_labels():
+    scores = [0.2, 0.5, 0.5, 0.7]
+    as_bool = ScoredPixels(scores, np.array([False, True, False, True]))
+    as_int = ScoredPixels(scores, np.array([0, 1, 0, 1], np.uint8))
+    assert metrics.roc_auc(as_bool)[0] == metrics.roc_auc(as_int)[0]
+    assert metrics.pr_auc(as_bool)[0] == metrics.pr_auc(as_int)[0]
 
 
 # ---------------------------------------------------------------------------
