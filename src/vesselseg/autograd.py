@@ -32,7 +32,17 @@ columns zeroed, so a closure keeps the planes (about the input's size), not
 kh*kw copies of it.  Both walk the flattened output in blocks so that a
 block's per-tap products stay in cache.  A 1x1, stride-1, unpadded conv
 multiplies the input itself.  ``transposed_conv2d`` (kernel == stride) is
-one product of the kernel matrix with the (Cin, H*W) input per image.
+one product of the kernel matrix with the (Cin, H*W) input per image, whose
+bias add writes it interleaved into the output.
+
+The other layers make as few full-size passes as they can.
+``maxpool2x2`` takes the elementwise max of the four strided views
+``x[..., a::2, b::2]``, one per window position, and its backward routes
+each window's gradient by comparing those views with the max; no window
+copy and no index array are made.  ``relu`` and ``leaky_relu`` keep the
+boolean mask ``x > 0`` for their backward, made only when a graph is
+recorded, and ``sigmoid`` evaluates both branches from one
+``exp(-|x|)``.
 """
 
 from __future__ import annotations
@@ -72,9 +82,6 @@ class Tensor:
     @property
     def shape(self):
         return self.data.shape
-
-    def item(self):
-        return float(self.data)
 
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
@@ -132,13 +139,18 @@ def frozen(params):
             p.requires_grad = r
 
 
+def _tracked(*parents):
+    """Whether an op over these inputs records a graph edge."""
+    return _grad_enabled and any(p.requires_grad for p in parents)
+
+
 def _result(values, parents, backward_fn):
     """Wrap an op result, keeping graph edges only where gradients can flow.
 
     The result's ``grad`` starts as ``None``; :func:`_accum` allocates it.
     """
     out = Tensor(values)
-    if _grad_enabled and any(p.requires_grad for p in parents):
+    if _tracked(*parents):
         out.requires_grad = True
         out._parents = tuple(parents)
         out._backward = backward_fn
@@ -147,8 +159,11 @@ def _result(values, parents, backward_fn):
 
 def _accum(t, g):
     if t.grad is None:
-        t.grad = np.zeros_like(t.data)
-    t.grad += g
+        # a copy: g may be a view, or the same array handed to another input
+        t.grad = np.empty_like(t.data)
+        t.grad[...] = g
+    else:
+        t.grad += g
 
 
 def _same_shape(a, b, op):
@@ -248,24 +263,35 @@ def clamp(a, lo, hi):
 # ---------------------------------------------------------------------------
 # activations
 
+# relu and leaky_relu closures keep the mask ``x > 0``, made only when a
+# graph is recorded, so their backward needs no pass over the input
+
 def relu(a):
     x = a.data
+    pos = x > 0 if _tracked(a) else None
 
     def bw(g):
         if a.requires_grad:
-            _accum(a, g * (x > 0))
+            _accum(a, g * pos)
 
     return _result(np.maximum(x, 0), (a,), bw)
 
 
 def leaky_relu(a, alpha=0.2):
+    """max(x, alpha * x), which is the leaky relu only for 0 <= alpha <= 1."""
+    if not 0.0 <= alpha <= 1.0:
+        raise ValueError(f"leaky_relu: alpha must lie in [0, 1], got {alpha}")
     x = a.data
+    pos = x > 0 if _tracked(a) else None
+    out = np.empty_like(x)
+    np.multiply(x, alpha, out=out)
+    np.maximum(out, x, out=out)
 
     def bw(g):
         if a.requires_grad:
-            _accum(a, np.where(x > 0, g, g * alpha))
+            _accum(a, np.where(pos, g, g * alpha))
 
-    return _result(np.where(x > 0, x, x * alpha), (a,), bw)
+    return _result(out, (a,), bw)
 
 
 _SIG_EPS = 1e-7
@@ -274,11 +300,9 @@ _SIG_EPS = 1e-7
 def sigmoid(a):
     """Numerically stable logistic, clipped into the open interval (0, 1)."""
     x = a.data
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
+    e = np.exp(-np.abs(x))  # exp(-x) where x >= 0, exp(x) below: never overflows
+    d = 1.0 + e
+    out = np.where(x >= 0, 1.0 / d, e / d)
     np.clip(out, _SIG_EPS, 1.0 - _SIG_EPS, out=out)
 
     def bw(g):
@@ -478,13 +502,18 @@ def transposed_conv2d(x, kernel, bias, stride):
         raise ValueError(f"transposed_conv2d: bias shape {bias.data.shape} does not match ({cout},)")
 
     # taps never overlap, so each (input pixel, tap) product is one output
-    # pixel: a GEMM gives (N, Cout*s*s, H*W) and one transpose interleaves it
+    # pixel: a GEMM gives (N, Cout*s*s, H*W), and one add of the bias writes
+    # it interleaved into the output
     s = stride
     k2 = kernel.data.reshape(cin, cout * s * s)
     x2 = x.data.reshape(n, cin, h * w)
     y = k2.T @ x2
-    out = y.reshape(n, cout, s, s, h, w).transpose(0, 1, 4, 2, 5, 3).reshape(n, cout, h * s, w * s)
-    out += bias.data[:, None, None]
+    out = np.empty((n, cout, h * s, w * s), dtype=y.dtype)
+    np.add(
+        y.reshape(n, cout, s, s, h, w).transpose(0, 1, 4, 2, 5, 3),
+        bias.data[:, None, None, None, None],
+        out=out.reshape(n, cout, h, s, w, s),
+    )
 
     def bw(g):
         g2 = g.reshape(n, cout, h, s, w, s).transpose(0, 1, 3, 5, 2, 4).reshape(n, cout * s * s, h * w)
@@ -499,30 +528,37 @@ def transposed_conv2d(x, kernel, bias, stride):
 
 
 def maxpool2x2(x):
-    """Disjoint 2x2 max pooling; gradient goes to the first max in scan order."""
+    """Disjoint 2x2 max pooling; gradient goes to the first max in scan order.
+
+    The four views ``x[..., a::2, b::2]`` each hold one position of every
+    window.  The forward is their elementwise max; the backward sends a
+    window's gradient to the first view, in scan order, equal to that max,
+    or to its first NaN when the max is NaN.
+    """
     if x.data.ndim != 4:
         raise ValueError(f"maxpool2x2: expected 4-d input, got shape {x.data.shape}")
     n, c, h, w = x.data.shape
     if h % 2 or w % 2:
         raise ValueError(f"maxpool2x2: spatial size {h}x{w} must be even")
-    win = (
-        x.data.reshape(n, c, h // 2, 2, w // 2, 2)
-        .transpose(0, 1, 2, 4, 3, 5)
-        .reshape(n, c, h // 2, w // 2, 4)
-    )
-    idx = win.argmax(axis=-1)
-    out = np.take_along_axis(win, idx[..., None], axis=-1)[..., 0]
+    views = [(..., slice(a, None, 2), slice(b, None, 2)) for a in (0, 1) for b in (0, 1)]
+    # equal values can differ only in the sign of zero; where np.maximum
+    # returns its second operand unless the first is greater (as on x86),
+    # folding from the last view keeps the earliest of them
+    out = np.maximum(x.data[views[3]], x.data[views[2]])
+    np.maximum(out, x.data[views[1]], out=out)
+    np.maximum(out, x.data[views[0]], out=out)
 
     def bw(g):
         if not x.requires_grad:
             return
-        g4 = np.zeros((n, c, h // 2, w // 2, 4), dtype=g.dtype)
-        np.put_along_axis(g4, idx[..., None], g[..., None], axis=-1)
-        dx = (
-            g4.reshape(n, c, h // 2, w // 2, 2, 2)
-            .transpose(0, 1, 2, 4, 3, 5)
-            .reshape(n, c, h, w)
-        )
+        dx = np.zeros(x.data.shape, dtype=g.dtype)
+        taken = np.zeros(out.shape, dtype=bool)
+        for view in views:
+            v = x.data[view]
+            hit = (v == out) | (v != v)
+            hit &= ~taken
+            np.copyto(dx[view], g, where=hit)
+            taken |= hit
         _accum(x, dx)
 
     return _result(out, (x,), bw)

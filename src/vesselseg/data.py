@@ -146,13 +146,14 @@ def zscore_normalize(image: Image) -> np.ndarray:
 
     A constant channel maps to all zeros.
     """
-    px = image.pixels.astype(np.float64)
-    out = np.zeros_like(px, dtype=np.float32)
+    out = np.zeros(image.pixels.shape, dtype=np.float32)
     for c in range(image.channels):
-        chan = px[:, :, c]
+        chan = image.pixels[:, :, c].astype(np.float64)
         std = chan.std()
         if std > 0:
-            out[:, :, c] = ((chan - chan.mean()) / std).astype(np.float32)
+            chan -= chan.mean()
+            chan /= std
+            out[:, :, c] = chan
     return out
 
 
@@ -210,17 +211,26 @@ DEFAULT_FOV_THRESHOLD = 20.0 / 255.0
 _CROSS = np.array([[0, 1, 0], [1, 1, 1], [0, 1, 0]], dtype=bool)
 
 
+def _bright_sums(maxval, threshold):
+    """For each possible 3-channel sum, whether ``(sum / 3) / maxval``
+    reaches the threshold, in the float64 arithmetic of a per-pixel mean."""
+    sums = np.arange(3 * maxval + 1, dtype=np.float64)
+    return sums / 3 / maxval >= threshold
+
+
 def generate_fov_mask(fundus: Image, luminance_threshold=DEFAULT_FOV_THRESHOLD) -> np.ndarray:
     """Bright center blob of a fundus photo as a {0,1} mask.
 
-    Mean-channel luminance is thresholded; the 4-connected component under
-    the center pixel wins (largest component if the center is dark), then
-    interior holes are filled.
+    Mean-channel luminance ``(sum / 3) / maxval`` is thresholded; the
+    4-connected component under the center pixel wins (largest component if
+    the center is dark), then interior holes are filled.
     """
     if fundus.channels != 3:
         raise ValueError(f"FOV detection needs a 3-channel image, got {fundus.channels}")
-    lum = fundus.pixels.astype(np.float64).mean(axis=2) / fundus.maxval
-    bright = lum >= luminance_threshold
+    px = fundus.pixels
+    # explicit adds: .sum(axis=2) over the 3-long channel axis is about 8x slower
+    sums = px[:, :, 0].astype(np.uint32) + px[:, :, 1] + px[:, :, 2]
+    bright = _bright_sums(fundus.maxval, luminance_threshold)[sums]
     if not bright.any():
         raise DataError("no blob found: no pixel reaches the luminance threshold")
     labels, n = ndimage.label(bright, structure=_CROSS)

@@ -242,6 +242,19 @@ def test_tconv_matches_naive_oracle_random():
         np.testing.assert_allclose(got.data, transposed_conv2d_naive(x, k, b, stride), atol=1e-12)
 
 
+def test_tconv_bit_equal_to_copy_then_add():
+    rng = np.random.default_rng(34)
+    for dtype in (np.float32, np.float64):
+        x = rng.standard_normal((2, 3, 5, 7)).astype(dtype)
+        k = rng.standard_normal((3, 4, 2, 2)).astype(dtype)
+        b = rng.standard_normal(4).astype(dtype)
+        y = k.reshape(3, 16).T @ x.reshape(2, 3, 35)
+        want = y.reshape(2, 4, 2, 2, 5, 7).transpose(0, 1, 4, 2, 5, 3).reshape(2, 4, 10, 14)
+        want += b[:, None, None]
+        got = ag.transposed_conv2d(Tensor(x), Tensor(k), Tensor(b), stride=2).data
+        assert got.dtype == dtype and got.tobytes() == want.tobytes()
+
+
 def test_tconv_single_pixel_broadcast():
     x = Tensor(np.full((1, 1, 1, 1), 3.5))
     k = Tensor(np.ones((1, 1, 2, 2)))
@@ -315,6 +328,44 @@ def test_maxpool_tie_break_first_in_scan_order():
     np.testing.assert_array_equal(x.grad, [[[[1.0, 0.0], [0.0, 0.0]]]])
 
 
+def maxpool2x2_argmax(x):
+    """The reshape/argmax pooling the strided-view version replaced: output
+    and the (N, C, H, W) gradient routing of an all-ones output grad."""
+    n, c, h, w = x.shape
+    win = x.reshape(n, c, h // 2, 2, w // 2, 2).transpose(0, 1, 2, 4, 3, 5).reshape(n, c, h // 2, w // 2, 4)
+    idx = win.argmax(axis=-1)
+    out = np.take_along_axis(win, idx[..., None], axis=-1)[..., 0]
+    g4 = np.zeros(win.shape)
+    np.put_along_axis(g4, idx[..., None], 1.0, axis=-1)
+    route = g4.reshape(n, c, h // 2, w // 2, 2, 2).transpose(0, 1, 2, 4, 3, 5).reshape(n, c, h, w)
+    return out, route
+
+
+def _maxpool_oracle_cases():
+    rng = np.random.default_rng(31)
+    yield rng.integers(0, 3, (2, 3, 6, 8)).astype(np.float32)  # ties in most windows
+    yield rng.integers(-2, 2, (2, 3, 4, 4)).astype(np.float64)
+    zeros = rng.choice([0.0, -0.0], (2, 3, 4, 6)).astype(np.float32)
+    zeros[0, 0, :2, :2] = [[-0.0, 0.0], [0.0, -0.0]]
+    yield zeros
+    nans = rng.integers(0, 3, (2, 3, 4, 4)).astype(np.float64)
+    nans[0, 0, 0, 1] = np.nan  # one NaN after a finite entry
+    nans[1, 2, 2:, 2:] = [[1.0, 5.0], [np.nan, np.nan]]  # two NaNs after the max
+    nans[0, 1, :2, :2] = np.nan  # all NaN
+    yield nans
+
+
+def test_maxpool_matches_argmax_oracle():
+    for x in _maxpool_oracle_cases():
+        want, route = maxpool2x2_argmax(x)
+        t = Tensor(x, requires_grad=True)
+        out = ag.maxpool2x2(t)
+        assert out.data.dtype == x.dtype
+        np.testing.assert_array_equal(out.data, want)
+        ag.backward(ag.mul(ag.global_mean(out), float(out.data.size)))  # all-ones grad
+        np.testing.assert_array_equal(t.grad, route)
+
+
 def test_concat_channels_shapes_and_roundtrip():
     rng = np.random.default_rng(6)
     a = rng.uniform(size=(1, 3, 8, 8)).astype(np.float32)
@@ -368,6 +419,53 @@ def test_sigmoid_strictly_open_interval():
     x = Tensor(np.array([-100.0, -30.0, 0.0, 30.0, 100.0], dtype=np.float32))
     out = ag.sigmoid(x).data
     assert np.all(out > 0.0) and np.all(out < 1.0)
+
+
+def sigmoid_gathered(x):
+    """The boolean gather/scatter sigmoid the one-pass version replaced."""
+    out = np.empty_like(x)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    np.clip(out, 1e-7, 1.0 - 1e-7, out=out)
+    return out
+
+
+def test_sigmoid_bit_equal_to_gathered_formula():
+    edges = [0.0, -0.0, 1e-8, -1e-8, 20.0, -20.0, 100.0, -100.0, np.inf, -np.inf]
+    normals = np.random.default_rng(32).standard_normal(4096) * 8
+    for dtype in (np.float32, np.float64):
+        for x in (np.array(edges, dtype=dtype), normals.astype(dtype)):
+            got = ag.sigmoid(Tensor(x)).data
+            assert got.dtype == dtype
+            assert got.tobytes() == sigmoid_gathered(x).tobytes()
+
+
+def test_leaky_relu_rejects_alpha_outside_unit_interval():
+    x = Tensor(np.array([-1.0, 1.0]))
+    for alpha in (-0.1, 1.5):
+        with pytest.raises(ValueError, match="alpha"):
+            ag.leaky_relu(x, alpha)
+
+
+def test_leaky_relu_bit_equal_to_where_formula():
+    x = np.random.default_rng(33).standard_normal(4096).astype(np.float32)
+    x[:4] = [0.0, -0.0, np.inf, -np.inf]
+    for alpha in (0.2, 1.0):
+        want = np.where(x > 0, x, x * alpha)
+        assert ag.leaky_relu(Tensor(x), alpha).data.tobytes() == want.tobytes()
+
+
+def test_first_grad_does_not_alias_its_source():
+    x = Tensor(np.array([1.0, 2.0]), requires_grad=True)
+    y = ag.mul(x, 3.0)  # interior: grad starts as None
+    g = np.array([0.5, -0.25])
+    ag._accum(y, g)
+    g[:] = 7.0
+    np.testing.assert_array_equal(y.grad, [0.5, -0.25])
+    ag._accum(y, np.array([1.0, 1.0]))
+    np.testing.assert_array_equal(y.grad, [1.5, 0.75])
 
 
 # ---------------------------------------------------------------------------

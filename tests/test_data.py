@@ -100,6 +100,30 @@ def test_zscore_two_point_channel():
     np.testing.assert_allclose(out[:, :, 0], [[-1.0, 1.0]], atol=1e-6)
 
 
+def zscore_whole_photo(image):
+    """The float64-copy-of-the-photo z-score the per-channel version replaced."""
+    px = image.pixels.astype(np.float64)
+    out = np.zeros_like(px, dtype=np.float32)
+    for c in range(image.channels):
+        chan = px[:, :, c]
+        std = chan.std()
+        if std > 0:
+            out[:, :, c] = ((chan - chan.mean()) / std).astype(np.float32)
+    return out
+
+
+def test_zscore_bit_equal_to_whole_photo_formula():
+    rng = np.random.default_rng(41)
+    for maxval, dtype in ((255, np.uint8), (65535, np.uint16)):
+        for shape in ((37, 29, 3), (64, 61, 1)):
+            px = rng.integers(0, maxval + 1, shape).astype(dtype)
+            px[..., -1] = px[0, 0, -1]  # a constant channel maps to 0
+            img = Image(pixels=px, maxval=maxval)
+            out = data.zscore_normalize(img)
+            assert out.dtype == np.float32 and out.tobytes() == zscore_whole_photo(img).tobytes()
+            assert np.all(out[..., -1] == 0)
+
+
 # ---------------------------------------------------------------------------
 # augmentation
 
@@ -199,6 +223,20 @@ def test_fov_mask_all_black_rejected():
     img = Image(pixels=np.zeros((8, 8, 3), dtype=np.uint8), maxval=255)
     with pytest.raises(data.DataError):
         data.generate_fov_mask(img)
+
+
+@pytest.mark.parametrize("maxval", [255, 65535])
+def test_fov_threshold_table_matches_float64_mean_for_every_sum(maxval):
+    # one pixel per possible channel sum, channels filled in order
+    sums = np.arange(3 * maxval + 1)
+    px = np.stack([np.clip(sums - k * maxval, 0, maxval) for k in range(3)], axis=1)
+    px = px.astype(np.uint8 if maxval == 255 else np.uint16)[:, None, :]
+    lum = px.astype(np.float64).mean(axis=2) / maxval
+    summed = px.sum(axis=2, dtype=np.uint32)
+    for threshold in (data.DEFAULT_FOV_THRESHOLD, 0.0, 1 / 3, 0.5, 7 / 255, 0.9, 1.0):
+        table = data._bright_sums(maxval, threshold)
+        assert table.shape == (3 * maxval + 1,)
+        np.testing.assert_array_equal(table[summed], lum >= threshold, err_msg=str(threshold))
 
 
 def test_fov_mask_fills_holes_and_is_single_component():

@@ -1,7 +1,11 @@
 import hashlib
 import io
 import math
+import os
 import struct
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -474,3 +478,45 @@ def test_checkpoint_mutants_load_or_raise_checkpoint_error(tmp_path):
         except training.CheckpointError:
             refused += 1
     assert 0 < refused < 400  # weight flips load, header and spec flips are refused
+
+
+# ---------------------------------------------------------------------------
+# determinism across BLAS threading
+
+_BLAS_PROBE = """
+import hashlib
+import numpy as np
+from vesselseg import autograd as ag, models, training
+from vesselseg.data import Sample
+from vesselseg.models import DiscriminatorVariant, GeneratorSpec
+
+rng = np.random.default_rng(71)
+x = rng.standard_normal((3, 256, 256)).astype(np.float32)
+y = (rng.uniform(size=(256, 256)) < 0.15).astype(np.uint8)
+g = models.build_generator(GeneratorSpec(), seed=72)
+d = models.build_discriminator(DiscriminatorVariant.image(), (256, 256), 8, seed=73)
+digest = hashlib.sha256()
+with ag.no_grad():
+    digest.update(models.generator_forward(g, ag.Tensor(x[None])).data.tobytes())
+sample = Sample(id="s", x=x, y=y, m=np.ones_like(y))
+stats = training.train_round(g, d, [sample], training.TrainConfig(seed=74))
+digest.update(repr((stats.d_loss, stats.g_gan_loss, stats.seg_loss)).encode())
+for model in (g, d):
+    for name, p in model.parameters():
+        digest.update(name.encode() + p.data.tobytes())
+print(digest.hexdigest())
+"""
+
+
+def test_outputs_do_not_depend_on_blas_threads():
+    src = str(Path(training.__file__).resolve().parents[1])
+    digests = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        run = subprocess.run(
+            [sys.executable, "-c", _BLAS_PROBE], env=env, capture_output=True, text=True, timeout=60
+        )
+        assert run.returncode == 0, run.stderr
+        digests.append(run.stdout.strip())
+    assert len(digests[0]) == 64 and digests[0] == digests[1]
