@@ -106,6 +106,12 @@ def write_resolved(cfg, out_dir):
     (Path(out_dir) / "config.resolved").write_text("\n".join(config_lines(cfg)) + "\n")
 
 
+def _check_fov_threshold(value, name):
+    """A FOV luminance threshold is a fraction of maxval: finite and in [0, 1]."""
+    if not 0.0 <= value <= 1.0:  # false for NaN too
+        raise ConfigError(f"{name} {value} outside [0, 1]")
+
+
 # ---------------------------------------------------------------------------
 # train
 
@@ -176,6 +182,7 @@ def _history_lines(history):
 def cmd_train(args):
     cfg = resolve_config(args.config, args.seed)
     # derive everything from the config before the output directory exists
+    _check_fov_threshold(cfg["fov_threshold"], "fov_threshold")
     train_cfg = train_config(cfg)
     with _config_keys(cfg, "scales", "base_channels"):
         gen_spec = GeneratorSpec(scales=cfg["scales"], base_channels=cfg["base_channels"])
@@ -277,6 +284,7 @@ def _stem_map(directory, suffixes=(".pgm",)):
 
 
 def cmd_eval(args):
+    _check_fov_threshold(args.fov_threshold, "--fov-threshold")
     preds = _stem_map(args.pred_dir)
     golds = _stem_map(args.gold_dir)
     if not preds:

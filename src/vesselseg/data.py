@@ -223,7 +223,10 @@ def generate_fov_mask(fundus: Image, luminance_threshold=DEFAULT_FOV_THRESHOLD) 
 
     Mean-channel luminance ``(sum / 3) / maxval`` is thresholded; the
     4-connected component under the center pixel wins (largest component if
-    the center is dark), then interior holes are filled.
+    the center is dark), then interior holes are filled.  A hole is a
+    4-connected component of everything outside the blob that does not touch
+    the frame border, as in ``ndimage.binary_fill_holes`` with the same
+    cross structure; one labeling of the outside finds them all.
     """
     if fundus.channels != 3:
         raise ValueError(f"FOV detection needs a 3-channel image, got {fundus.channels}")
@@ -238,9 +241,13 @@ def generate_fov_mask(fundus: Image, luminance_threshold=DEFAULT_FOV_THRESHOLD) 
     if center == 0:
         sizes = ndimage.sum_labels(bright, labels, index=np.arange(1, n + 1))
         center = int(np.argmax(sizes)) + 1
-    mask = labels == center
-    mask = ndimage.binary_fill_holes(mask, structure=_CROSS)
-    return mask.astype(np.uint8)
+    outside, n = ndimage.label(labels != center, structure=_CROSS)
+    # label 0 is the blob; a component reaching the frame border is not a hole
+    fill = np.ones(n + 1, dtype=np.uint8)
+    fill[outside[[0, -1]]] = 0
+    fill[outside[:, [0, -1]]] = 0
+    fill[0] = 1
+    return fill[outside]
 
 
 # ---------------------------------------------------------------------------

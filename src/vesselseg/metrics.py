@@ -7,13 +7,18 @@ grouped once per ``ScoredPixels`` and shared by ROC and PR: each distinct
 score's at-or-above counts are binary searches into the sorted scores and
 into the sorted positive scores.  The Otsu search runs over the 255
 boundaries of a 256-bin histogram with exact integer moments, making the
-argmax reproducible against an exhaustive sweep.
+argmax reproducible against an exhaustive sweep; the pooled histogram bins
+the grouped distinct scores weighted by their pixel counts.  ``evaluate``
+gathers each image's FOV pixels once and counts each image's tp/fp/fn/tn
+from its slice of the pooled pixels.  A curve CSV is written by one
+``%``-format of all its values.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 
 import numpy as np
 
@@ -136,21 +141,23 @@ def pr_auc(sp: ScoredPixels):
 OTSU_BINS = 256
 
 
-def _otsu_histogram(scores):
+def _otsu_histogram(scores, weights=None):
     scores = np.asarray(scores, dtype=np.float64)
     if scores.size == 0:
         raise ValueError("otsu_threshold: empty scores")
     bins = np.minimum((np.clip(scores, 0.0, 1.0) * OTSU_BINS).astype(np.int64), OTSU_BINS - 1)
-    return np.bincount(bins, minlength=OTSU_BINS)
+    # float64 weight sums stay exact integers below 2**53 pixels
+    return np.bincount(bins, weights=weights, minlength=OTSU_BINS).astype(np.int64)
 
 
-def otsu_threshold(scores):
+def otsu_threshold(scores, weights=None):
     """Boundary of a 256-bin histogram over [0,1] maximizing between-class variance.
 
+    ``weights`` gives how many pixels hold each score (one each when None).
     Lowest maximizing boundary wins ties; a single occupied bin returns that
     bin's upper boundary.
     """
-    counts = _otsu_histogram(scores)
+    counts = _otsu_histogram(scores, weights)
     occupied = np.nonzero(counts)[0]
     if len(occupied) == 1:
         return float((occupied[0] + 1) / OTSU_BINS)
@@ -188,13 +195,17 @@ def _confusion(pred, gold, mask):
     return tp, fp, fn, tn
 
 
-def dice(pred, gold, mask):
-    """2*|pred&gold| / (|pred|+|gold|) over mask=1 pixels; 1.0 when both empty."""
-    tp, fp, fn, _ = _confusion(pred, gold, mask)
+def _dice(tp, fp, fn):
     denom = 2 * tp + fp + fn
     if denom == 0:
         return 1.0
     return 2.0 * tp / denom
+
+
+def dice(pred, gold, mask):
+    """2*|pred&gold| / (|pred|+|gold|) over mask=1 pixels; 1.0 when both empty."""
+    tp, fp, fn, _ = _confusion(pred, gold, mask)
+    return _dice(tp, fp, fn)
 
 
 def overlay(pred, gold, mask) -> Image:
@@ -211,6 +222,20 @@ def overlay(pred, gold, mask) -> Image:
     px[p & ~g] = (0, 0, 255)
     px[~p & g] = (255, 0, 0)
     return Image(pixels=px, maxval=255)
+
+
+def _fov_pixels(prob_maps, golds, masks):
+    """Pooled in-FOV scores and 0/1 labels, and each image's [start, end) bounds in them.
+
+    The per-image arrays are freed on return, before the pooled sort.
+    """
+    scores, labels = [], []
+    for pm, gold, mask in zip(prob_maps, golds, masks):
+        inside = mask.astype(bool)
+        scores.append(np.asarray(pm, dtype=np.float64)[inside])
+        labels.append(np.asarray(gold)[inside].astype(np.uint8))
+    bounds = np.cumsum([0] + [len(s) for s in scores]).tolist()
+    return ScoredPixels(np.concatenate(scores), np.concatenate(labels)), bounds
 
 
 def evaluate(prob_maps, golds, masks, ids=None, per_image_threshold=False) -> MetricsReport:
@@ -230,37 +255,28 @@ def evaluate(prob_maps, golds, masks, ids=None, per_image_threshold=False) -> Me
     if ids is None:
         ids = [f"image{i:03d}" for i in range(len(prob_maps))]
 
-    scores, labels = [], []
-    for pm, gold, mask in zip(prob_maps, golds, masks):
-        inside = mask.astype(bool)
-        scores.append(np.asarray(pm, dtype=np.float64)[inside])
-        labels.append(np.asarray(gold)[inside].astype(np.uint8))
-    pooled = ScoredPixels(np.concatenate(scores), np.concatenate(labels))
-
+    pooled, bounds = _fov_pixels(prob_maps, golds, masks)
     roc_curve, roc_area = roc_auc(pooled)
     pr_curve, pr_area = pr_auc(pooled)
-    pooled_thr = otsu_threshold(pooled.scores)
+    thresholds, cum_tp, cum_fp = pooled.grouped
+    pooled_thr = otsu_threshold(thresholds, np.diff(cum_tp + cum_fp, prepend=0))
 
     per_image = []
     per_thr = [] if per_image_threshold else None
     tot = np.zeros(4, dtype=np.int64)
-    for img_id, pm, gold, mask in zip(ids, prob_maps, golds, masks):
-        thr = otsu_threshold(np.asarray(pm, np.float64)[mask.astype(bool)]) if per_image_threshold else pooled_thr
+    for img_id, start, end in zip(ids, bounds[:-1], bounds[1:]):
+        scores, labels = pooled.scores[start:end], pooled.labels[start:end]
+        thr = otsu_threshold(scores) if per_image_threshold else pooled_thr
         if per_thr is not None:
             per_thr.append(thr)
-        pred = (np.asarray(pm, dtype=np.float64) >= thr).astype(np.uint8)
-        tp, fp, fn, tn = _confusion(pred, gold, mask)
+        pred = scores >= thr
+        tp = int(np.count_nonzero(pred & labels))
+        fp = int(np.count_nonzero(pred)) - tp
+        fn = int(np.count_nonzero(labels)) - tp
+        tn = len(scores) - tp - fp - fn
         tot += (tp, fp, fn, tn)
-        per_image.append(ImageEval(img_id, dice(pred, gold, mask), tp, fp, fn, tn))
-    denom = 2 * tot[0] + tot[1] + tot[2]
-    total = ImageEval(
-        "ALL",
-        1.0 if denom == 0 else 2.0 * tot[0] / denom,
-        int(tot[0]),
-        int(tot[1]),
-        int(tot[2]),
-        int(tot[3]),
-    )
+        per_image.append(ImageEval(img_id, _dice(tp, fp, fn), tp, fp, fn, tn))
+    total = ImageEval("ALL", _dice(*tot[:3]), *map(int, tot))
     return MetricsReport(
         roc=roc_curve,
         pr=pr_curve,
@@ -283,10 +299,10 @@ def fmt(v):
 
 
 def write_curve_csv(curve: Curve, path):
-    lines = ["threshold,x,y"]
-    lines += [f"{fmt(t)},{fmt(x)},{fmt(y)}" for t, x, y in curve.points]
+    # "%.9g" % v is fmt(v) for a float; one format call writes every point
+    rows = "%.9g,%.9g,%.9g\n" * len(curve.points) % tuple(chain.from_iterable(curve.points))
     with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write("threshold,x,y\n" + rows)
 
 
 def write_summary_csv(report: MetricsReport, path):

@@ -116,6 +116,9 @@ def test_usage_error_is_config_exit():
         ("synthetic_count", 0),
         ("synthetic_count", 1),
         ("image_size", 0),
+        ("fov_threshold", -0.5),
+        ("fov_threshold", "nan"),
+        ("fov_threshold", 1.5),
     ],
 )
 def test_bad_config_value_is_located_config_exit(capsys, tmp_path, key, value):
@@ -351,6 +354,29 @@ def test_eval_single_channel_fundus_is_data_exit(tmp_path, capsys):
     assert rc == cli.EXIT_DATA
     assert str(gray) in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("bad", ["-0.5", "nan", "1.5", "inf"])
+def test_eval_fov_threshold_out_of_range_is_config_exit(tmp_path, capsys, bad):
+    pred_d, gold_d, _ = _gold_dirs(tmp_path)
+    image_d = tmp_path / "images"
+    image_d.mkdir()
+    data.write_image(Image(pixels=np.full((16, 16, 3), 200, np.uint8), maxval=255),
+                     image_d / "im0.ppm")
+    out = tmp_path / "report"
+    rc = run(["eval", "--pred-dir", str(pred_d), "--gold-dir", str(gold_d),
+              "--image-dir", str(image_d), "--fov-threshold", bad, "--out", str(out)])
+    assert rc == cli.EXIT_CONFIG
+    assert "--fov-threshold" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("edge", ["0", "1"])
+def test_eval_fov_threshold_range_is_closed(tmp_path, edge):
+    pred_d, gold_d, mask_d = _gold_dirs(tmp_path)
+    rc = run(["eval", "--pred-dir", str(pred_d), "--gold-dir", str(gold_d),
+              "--mask-dir", str(mask_d), "--fov-threshold", edge, "--out", str(tmp_path / "r")])
+    assert rc == 0
 
 
 def test_eval_black_fundus_names_the_photo(tmp_path, capsys):

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import array_shapes, arrays
+from scipy import ndimage
 
 from vesselseg import data
 from vesselseg.data import Image, Sample
@@ -247,10 +249,68 @@ def test_fov_mask_fills_holes_and_is_single_component():
     mask = data.generate_fov_mask(Image(pixels=px, maxval=255))
     assert np.all(mask[30:33, 30:33] == 1)
     assert np.all(mask[2:4, 2:4] == 0)
-    from scipy import ndimage
-
     _, n = ndimage.label(mask, structure=np.array([[0, 1, 0], [1, 1, 1], [0, 1, 0]]))
     assert n == 1
+
+
+CROSS = np.array([[0, 1, 0], [1, 1, 1], [0, 1, 0]], dtype=bool)
+
+
+def fov_mask_fill_holes(bright):
+    """The blob pick and ``binary_fill_holes`` hole fill that one labeling
+    of the outside replaced, on a thresholded frame."""
+    labels, n = ndimage.label(bright, structure=CROSS)
+    center = labels[bright.shape[0] // 2, bright.shape[1] // 2]
+    if center == 0:
+        sizes = ndimage.sum_labels(bright, labels, index=np.arange(1, n + 1))
+        center = int(np.argmax(sizes)) + 1
+    return ndimage.binary_fill_holes(labels == center, structure=CROSS).astype(np.uint8)
+
+
+def assert_fov_mask_matches_fill_holes(bright):
+    bright = np.asarray(bright, dtype=bool)
+    px = np.repeat(bright[:, :, None] * np.uint8(255), 3, axis=2)
+    mask = data.generate_fov_mask(Image(pixels=px, maxval=255))
+    assert mask.dtype == np.uint8
+    np.testing.assert_array_equal(mask, fov_mask_fill_holes(bright))
+    return mask
+
+
+@settings(max_examples=300, deadline=None)
+@given(arrays(np.bool_, array_shapes(min_dims=2, max_dims=2, min_side=1, max_side=14)))
+@example(np.ones((1, 9), bool))  # one row
+@example(np.array([[1], [0], [1], [1], [0]], bool))  # one column
+@example(np.ones((5, 6), bool))  # all bright
+def test_fov_hole_fill_matches_binary_fill_holes(bright):
+    if not bright.any():
+        with pytest.raises(data.DataError):
+            data.generate_fov_mask(Image(pixels=np.zeros((*bright.shape, 3), np.uint8), maxval=255))
+        return
+    assert_fov_mask_matches_fill_holes(bright)
+
+
+@pytest.mark.parametrize(
+    "rows,filled",
+    [
+        # a notch open to the frame border is outside, not a hole
+        (["11111", "10001", "10001", "10001", "11011"], ["11111", "10001", "10001", "10001", "11011"]),
+        # background reaching the border only diagonally is a hole under 4-connectivity
+        (["0111", "1011", "1111", "1111"], ["0111", "1111", "1111", "1111"]),
+        # a bright island inside the ring's hole is filled with it; the center is dark
+        (
+            ["000000000", "011111110", "010000010", "010100010", "010000010",
+             "010000010", "010000010", "011111110", "000000000"],
+            ["000000000", "011111110", "011111110", "011111110", "011111110",
+             "011111110", "011111110", "011111110", "000000000"],
+        ),
+        (["1011101"], ["0011100"]),  # one row: nothing can be enclosed
+        (["1", "1", "0", "1"], ["1", "1", "0", "0"]),  # one column
+        (["111", "111"], ["111", "111"]),  # all bright
+    ],
+)
+def test_fov_hole_fill_edge_cases(rows, filled):
+    mask = assert_fov_mask_matches_fill_holes([[c == "1" for c in r] for r in rows])
+    np.testing.assert_array_equal(mask, [[int(c) for c in r] for r in filled])
 
 
 # ---------------------------------------------------------------------------

@@ -463,6 +463,54 @@ def test_evaluate_per_image_threshold_mode():
     assert len(report.per_image_thresholds) == 2
 
 
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**31 - 1), st.integers(1, 600), st.sampled_from([1, 2, 4, "k/65535"]))
+def test_pooled_otsu_histogram_matches_per_pixel_bins(seed, n, kind):
+    rng = np.random.default_rng(seed)
+    scores = tie_heavy_scores(rng, n, kind)
+    scores[: n // 10] *= 1.5  # some scores above 1 land in the top bin
+    labels = (rng.uniform(0, 1, n) < 0.3).astype(np.uint8)
+    thresholds, cum_tp, cum_fp = ScoredPixels(scores, labels).grouped
+    counts = np.diff(cum_tp + cum_fp, prepend=0)
+    hist = metrics._otsu_histogram(thresholds, counts)
+    want = metrics._otsu_histogram(scores)
+    assert hist.dtype == want.dtype == np.int64
+    assert np.array_equal(hist, want)
+    assert metrics.otsu_threshold(thresholds, counts) == metrics.otsu_threshold(scores)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**31 - 1), st.integers(1, 4), st.booleans())
+def test_evaluate_per_image_counts_match_full_size_confusion(seed, n_images, per_image):
+    rng = np.random.default_rng(seed)
+    maps, golds, masks = [], [], []
+    for i in range(n_images):
+        shape = tuple(rng.integers(1, 12, 2))
+        gold = (rng.uniform(size=shape) < 0.3).astype(np.uint8)
+        mask = (rng.uniform(size=shape) < 0.8).astype(np.uint8) * np.uint8(rng.choice([1, 255]))
+        mask.flat[0] = 1  # every FOV is non-empty
+        if i == 0:  # the pooled FOV holds a vessel and a background pixel
+            gold.flat[0], gold.flat[-1], mask.flat[-1] = 1, 0, 1
+        maps.append(np.round(np.clip(gold * 0.4 + rng.uniform(0, 0.7, shape), 0, 1), 2))
+        golds.append(gold)
+        masks.append(mask)
+    report = metrics.evaluate(maps, golds, masks, per_image_threshold=per_image)
+    pooled = np.concatenate([m[k.astype(bool)] for m, k in zip(maps, masks)])
+    assert report.otsu_threshold == metrics.otsu_threshold(pooled)
+    thresholds = report.per_image_thresholds or [report.otsu_threshold] * n_images
+    total = np.zeros(4, np.int64)
+    for ev, pm, gold, mask, thr in zip(report.per_image, maps, golds, masks, thresholds):
+        if per_image:
+            assert thr == metrics.otsu_threshold(pm[mask.astype(bool)])
+        pred = (pm >= thr).astype(np.uint8)
+        counts = metrics._confusion(pred, gold, mask)
+        assert (ev.tp, ev.fp, ev.fn, ev.tn) == counts
+        assert all(type(c) is int for c in (ev.tp, ev.fp, ev.fn, ev.tn))
+        assert ev.dice == metrics.dice(pred, gold, mask)
+        total += counts
+    assert (report.total.tp, report.total.fp, report.total.fn, report.total.tn) == tuple(total)
+
+
 def test_evaluate_rejects_empty_and_mismatched():
     with pytest.raises(ValueError):
         metrics.evaluate([], [], [])
@@ -482,6 +530,16 @@ def test_curve_csv_format(tmp_path):
     lines = path.read_text().strip().split("\n")
     assert lines[0] == "threshold,x,y"
     assert len(lines) == len(curve.points) + 1
+
+
+def test_curve_csv_bytes_match_per_point_fstrings(tmp_path):
+    edge = [-0.0, 0.0, 5e-324, 1 / 3, 1e16, 0.1, 1.0, 2.0 / 3.0, 123456789.0, 1e-7]
+    points = [(t, x, y) for t, x, y in zip(edge, edge[3:] + edge[:3], edge[7:] + edge[:7])]
+    points.append((float("inf"), 0.0, 1 / 3))
+    path = tmp_path / "curve.csv"
+    metrics.write_curve_csv(metrics.Curve(points=points, auc=0.5), path)
+    lines = ["threshold,x,y"] + [f"{t:.9g},{x:.9g},{y:.9g}" for t, x, y in points]
+    assert path.read_bytes() == ("\n".join(lines) + "\n").encode()
 
 
 def test_summary_csv_format(tmp_path):
