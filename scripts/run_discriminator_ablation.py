@@ -46,10 +46,7 @@ def main():
     for variant in models.VARIANT_NAMES:
         cfg_path = out / f"{variant}.cfg"
         cfg_path.write_text(
-            f"dataset=synthetic\nimage_size={args.image_size}\n"
-            f"synthetic_count={args.count}\nscales=2\nbase_channels=8\n"
-            f"discriminator={variant}\nlambda=10\nlr=0.002\nbeta1=0.9\n"
-            f"rounds={args.rounds}\nbatch_size=1\nseed={args.seed}\naugment=off\n"
+            cli.desk_config(variant, args.rounds, args.seed, args.image_size, args.count)
         )
         run_dir = out / variant
         rc = cli.main(["train", "--config", str(cfg_path), "--out", str(run_dir)])

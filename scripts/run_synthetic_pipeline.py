@@ -29,10 +29,7 @@ def main():
     out.mkdir(parents=True, exist_ok=True)
     cfg_path = out / "run.cfg"
     cfg_path.write_text(
-        f"dataset=synthetic\nimage_size={args.image_size}\nsynthetic_count={args.count}\n"
-        f"scales=2\nbase_channels=8\ndiscriminator={args.discriminator}\n"
-        f"lambda=10\nlr=0.002\nbeta1=0.9\nrounds={args.rounds}\nbatch_size=1\n"
-        f"seed={args.seed}\naugment=off\n"
+        cli.desk_config(args.discriminator, args.rounds, args.seed, args.image_size, args.count)
     )
     run_dir = out / "train"
     rc = cli.main(["train", "--config", str(cfg_path), "--out", str(run_dir)])

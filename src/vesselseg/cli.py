@@ -90,6 +90,15 @@ def parse_config_text(text, source="<config>"):
     return cfg
 
 
+def desk_config(discriminator, rounds, seed, size=64, count=8):
+    """Config text of the desk-scale synthetic run the scripts and the acceptance gate train."""
+    return (
+        f"dataset=synthetic\nimage_size={size}\nsynthetic_count={count}\naugment=off\n"
+        f"scales=2\nbase_channels=8\ndiscriminator={discriminator}\n"
+        f"lambda=10\nlr=0.002\nbeta1=0.9\nbatch_size=1\nrounds={rounds}\nseed={seed}\n"
+    )
+
+
 def resolve_config(config_path=None, seed_override=None):
     text = Path(config_path).read_text() if config_path else ""
     cfg = parse_config_text(text, source=str(config_path) if config_path else "<defaults>")

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain
 
 import numpy as np
 
@@ -56,12 +55,13 @@ class ScoredPixels:
 
 @dataclass
 class Curve:
-    """Points as (threshold, x, y) with threshold ascending; plus the area.
+    """Points as (n+1, 3) float64 rows of (threshold, x, y), threshold ascending
+    and the +inf anchor last; plus the area.
 
     x/y are (fpr, tpr) for ROC and (recall, precision) for PR.
     """
 
-    points: list
+    points: np.ndarray
     auc: float
 
 
@@ -100,9 +100,9 @@ def _group_counts(sp: ScoredPixels):
 
 
 def _points(thresholds, x, y, anchor):
-    """(threshold, x, y) tuples ascending in threshold, ending at the +inf anchor."""
+    """Curve.points: (threshold, x, y) rows ascending in threshold, then the +inf anchor."""
     # the grouped thresholds are distinct and descending, so reversing sorts them
-    return list(zip(thresholds[::-1].tolist(), x[::-1].tolist(), y[::-1].tolist())) + [anchor]
+    return np.vstack([np.column_stack([thresholds, x, y])[::-1], anchor])
 
 
 def roc_auc(sp: ScoredPixels):
@@ -300,7 +300,7 @@ def fmt(v):
 
 def write_curve_csv(curve: Curve, path):
     # "%.9g" % v is fmt(v) for a float; one format call writes every point
-    rows = "%.9g,%.9g,%.9g\n" * len(curve.points) % tuple(chain.from_iterable(curve.points))
+    rows = "%.9g,%.9g,%.9g\n" * len(curve.points) % tuple(curve.points.ravel().tolist())
     with open(path, "w") as fh:
         fh.write("threshold,x,y\n" + rows)
 

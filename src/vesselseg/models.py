@@ -224,8 +224,8 @@ def discriminator_spec(variant: DiscriminatorVariant, input_size, base_channels:
     over space before the final sigmoid.
     """
     h, w = input_size
-    if h < 1 or w < 1:
-        raise ValueError(f"invalid discriminator input size {input_size}")
+    if h < 1 or w < 1 or base_channels < 1:
+        raise ValueError(f"invalid discriminator input size {input_size} or width {base_channels}")
     if variant.kind == "patch" and variant.patch_size > min(h, w):
         raise ValueError(
             f"patch size {variant.patch_size} exceeds input size {h}x{w}"

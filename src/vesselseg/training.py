@@ -9,8 +9,8 @@ loss magnitudes stay comparable across discriminator variants.
 from __future__ import annotations
 
 import hashlib
-import io
 import itertools
+import json
 import math
 import struct
 from dataclasses import dataclass, field
@@ -37,7 +37,6 @@ class TrainConfig:
     batch_size: int = 1
     seed: int = 0
     val_fraction: float = 1.0 / 20.0
-    eps_clamp: float = 1e-7
 
     def __post_init__(self):
         # each test is written so that NaN fails it; messages use the config keys
@@ -49,8 +48,6 @@ class TrainConfig:
             raise ValueError(f"beta1 and beta2 must lie in [0,1), got {self.beta1}, {self.beta2}")
         if not 0.0 < self.val_fraction < 1.0:
             raise ValueError(f"val_fraction must lie in (0,1), got {self.val_fraction}")
-        if not 0.0 < self.eps_clamp < 0.5:
-            raise ValueError(f"eps_clamp must lie in (0,0.5), got {self.eps_clamp}")
         if self.rounds < 1 or self.batch_size < 1:
             raise ValueError(
                 f"rounds and batch_size must be positive, got {self.rounds}, {self.batch_size}"
@@ -63,27 +60,30 @@ class TrainConfig:
 # losses
 
 
-def _clamped(t, eps):
-    return ag.clamp(t, eps, 1.0 - eps)
+EPS = 1e-7  # probabilities are clamped into [EPS, 1 - EPS] before each log
 
 
-def d_loss(d_real, d_fake, eps=1e-7):
+def _clamped(t):
+    return ag.clamp(t, EPS, 1.0 - EPS)
+
+
+def d_loss(d_real, d_fake):
     """Discriminator objective over real and generated decision maps."""
     if d_real.data.shape != d_fake.data.shape:
         raise ValueError(
             f"decision map shape mismatch: real {d_real.data.shape} vs fake {d_fake.data.shape}"
         )
-    real_term = ag.global_mean(ag.log(_clamped(d_real, eps)))
-    fake_term = ag.global_mean(ag.log(_clamped(ag.rsub(d_fake, 1.0), eps)))
+    real_term = ag.global_mean(ag.log(_clamped(d_real)))
+    fake_term = ag.global_mean(ag.log(_clamped(ag.rsub(d_fake, 1.0))))
     return ag.neg(ag.add(real_term, fake_term))
 
 
-def g_gan_loss(d_fake, eps=1e-7):
+def g_gan_loss(d_fake):
     """Non-saturating generator term: small when the discriminator is fooled."""
-    return ag.neg(ag.global_mean(ag.log(_clamped(d_fake, eps))))
+    return ag.neg(ag.global_mean(ag.log(_clamped(d_fake))))
 
 
-def seg_loss(pred, gold, eps=1e-7):
+def seg_loss(pred, gold):
     """Pixel binary cross entropy against a {0,1} gold map."""
     gold_vals = gold.data if isinstance(gold, Tensor) else np.asarray(gold)
     if not np.all((gold_vals == 0) | (gold_vals == 1)):
@@ -93,9 +93,9 @@ def seg_loss(pred, gold, eps=1e-7):
             f"prediction shape {pred.data.shape} does not match gold {gold_vals.shape}"
         )
     gold_t = gold if isinstance(gold, Tensor) else Tensor(gold_vals)
-    p = _clamped(pred, eps)
+    p = _clamped(pred)
     pos = ag.mul(gold_t, ag.log(p))
-    negt = ag.mul(ag.rsub(gold_t, 1.0), ag.log(_clamped(ag.rsub(pred, 1.0), eps)))
+    negt = ag.mul(ag.rsub(gold_t, 1.0), ag.log(_clamped(ag.rsub(pred, 1.0))))
     return ag.neg(ag.global_mean(ag.add(pos, negt)))
 
 
@@ -154,7 +154,6 @@ def train_round(g, d, train_set, cfg, round_index=1, opt_g=None, opt_d=None):
         opt_g = Adam(g.parameters(), cfg.lr, cfg.beta1, cfg.beta2)
     if opt_d is None and d is not None:
         opt_d = Adam(d.parameters(), cfg.lr, cfg.beta1, cfg.beta2)
-    eps = cfg.eps_clamp
     order = np.random.default_rng([cfg.seed, round_index]).permutation(len(train_set))
 
     stats = RoundStats(round_index)
@@ -163,11 +162,7 @@ def train_round(g, d, train_set, cfg, round_index=1, opt_g=None, opt_d=None):
         for bi, (x, y) in enumerate(_batches(train_set, order, cfg.batch_size)):
             with ag.no_grad():
                 fake = mdl.generator_forward(g, x)
-            loss = d_loss(
-                mdl.discriminator_forward(d, x, y),
-                mdl.discriminator_forward(d, x, fake),
-                eps,
-            )
+            loss = d_loss(mdl.discriminator_forward(d, x, y), mdl.discriminator_forward(d, x, fake))
             _check_finite(float(loss.data), round_index, bi, "discriminator")
             opt_d.zero_grad()
             ag.backward(loss)
@@ -179,9 +174,9 @@ def train_round(g, d, train_set, cfg, round_index=1, opt_g=None, opt_d=None):
     with ag.frozen(d.params.values() if d is not None else ()):
         for bi, (x, y) in enumerate(_batches(train_set, order, cfg.batch_size)):
             pred = mdl.generator_forward(g, x)
-            seg = seg_loss(pred, y, eps)
+            seg = seg_loss(pred, y)
             if d is not None:
-                gan = g_gan_loss(mdl.discriminator_forward(d, x, pred), eps)
+                gan = g_gan_loss(mdl.discriminator_forward(d, x, pred))
                 total = g_total_loss(gan, seg, cfg.lambda_)
                 gan_losses.append(float(gan.data))
             else:
@@ -199,14 +194,13 @@ def train_round(g, d, train_set, cfg, round_index=1, opt_g=None, opt_d=None):
 
 def validation_loss(g, d, val_set, cfg):
     """Mean generator objective over the validation set, no updates."""
-    eps = cfg.eps_clamp
     totals = []
     with ag.no_grad():
         for x, y in _batches(val_set, list(range(len(val_set))), cfg.batch_size):
             pred = mdl.generator_forward(g, x)
-            seg = seg_loss(pred, y, eps)
+            seg = seg_loss(pred, y)
             if d is not None:
-                gan = g_gan_loss(mdl.discriminator_forward(d, x, pred), eps)
+                gan = g_gan_loss(mdl.discriminator_forward(d, x, pred))
                 totals.append(float(g_total_loss(gan, seg, cfg.lambda_).data))
             else:
                 totals.append(float(seg.data))
@@ -292,150 +286,121 @@ def fit(g, d, train, val, cfg, val_loss_fn=None, progress=None):
     return FitResult(checkpoint=best, history=history)
 
 
-def _restore(spec, layout, arrays, what):
+def _parts(ckpt):
+    """(what, spec, layout, parameters) of the generator and, with one, the discriminator."""
+    gs, ds = ckpt.gen_spec, ckpt.disc_spec
+    yield "generator", gs, mdl.generator_layout(gs), ckpt.gen_params
+    if ds is not None:
+        yield "discriminator", ds, mdl.discriminator_layout(ds), ckpt.disc_params
+
+
+def _param_names(what, layout, arrays):
+    """The layout's parameter names in build order, if arrays holds exactly them as float32
+    arrays of their shapes."""
     # islice: a corrupt spec can describe far more parameters than were stored
-    want = dict(itertools.islice(mdl.param_shapes(layout), len(arrays) + 1))
-    got = {k: v.shape for k, v in arrays.items()}
+    shapes = itertools.islice(mdl.param_shapes(layout), len(arrays) + 1)
+    want = {k: (shape, "float32") for k, shape in shapes}
+    got = {k: (v.shape, v.dtype.name) for k, v in arrays.items()}
     if want != got:
         differ = sorted(k for k in want.keys() | got.keys() if want.get(k) != got.get(k))
-        raise CheckpointError(f"{what} parameters missing, unexpected or misshapen: {differ}")
-    return mdl.Model(spec, {k: mdl.parameter(k, arrays[k].copy()) for k in want})
+        raise CheckpointError(
+            f"{what} parameters missing, unexpected, misshapen or not float32: {differ}"
+        )
+    return list(want)
 
 
 def rebuild_models(ckpt: Checkpoint):
     """Reconstruct (generator, discriminator) holding exactly the checkpointed weights.
 
-    Raises CheckpointError unless the stored parameter names and shapes are
-    exactly those the stored specs build.
+    Raises CheckpointError unless the parameter names and shapes are exactly
+    those the specs build.
     """
-    gs, ds = ckpt.gen_spec, ckpt.disc_spec
-    g = _restore(gs, mdl.generator_layout(gs), ckpt.gen_params, "generator")
-    d = None
-    if ds is not None:
-        d = _restore(ds, mdl.discriminator_layout(ds), ckpt.disc_params, "discriminator")
-    return g, d
+    built = []
+    for what, spec, layout, arrays in _parts(ckpt):
+        names = _param_names(what, layout, arrays)
+        built.append(mdl.Model(spec, {k: mdl.parameter(k, arrays[k].copy()) for k in names}))
+    return built[0], built[1] if len(built) == 2 else None
 
 
 # ---------------------------------------------------------------------------
-# checkpoint serialization: magic, u16 version, per-tensor records of
-# (u16 name length, name bytes, u32 rank, u32 extents, little-endian f32 data),
-# then the sha256 of everything before it.  Records: meta/*, g/<param> and,
-# with a discriminator, d/<param>; no optimizer state is stored.
+# checkpoint serialization, version 3: the magic, a u16 version, a u32 length
+# and that many bytes of UTF-8 JSON metadata (round, val_g_loss, fingerprint,
+# gen_spec, disc_spec), the little-endian f32 values of every parameter in
+# mdl.param_shapes order (generator, then discriminator), then the sha256 of
+# everything before it.  Parameter names and shapes are not stored, because
+# the specs fix them; no optimizer state is stored.
 
 MAGIC = b"VGANCKPT"
-VERSION = 2
+VERSION = 3
 _HEAD = len(MAGIC) + 2
 _DIGEST = hashlib.sha256().digest_size
-
-_KIND_CODES = {"pixel": 1, "patch": 2, "image": 3}
-_KIND_NAMES = {v: k for k, v in _KIND_CODES.items()}
-
-
-def _write_record(fh, name, values):
-    arr = np.ascontiguousarray(np.asarray(values, dtype="<f4"))
-    name_b = name.encode()
-    fh.write(struct.pack("<H", len(name_b)))
-    fh.write(name_b)
-    fh.write(struct.pack("<I", arr.ndim))
-    fh.write(struct.pack(f"<{arr.ndim}I", *arr.shape))
-    fh.write(arr.tobytes())
-
-
-def _records(ckpt):
-    yield "meta/round", np.array([ckpt.round_index], dtype=np.float32)
-    yield "meta/val_g_loss", np.array([ckpt.val_g_loss], dtype=np.float32)
-    fp = np.frombuffer(ckpt.fingerprint.encode(), dtype=np.uint8).astype(np.float32)
-    yield "meta/config_fingerprint", fp
-    gs = ckpt.gen_spec
-    yield "meta/gen_spec", np.array(
-        [gs.in_channels, gs.scales, gs.base_channels, gs.kernel_size], dtype=np.float32
-    )
-    ds = ckpt.disc_spec
-    if ds is not None:
-        yield "meta/disc_spec", np.array(
-            [
-                _KIND_CODES[ds.variant.kind],
-                ds.variant.patch_size or 0,
-                ds.base_channels,
-                ds.input_size[0],
-                ds.input_size[1],
-            ],
-            dtype=np.float32,
-        )
-    for k, v in ckpt.gen_params.items():
-        yield f"g/{k}", v
-    if ckpt.disc_params is not None:
-        for k, v in ckpt.disc_params.items():
-            yield f"d/{k}", v
+_META_KEYS = ("round", "val_g_loss", "fingerprint", "gen_spec", "disc_spec")
+_INT = (int,)
 
 
 def save_checkpoint(ckpt: Checkpoint, path):
-    buf = io.BytesIO()
-    buf.write(MAGIC)
-    buf.write(struct.pack("<H", VERSION))
-    for name, values in _records(ckpt):
-        _write_record(buf, name, values)
-    body = buf.getvalue()
+    """Write ckpt; raise CheckpointError if its parameters are not those its specs build."""
+    gs, ds = ckpt.gen_spec, ckpt.disc_spec
+    meta = {
+        "round": ckpt.round_index,
+        "val_g_loss": ckpt.val_g_loss,
+        "fingerprint": ckpt.fingerprint,
+        "gen_spec": [gs.in_channels, gs.scales, gs.base_channels, gs.kernel_size],
+        "disc_spec": None
+        if ds is None
+        else [ds.variant.kind, ds.variant.patch_size, ds.base_channels, *ds.input_size],
+    }
+    text = json.dumps(meta).encode()
+    chunks = [MAGIC, struct.pack("<HI", VERSION, len(text)), text]
+    for what, _, layout, arrays in _parts(ckpt):
+        names = _param_names(what, layout, arrays)
+        chunks += [np.asarray(arrays[k], "<f4").tobytes() for k in names]
+    body = b"".join(chunks)
     Path(path).write_bytes(body + hashlib.sha256(body).digest())
 
 
-def _read_records(raw, pos, end):
-    records = {}
-
-    def take(n, what):
-        nonlocal pos
-        if n > end - pos:
-            raise CheckpointError(
-                f"truncated checkpoint: wanted {n} bytes for {what} at offset {pos}"
-            )
-        pos += n
-        return raw[pos - n : pos]
-
-    while pos < end:
-        at = pos
-        (name_len,) = struct.unpack("<H", take(2, "record header"))
-        try:
-            name = take(name_len, "record name").decode()
-        except UnicodeDecodeError:
-            raise CheckpointError(f"record name at offset {at + 2} is not UTF-8") from None
-        if name in records:
-            raise CheckpointError(f"duplicate record {name!r} at offset {at}")
-        (rank,) = struct.unpack("<I", take(4, f"rank of {name}"))
-        shape = struct.unpack(f"<{rank}I", take(4 * rank, f"extents of {name}"))
-        raw_values = take(4 * math.prod(shape), f"values of {name}")
-        records[name] = np.frombuffer(raw_values, dtype="<f4").reshape(shape).copy()
-    return records
+def _typed(value, kinds, what):
+    """value if its type is exactly one of kinds (a bool or float is no int); a list of
+    kinds types a list entry by entry."""
+    if type(kinds) is list:
+        if type(value) is list and len(value) == len(kinds):
+            return [_typed(v, k, f"{what}[{i}]") for i, (v, k) in enumerate(zip(value, kinds))]
+    elif type(value) in kinds:
+        return value
+    raise CheckpointError(f"checkpoint metadata {what} has the wrong type: {value!r}")
 
 
-def _decode(records):
-    def take(name):
-        return records.pop(name).ravel()
-
-    def collect(prefix):
-        names = [n for n in records if n.startswith(prefix)]
-        return {n[len(prefix) :]: records.pop(n) for n in names}
-
-    (round_index,) = (int(v) for v in take("meta/round"))
-    (val_g_loss,) = (float(v) for v in take("meta/val_g_loss"))
-    fp = take("meta/config_fingerprint")
-    if not np.all((fp >= 0) & (fp < 128) & (fp == np.floor(fp))):
-        raise ValueError("meta/config_fingerprint holds values that are not ASCII codes")
-    fingerprint = bytes(fp.astype(np.uint8)).decode()
-    gi, gs, gb, gk = (int(v) for v in take("meta/gen_spec"))
-    gen_spec = mdl.GeneratorSpec(gi, gs, gb, gk)
-    disc_spec = None
-    if "meta/disc_spec" in records:
-        kind_code, patch, base, h, w = (int(v) for v in take("meta/disc_spec"))
-        variant = mdl.DiscriminatorVariant(_KIND_NAMES[kind_code], patch or None)
-        disc_spec = mdl.discriminator_spec(variant, (h, w), base)
+def _decode_meta(text):
+    """The Checkpoint of a metadata text, its parameters still empty."""
+    try:
+        meta = json.loads(text.decode())
+    except ValueError as exc:  # UnicodeDecodeError and JSONDecodeError
+        raise CheckpointError(f"checkpoint metadata is not UTF-8 JSON: {exc}") from None
+    if type(meta) is not dict or meta.keys() != set(_META_KEYS):
+        raise CheckpointError(
+            f"checkpoint metadata must be an object with exactly the keys {_META_KEYS}, "
+            f"got {text[:200]!r}"
+        )
+    gen = _typed(meta["gen_spec"], [_INT] * 4, "gen_spec")
+    disc = meta["disc_spec"]
+    if disc is not None:
+        disc = _typed(disc, [(str,), (int, type(None)), _INT, _INT, _INT], "disc_spec")
+    try:
+        gen_spec = mdl.GeneratorSpec(*gen)
+        disc_spec = None
+        if disc is not None:
+            kind, patch, base, h, w = disc
+            disc_spec = mdl.discriminator_spec(mdl.DiscriminatorVariant(kind, patch), (h, w), base)
+    except ValueError as exc:
+        raise CheckpointError(f"checkpoint metadata describes no model: {exc}") from None
     return Checkpoint(
-        round_index=round_index,
+        round_index=_typed(meta["round"], _INT, "round"),
         gen_spec=gen_spec,
         disc_spec=disc_spec,
-        gen_params=collect("g/"),
-        disc_params=collect("d/") if disc_spec is not None else None,
-        val_g_loss=val_g_loss,
-        fingerprint=fingerprint,
+        gen_params={},
+        disc_params={} if disc_spec is not None else None,
+        val_g_loss=_typed(meta["val_g_loss"], (float,), "val_g_loss"),
+        fingerprint=_typed(meta["fingerprint"], (str,), "fingerprint"),
     )
 
 
@@ -455,12 +420,24 @@ def load_checkpoint(path) -> Checkpoint:
             f"corrupt or truncated checkpoint: the sha256 at offset {end} does not match "
             "the bytes before it"
         )
-    records = _read_records(raw, _HEAD, end)
-    try:
-        ckpt = _decode(records)
-    except (KeyError, ValueError, OverflowError) as exc:  # a missing record is a KeyError
-        name = type(exc).__name__
-        raise CheckpointError(f"malformed checkpoint metadata ({name}: {exc})") from None
-    if records:
-        raise CheckpointError(f"unexpected checkpoint records {sorted(records)}")
+    pos = _HEAD
+
+    def take(n, what):
+        nonlocal pos
+        if n > end - pos:
+            raise CheckpointError(
+                f"truncated checkpoint: wanted {n} bytes for {what} at offset {pos}, "
+                f"{end - pos} left"
+            )
+        pos += n
+        return raw[pos - n : pos]
+
+    (meta_len,) = struct.unpack("<I", take(4, "the metadata length"))
+    ckpt = _decode_meta(take(meta_len, "the metadata"))
+    for what, _, layout, arrays in _parts(ckpt):
+        for k, shape in mdl.param_shapes(layout):
+            values = take(4 * math.prod(shape), f"{what} parameter {k}")
+            arrays[k] = np.frombuffer(values, "<f4").reshape(shape).copy()
+    if pos != end:
+        raise CheckpointError(f"{end - pos} bytes left over after the parameters at offset {pos}")
     return ckpt

@@ -278,25 +278,9 @@ def test_criterion_5_discriminator_learns():
 # criteria 6 + 8: full-objective learnability and end-to-end determinism
 
 
-ACCEPT_CFG = """dataset=synthetic
-image_size=64
-synthetic_count=8
-scales=2
-base_channels=8
-discriminator={disc}
-lambda=10
-lr=0.002
-beta1=0.9
-rounds=300
-batch_size=1
-seed=7
-augment=off
-"""
-
-
 def _train_run(tmp_path, tag, disc):
     cfg_path = tmp_path / f"{tag}.cfg"
-    cfg_path.write_text(ACCEPT_CFG.format(disc=disc))
+    cfg_path.write_text(cli.desk_config(disc, rounds=300, seed=7, size=64, count=8))
     out = tmp_path / tag
     rc = cli.main(["train", "--config", str(cfg_path), "--out", str(out)])
     assert rc == 0, f"train exited {rc}"

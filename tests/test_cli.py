@@ -1,5 +1,7 @@
 import hashlib
 import os
+import runpy
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -223,15 +225,19 @@ def test_infer_corrupt_checkpoint_is_data_exit(trained_run, tmp_path, capsys):
     out_dir, sample, _ = trained_run
     img_path = tmp_path / "f.ppm"
     _as_p6(sample, img_path)
-    raw = bytearray((out_dir / "best.ckpt").read_bytes())
-    raw[len(raw) // 3] ^= 0x40
-    bad = tmp_path / "bad.ckpt"
-    bad.write_bytes(bytes(raw))
-    rc = run(["infer", "--checkpoint", str(bad), "--image", str(img_path),
-              "--out", str(tmp_path / "p.pgm")])
-    assert rc == cli.EXIT_DATA
-    assert capsys.readouterr().err.startswith("data error: ")
-    assert not (tmp_path / "p.pgm").exists()
+    raw = (out_dir / "best.ckpt").read_bytes()
+    flipped = bytearray(raw)
+    flipped[len(raw) // 3] ^= 0x40
+    body = raw[training._HEAD : -training._DIGEST]  # after the version, before the digest
+    older = [training.MAGIC + struct.pack("<H", v) + body for v in (1, 2)]
+    for bad_bytes in [bytes(flipped), raw[:-7], *older]:
+        bad = tmp_path / "bad.ckpt"
+        bad.write_bytes(bad_bytes)
+        rc = run(["infer", "--checkpoint", str(bad), "--image", str(img_path),
+                  "--out", str(tmp_path / "p.pgm")])
+        assert rc == cli.EXIT_DATA
+        assert capsys.readouterr().err.startswith("data error: ")
+        assert not (tmp_path / "p.pgm").exists()
 
 
 def test_infer_directory_checkpoint_is_data_exit(trained_run, tmp_path, capsys):
@@ -548,3 +554,12 @@ def test_script_runs_end_to_end(tmp_path, script):
     _python(args)
     report = "report/summary.csv" if script.startswith("run_synthetic") else "ablation.csv"
     assert (tmp_path / report).is_file()
+
+
+def test_bench_desk_config_matches_the_scripts():
+    # bench/workloads.py keeps its own copy of the desk config text
+    train_config = runpy.run_path(str(SRC.parent / "bench" / "workloads.py"))["train_config"]
+    for seed, rounds, size, count in [(7, 300, 64, 8), (1, 8, 16, 3)]:
+        bench_cfg = cli.parse_config_text(train_config(seed, rounds, size, count))
+        desk_cfg = cli.parse_config_text(cli.desk_config("image", rounds, seed, size, count))
+        assert bench_cfg == desk_cfg

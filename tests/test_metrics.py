@@ -80,15 +80,15 @@ def curves_argsort(sp):
     n = int(np.sum(sp.labels == 0))
     fpr, tpr = cum_fp / n, cum_tp / p
     roc_area = float(np.trapezoid(np.concatenate([[0.0], tpr]), np.concatenate([[0.0], fpr])))
-    roc_points = [(float("inf"), 0.0, 0.0)]
-    roc_points += [(float(t), float(x), float(y)) for t, x, y in zip(thresholds, fpr, tpr)]
+    roc_points = [[float("inf"), 0.0, 0.0]]
+    roc_points += [[float(t), float(x), float(y)] for t, x, y in zip(thresholds, fpr, tpr)]
     roc_points.sort(key=lambda q: q[0])
     recall, precision = cum_tp / p, cum_tp / (cum_tp + cum_fp)
     pr_area = float(
         np.trapezoid(np.concatenate([[precision[0]], precision]), np.concatenate([[0.0], recall]))
     )
-    pr_points = [(float("inf"), 0.0, float(precision[0]))]
-    pr_points += [(float(t), float(r), float(q)) for t, r, q in zip(thresholds, recall, precision)]
+    pr_points = [[float("inf"), 0.0, float(precision[0])]]
+    pr_points += [[float(t), float(r), float(q)] for t, r, q in zip(thresholds, recall, precision)]
     pr_points.sort(key=lambda q: q[0])
     return roc_points, roc_area, pr_points, pr_area
 
@@ -169,10 +169,10 @@ def assert_matches_argsort(scores, labels):
         assert np.array_equal(got, want)
     roc_points, roc_area, pr_points, pr_area = curves_argsort(sp)
     roc_curve, area = metrics.roc_auc(sp)
-    assert roc_curve.points == roc_points
+    assert roc_curve.points.tolist() == roc_points
     assert area == roc_curve.auc == roc_area
     pr_curve, area = metrics.pr_auc(sp)
-    assert pr_curve.points == pr_points
+    assert pr_curve.points.tolist() == pr_points
     assert area == pr_curve.auc == pr_area
 
 
@@ -246,8 +246,9 @@ def test_scored_pixels_accepts_bool_labels():
     scores = [0.2, 0.5, 0.5, 0.7]
     as_bool = ScoredPixels(scores, np.array([False, True, False, True]))
     as_int = ScoredPixels(scores, np.array([0, 1, 0, 1], np.uint8))
-    assert metrics.roc_auc(as_bool)[0] == metrics.roc_auc(as_int)[0]
-    assert metrics.pr_auc(as_bool)[0] == metrics.pr_auc(as_int)[0]
+    for curve in (metrics.roc_auc, metrics.pr_auc):
+        a, b = curve(as_bool)[0], curve(as_int)[0]
+        assert a.points.tolist() == b.points.tolist() and a.auc == b.auc
 
 
 # ---------------------------------------------------------------------------
@@ -537,7 +538,7 @@ def test_curve_csv_bytes_match_per_point_fstrings(tmp_path):
     points = [(t, x, y) for t, x, y in zip(edge, edge[3:] + edge[:3], edge[7:] + edge[:7])]
     points.append((float("inf"), 0.0, 1 / 3))
     path = tmp_path / "curve.csv"
-    metrics.write_curve_csv(metrics.Curve(points=points, auc=0.5), path)
+    metrics.write_curve_csv(metrics.Curve(points=np.array(points), auc=0.5), path)
     lines = ["threshold,x,y"] + [f"{t:.9g},{x:.9g},{y:.9g}" for t, x, y in points]
     assert path.read_bytes() == ("\n".join(lines) + "\n").encode()
 

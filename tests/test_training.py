@@ -1,5 +1,6 @@
+import dataclasses
 import hashlib
-import io
+import json
 import math
 import os
 import struct
@@ -224,7 +225,6 @@ def test_discriminator_can_learn_real_vs_fake():
         loss = training.d_loss(
             models.discriminator_forward(d, xt, yt),
             models.discriminator_forward(d, xt, fakes),
-            cfg.eps_clamp,
         )
         opt_d.zero_grad()
         ag.backward(loss)
@@ -322,29 +322,42 @@ def test_split_train_val_ratio():
 
 
 def make_checkpoint(with_disc=True, seed=0):
+    # four samples split two and two, so val_g_loss is a mean of two batch losses
     g, d, samples = tiny_setup(
-        n_samples=3, variant=DiscriminatorVariant.patch(10) if with_disc else None, seed=seed
+        n_samples=4, variant=DiscriminatorVariant.patch(10) if with_disc else None, seed=seed
     )
-    cfg = TrainConfig(rounds=1, seed=seed)
+    cfg = TrainConfig(rounds=1, seed=seed, val_fraction=0.5)
     return training.fit(g, d, *training.split_train_val(samples, cfg), cfg).checkpoint, samples
+
+
+def assert_same_checkpoint(loaded, saved):
+    for f in dataclasses.fields(training.Checkpoint):
+        got, want = getattr(loaded, f.name), getattr(saved, f.name)
+        if f.name.endswith("_params") and want is not None:
+            assert list(got) == list(want), f.name
+            for k in want:
+                assert got[k].dtype == want[k].dtype and got[k].tobytes() == want[k].tobytes(), k
+        else:
+            assert type(got) is type(want) and got == want, f.name
 
 
 def test_checkpoint_roundtrip_bit_exact(tmp_path):
     ckpt, samples = make_checkpoint()
+    assert ckpt.disc_spec is not None
+    # a mean of two float32 losses that float32 cannot hold, so a float32 store would lose it
+    assert float(np.float32(ckpt.val_g_loss)) != ckpt.val_g_loss
     path = tmp_path / "m.ckpt"
     training.save_checkpoint(ckpt, path)
     loaded = training.load_checkpoint(path)
+    assert_same_checkpoint(loaded, ckpt)
 
-    assert loaded.round_index == ckpt.round_index
-    assert loaded.fingerprint == ckpt.fingerprint
-    assert loaded.gen_spec == ckpt.gen_spec
-    for k in ckpt.gen_params:
-        np.testing.assert_array_equal(loaded.gen_params[k], ckpt.gen_params[k])
-    for k in ckpt.disc_params:
-        np.testing.assert_array_equal(loaded.disc_params[k], ckpt.disc_params[k])
+    # magic, version, metadata and float32 parameters: no optimizer state
     raw = path.read_bytes()
-    names = training._read_records(raw, training._HEAD, len(raw) - training._DIGEST)
-    assert {n.split("/")[0] for n in names} == {"meta", "g", "d"}  # no optimizer state
+    (meta_len,) = struct.unpack_from("<I", raw, training._HEAD)
+    meta = json.loads(raw[training._HEAD + 4 : training._HEAD + 4 + meta_len])
+    assert sorted(meta) == ["disc_spec", "fingerprint", "gen_spec", "round", "val_g_loss"]
+    n_params = sum(v.size for v in [*ckpt.gen_params.values(), *ckpt.disc_params.values()])
+    assert len(raw) == training._HEAD + 4 + meta_len + 4 * n_params + training._DIGEST
 
     g1, _ = training.rebuild_models(ckpt)
     g2, _ = training.rebuild_models(loaded)
@@ -360,6 +373,7 @@ def test_checkpoint_roundtrip_without_discriminator(tmp_path):
     training.save_checkpoint(ckpt, path)
     loaded = training.load_checkpoint(path)
     assert loaded.disc_spec is None and loaded.disc_params is None
+    assert_same_checkpoint(loaded, ckpt)
 
 
 def test_checkpoint_bad_magic(tmp_path):
@@ -391,8 +405,6 @@ def test_config_validation():
     with pytest.raises(ValueError):
         TrainConfig(val_fraction=1.5)
     with pytest.raises(ValueError):
-        TrainConfig(eps_clamp=0.7)
-    with pytest.raises(ValueError):
         TrainConfig(seed=-1)
     for bad in (
         {"lambda_": float("nan")},
@@ -417,23 +429,89 @@ def with_digest(body):
     return body + hashlib.sha256(body).digest()
 
 
+def body_of(raw):
+    return raw[: -training._DIGEST]
+
+
 def test_checkpoint_v1_refused(tmp_path):
-    # a v1 file: the same records plus Adam state, and no digest
+    # a v1 file had no digest
     ckpt, _ = make_checkpoint(with_disc=False)
-    buf = io.BytesIO()
-    buf.write(training.MAGIC + struct.pack("<H", 1))
-    for name, values in training._records(ckpt):
-        training._write_record(buf, name, values)
-    training._write_record(buf, "opt_g/t", np.array([1.0], np.float32))
-    path = tmp_path / "v1.ckpt"
-    path.write_bytes(buf.getvalue())
-    with pytest.raises(training.CheckpointError, match="version 1"):
+    path, raw = saved_bytes(ckpt, tmp_path)
+    path.write_bytes(training.MAGIC + struct.pack("<H", 1) + body_of(raw)[training._HEAD :])
+    with pytest.raises(training.CheckpointError, match="version 1 at offset 8"):
         training.load_checkpoint(path)
-    # relabelled as v2 with a valid digest, the Adam record is left over
-    v2 = bytearray(buf.getvalue())
-    v2[len(training.MAGIC)] = training.VERSION
-    path.write_bytes(with_digest(bytes(v2)))
-    with pytest.raises(training.CheckpointError, match="opt_g/t"):
+
+
+def test_checkpoint_v2_refused(tmp_path):
+    ckpt, _ = make_checkpoint(with_disc=False)
+    path, raw = saved_bytes(ckpt, tmp_path)
+    body = training.MAGIC + struct.pack("<H", 2) + body_of(raw)[training._HEAD :]
+    path.write_bytes(with_digest(body))
+    with pytest.raises(training.CheckpointError, match="version 2 at offset 8"):
+        training.load_checkpoint(path)
+
+
+def test_checkpoint_payload_length_must_match(tmp_path):
+    ckpt, _ = make_checkpoint()
+    path, raw = saved_bytes(ckpt, tmp_path)
+    end = len(raw) - training._DIGEST
+    # trailing bytes, say Adam state appended, are refused where they start
+    path.write_bytes(with_digest(body_of(raw) + b"\0" * 12))
+    with pytest.raises(training.CheckpointError, match=f"12 bytes left over .* at offset {end}$"):
+        training.load_checkpoint(path)
+    # a payload that stops short is refused at the parameter it cuts off
+    last = list(models.param_shapes(models.discriminator_layout(ckpt.disc_spec)))[-1][0]
+    path.write_bytes(with_digest(body_of(raw)[:-2]))
+    with pytest.raises(training.CheckpointError) as e:
+        training.load_checkpoint(path)
+    want = f"wanted 4 bytes for discriminator parameter {last} at offset {end - 4}, 2 left"
+    assert want in str(e.value)
+
+
+def with_meta(raw, edit):
+    """raw's checkpoint with its metadata changed by edit, sealed with a fresh digest."""
+    (n,) = struct.unpack_from("<I", raw, training._HEAD)
+    start = training._HEAD + 4
+    meta = json.loads(raw[start : start + n])
+    edit(meta)
+    text = json.dumps(meta).encode()
+    rest = body_of(raw)[start + n :]
+    return with_digest(raw[: training._HEAD] + struct.pack("<I", len(text)) + text + rest)
+
+
+def _set(key, value, index=None):
+    def edit(meta):
+        if index is None:
+            meta[key] = value
+        else:
+            meta[key][index] = value
+
+    return edit
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        pytest.param(_set("gen_spec", "8", 2), r"gen_spec\[2\] has the wrong", id="str-entry"),
+        pytest.param(_set("gen_spec", True, 0), r"gen_spec\[0\] has the wrong", id="bool-entry"),
+        pytest.param(_set("gen_spec", [3, 2, 4]), "gen_spec has the wrong type", id="short-spec"),
+        pytest.param(_set("round", 1.0), "round has the wrong type: 1.0", id="float-round"),
+        pytest.param(_set("val_g_loss", 1), "val_g_loss has the wrong type: 1", id="int-loss"),
+        pytest.param(_set("fingerprint", None), "fingerprint has the wrong type", id="null-print"),
+        pytest.param(_set("disc_spec", "global", 0), "unknown discriminator kind", id="kind"),
+        pytest.param(_set("disc_spec", 0, 2), "width 0", id="zero-width"),
+        pytest.param(_set("disc_spec", {}), "disc_spec has the wrong type", id="object-spec"),
+        pytest.param(_set("opt_g", [1.0]), "exactly the keys", id="extra-key"),
+        pytest.param(lambda meta: meta.pop("round"), "exactly the keys", id="missing-key"),
+    ],
+)
+def test_checkpoint_metadata_of_wrong_type_refused(tmp_path, edit, message):
+    ckpt, _ = make_checkpoint()
+    path, raw = saved_bytes(ckpt, tmp_path)
+    path.write_bytes(with_meta(raw, lambda meta: None))
+    assert_same_checkpoint(training.load_checkpoint(path), ckpt)
+    path.write_bytes(with_meta(raw, edit))
+    with pytest.raises(training.CheckpointError, match=message):
         training.load_checkpoint(path)
 
 
@@ -447,37 +525,47 @@ def test_checkpoint_digest_mismatch_refused(tmp_path):
         training.load_checkpoint(path)
 
 
-@pytest.mark.parametrize("fault", ["missing", "extra", "shape"])
-def test_rebuild_refuses_parameters_unlike_the_spec(fault):
+@pytest.mark.parametrize("fault", ["missing", "extra", "shape", "dtype"])
+def test_rebuild_refuses_parameters_unlike_the_spec(fault, tmp_path):
     ckpt, _ = make_checkpoint()
     params = ckpt.disc_params if fault == "extra" else ckpt.gen_params
     if fault == "missing":
         del params["head_w"]
     elif fault == "extra":
         params["layer9_w"] = np.zeros((1, 1, 1, 1), np.float32)
-    else:
+    elif fault == "shape":
         params["head_b"] = np.zeros(5, np.float32)
+    else:  # saved as float32, it would load as other values than these
+        params["head_b"] = params["head_b"].astype(np.float64) + 1e-12
     with pytest.raises(training.CheckpointError):
         training.rebuild_models(ckpt)
+    with pytest.raises(training.CheckpointError):
+        training.save_checkpoint(ckpt, tmp_path / "m.ckpt")
+    assert not (tmp_path / "m.ckpt").exists()
 
 
 def test_checkpoint_mutants_load_or_raise_checkpoint_error(tmp_path):
-    # flip one byte of the body and re-seal it with a fresh digest, so each
-    # mutant reaches the record parser and the spec checks
+    # flip bytes of the body and re-seal it with a fresh digest, so each mutant
+    # reaches the metadata decoder and the spec checks: 400 random flips over the
+    # whole body, and every single-bit flip of the header and the metadata
     ckpt, _ = make_checkpoint()
     path, raw = saved_bytes(ckpt, tmp_path)
-    body = raw[: -training._DIGEST]
+    body = body_of(raw)
+    (meta_len,) = struct.unpack_from("<I", body, training._HEAD)
     rng = np.random.default_rng(1234)
-    refused = 0
-    for _ in range(400):
+    flips = [(int(rng.integers(len(body))), int(rng.integers(1, 256))) for _ in range(400)]
+    flips += [(i, 1 << b) for i in range(training._HEAD + 4 + meta_len) for b in range(8)]
+    outcomes = set()
+    for at, mask in flips:
         mutant = bytearray(body)
-        mutant[rng.integers(len(body))] ^= int(rng.integers(1, 256))
+        mutant[at] ^= mask
         path.write_bytes(with_digest(bytes(mutant)))
         try:
             training.rebuild_models(training.load_checkpoint(path))
+            outcomes.add("loaded")
         except training.CheckpointError:
-            refused += 1
-    assert 0 < refused < 400  # weight flips load, header and spec flips are refused
+            outcomes.add("refused")
+    assert outcomes == {"loaded", "refused"}  # weight flips load, header and spec flips are refused
 
 
 # ---------------------------------------------------------------------------
