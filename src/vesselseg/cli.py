@@ -262,10 +262,15 @@ def cmd_infer(args):
 
 
 def _load_prob(path):
+    """A P5 probability map as uint16 levels on the 65535 scale (``metrics.LEVELS``).
+
+    An 8-bit level k becomes 257·k, whose score 257k/65535 is the same
+    double as k/255.
+    """
     img = data.load_image(path)
     if img.channels != 1:
         raise DataError(f"{path}: probability maps must be 1-channel P5")
-    return img.pixels[:, :, 0].astype(np.float64) / img.maxval
+    return img.pixels[:, :, 0].astype(np.uint16) * np.uint16(65535 // img.maxval)
 
 
 def _load_binary(path):
@@ -377,7 +382,7 @@ def cmd_overlay(args):
     if args.threshold == "otsu":
         if not mask.any():
             raise DataError(f"{args.mask}: empty FOV mask, no pixel to pick an Otsu threshold from")
-        thr = metrics.otsu_threshold(probs[mask.astype(bool)])
+        thr = metrics.otsu_threshold(metrics.LEVELS[probs[mask.astype(bool)]])
     else:
         try:
             thr = float(args.threshold)
@@ -387,7 +392,7 @@ def cmd_overlay(args):
             ) from None
         if not 0.0 <= thr <= 1.0:
             raise ConfigError(f"--threshold {thr} outside [0, 1]")
-    pred = (probs >= thr).astype(np.uint8)
+    pred = (probs >= int(np.searchsorted(metrics.LEVELS, thr))).astype(np.uint8)
     data.write_image(metrics.overlay(pred, gold, mask), args.out)
     print(f"wrote {args.out} (threshold={thr:.6g})")
     return EXIT_OK

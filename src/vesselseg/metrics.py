@@ -2,15 +2,18 @@
 
 Curves put a threshold at every distinct score with ties grouped, and
 integrate by trapezoid, so the ROC area equals the tie-corrected rank
-statistic.  Both curves come from one plain sort of the pooled scores,
-grouped once per ``ScoredPixels`` and shared by ROC and PR: each distinct
-score's at-or-above counts are binary searches into the sorted scores and
-into the sorted positive scores.  The Otsu search runs over the 255
-boundaries of a 256-bin histogram with exact integer moments, making the
+statistic.  Scores are grouped by counting: each pixel holds a level, an
+index into an ascending table of distinct scores, and one ``bincount`` of
+the levels (and one of the vessel pixels' levels) gives every distinct
+score's pixel and vessel counts, grouped once per ``ScoredPixels`` and
+shared by ROC and PR.  16-bit probability maps are their own levels against
+``LEVELS``, so ``evaluate`` on them sorts nothing; float scores find their
+levels by ``np.unique`` and a binary search.  The Otsu search runs over the
+255 boundaries of a 256-bin histogram with exact integer moments, making the
 argmax reproducible against an exhaustive sweep; the pooled histogram bins
 the grouped distinct scores weighted by their pixel counts.  ``evaluate``
 gathers each image's FOV pixels once and counts each image's tp/fp/fn/tn
-from its slice of the pooled pixels.  A curve CSV is written by one
+from its slice of the pooled levels.  A curve CSV is written by one
 ``%``-format of all its values.
 """
 
@@ -24,28 +27,52 @@ import numpy as np
 from .data import Image
 
 
+# score of each 16-bit level: a uint16 map holds levels on the 65535 scale
+LEVELS = np.arange(65536) / 65535
+
+
 @dataclass
 class ScoredPixels:
     """Index-aligned scores and labels of the pixels inside the FOV.
 
-    Scores must be finite and labels 0/1 (or bool).
+    Scores must be finite and labels 0/1 (or bool).  Given ``values``, an
+    ascending table of distinct finite scores such as ``LEVELS``, ``scores``
+    holds instead each pixel's integer level: its index into that table.
     """
 
     scores: np.ndarray
     labels: np.ndarray
+    values: np.ndarray | None = None
 
     def __post_init__(self):
-        self.scores = np.asarray(self.scores, dtype=np.float64)
         self.labels = np.asarray(self.labels)
+        if self.values is None:
+            self.scores = np.asarray(self.scores, dtype=np.float64)
+            if not np.isfinite(self.scores).all():
+                raise ValueError("scores must be finite")
+        else:
+            self.scores = np.asarray(self.scores)
+            self.values = v = np.asarray(self.values, dtype=np.float64)
+            if v.ndim != 1 or not np.isfinite(v).all() or not (v[1:] > v[:-1]).all():
+                raise ValueError("values must be a vector of ascending distinct finite scores")
+            lv = self.scores
+            if lv.dtype.kind not in "ui" or (lv.size and not 0 <= lv.min() <= lv.max() < len(v)):
+                raise ValueError(f"levels must be integers in [0, {len(v)})")
         if self.scores.shape != self.labels.shape or self.scores.ndim != 1:
             raise ValueError(
                 f"scores and labels must be equal-length vectors, got "
                 f"{self.scores.shape} and {self.labels.shape}"
             )
-        if not np.isfinite(self.scores).all():
-            raise ValueError("scores must be finite")
         if not ((self.labels == 0) | (self.labels == 1)).all():
             raise ValueError("labels must be 0 or 1")
+
+    @cached_property
+    def leveled(self):
+        """(values, levels): the table of distinct scores and each pixel's index into it."""
+        if self.values is not None:
+            return self.values, self.scores
+        values = np.unique(self.scores)
+        return values, np.searchsorted(values, self.scores)
 
     @cached_property
     def grouped(self):
@@ -89,14 +116,13 @@ class MetricsReport:
 
 def _group_counts(sp: ScoredPixels):
     """Cumulative true/false positive counts at each distinct score, descending."""
-    s = np.sort(sp.scores)
-    pos = np.sort(sp.scores[sp.labels == 1])
-    # the last element of each run of equal scores is its distinct value
-    thresholds = s[np.append(np.flatnonzero(np.diff(s)), len(s) - 1)]
-    at_or_above = len(s) - np.searchsorted(s, thresholds)
-    cum_tp = len(pos) - np.searchsorted(pos, thresholds)
-    cum_fp = at_or_above - cum_tp
-    return thresholds[::-1], cum_tp[::-1], cum_fp[::-1]
+    values, levels = sp.leveled
+    pixels = np.bincount(levels, minlength=len(values))
+    vessels = np.bincount(levels[sp.labels == 1], minlength=len(values))
+    seen = np.flatnonzero(pixels)[::-1]
+    cum_tp = np.cumsum(vessels[seen])
+    cum_fp = np.cumsum(pixels[seen]) - cum_tp
+    return values[seen], cum_tp, cum_fp
 
 
 def _points(thresholds, x, y, anchor):
@@ -225,17 +251,24 @@ def overlay(pred, gold, mask) -> Image:
 
 
 def _fov_pixels(prob_maps, golds, masks):
-    """Pooled in-FOV scores and 0/1 labels, and each image's [start, end) bounds in them.
+    """Pooled in-FOV pixels with 0/1 labels, and each image's [start, end) bounds in them.
 
-    The per-image arrays are freed on return, before the pooled sort.
+    uint16 maps pool as levels against ``LEVELS`` (2 bytes a pixel), other
+    maps as float64 scores.  The per-image arrays are freed on return.
     """
+    kinds = {np.asarray(pm).dtype == np.uint16 for pm in prob_maps}
+    if len(kinds) > 1:
+        raise ValueError("evaluate: maps mix uint16 levels with float scores")
+    leveled = kinds.pop()
+    dtype = np.uint16 if leveled else np.float64
     scores, labels = [], []
     for pm, gold, mask in zip(prob_maps, golds, masks):
         inside = mask.astype(bool)
-        scores.append(np.asarray(pm, dtype=np.float64)[inside])
+        scores.append(np.asarray(pm, dtype=dtype)[inside])
         labels.append(np.asarray(gold)[inside].astype(np.uint8))
     bounds = np.cumsum([0] + [len(s) for s in scores]).tolist()
-    return ScoredPixels(np.concatenate(scores), np.concatenate(labels)), bounds
+    values = LEVELS if leveled else None
+    return ScoredPixels(np.concatenate(scores), np.concatenate(labels), values), bounds
 
 
 def evaluate(prob_maps, golds, masks, ids=None, per_image_threshold=False) -> MetricsReport:
@@ -243,7 +276,8 @@ def evaluate(prob_maps, golds, masks, ids=None, per_image_threshold=False) -> Me
 
     All FOV pixels across images feed a single ROC/PR computation and a
     single Otsu threshold; per_image_threshold switches to one Otsu cut per
-    image instead.
+    image instead.  Maps hold float scores, or all are uint16 levels whose
+    score is ``level / 65535``, as ``vesselseg eval`` loads them.
     """
     if not prob_maps:
         raise ValueError("evaluate: empty input")
@@ -261,19 +295,21 @@ def evaluate(prob_maps, golds, masks, ids=None, per_image_threshold=False) -> Me
     thresholds, cum_tp, cum_fp = pooled.grouped
     pooled_thr = otsu_threshold(thresholds, np.diff(cum_tp + cum_fp, prepend=0))
 
+    values, levels = pooled.leveled
     per_image = []
     per_thr = [] if per_image_threshold else None
     tot = np.zeros(4, dtype=np.int64)
     for img_id, start, end in zip(ids, bounds[:-1], bounds[1:]):
-        scores, labels = pooled.scores[start:end], pooled.labels[start:end]
-        thr = otsu_threshold(scores) if per_image_threshold else pooled_thr
+        image_levels, labels = levels[start:end], pooled.labels[start:end]
+        thr = otsu_threshold(values[image_levels]) if per_image_threshold else pooled_thr
         if per_thr is not None:
             per_thr.append(thr)
-        pred = scores >= thr
+        # values ascend, so a score reaches thr exactly when its level reaches the cut
+        pred = image_levels >= int(np.searchsorted(values, thr))
         tp = int(np.count_nonzero(pred & labels))
         fp = int(np.count_nonzero(pred)) - tp
         fn = int(np.count_nonzero(labels)) - tp
-        tn = len(scores) - tp - fp - fn
+        tn = len(image_levels) - tp - fp - fn
         tot += (tp, fp, fn, tn)
         per_image.append(ImageEval(img_id, _dice(tp, fp, fn), tp, fp, fn, tn))
     total = ImageEval("ALL", _dice(*tot[:3]), *map(int, tot))

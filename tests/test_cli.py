@@ -521,6 +521,47 @@ def test_overlay_byte_identical(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
+def _golden_overlay_inputs(root, maxval):
+    """A tie-heavy map with FOV pixels at, just below and just above the level
+    of 0.2 (8-bit 51, 16-bit 13107), a gold map and a disc FOV mask."""
+    rng = np.random.default_rng(20241)
+    shape = (24, 20)
+    gold = rng.uniform(size=shape) < 0.25
+    k = np.clip(np.round(rng.normal(51 + 40 * gold, 6)), 0, 255)
+    if maxval == 255:
+        pred = k.astype(np.uint8)
+    else:
+        pred = np.clip(k * 257 + rng.integers(-1, 2, shape), 0, 65535).astype(np.uint16)
+    yy, xx = np.mgrid[: shape[0], : shape[1]]
+    mask = (yy - 12) ** 2 + (xx - 10) ** 2 <= 81
+    paths = root / "pred.pgm", root / "gold.pgm", root / "mask.pgm"
+    data.write_image(Image(pixels=pred[:, :, None], maxval=maxval), paths[0])
+    for arr, path in ((gold, paths[1]), (mask, paths[2])):
+        data.write_image(Image(pixels=(arr[:, :, None] * 255).astype(np.uint8), maxval=255), path)
+    return paths
+
+
+# sha256 of `overlay` on _golden_overlay_inputs, recorded from the
+# implementation that thresholded float64 maps
+GOLDEN_OVERLAY_SHA256 = {
+    (255, "otsu"): "2f90a08553503806d9eb26cb870047b26f47b15e89162a1bf346c7acb0b25404",
+    (255, "0.2"): "e40604bc6ff73fe069310775f47c7a7b1c98a0bb044664b414c8729c92308007",
+    (65535, "otsu"): "2f90a08553503806d9eb26cb870047b26f47b15e89162a1bf346c7acb0b25404",
+    (65535, "0.2"): "52f7015e4457592609baf99c8aa8c89eb6f1e0417e3e7d9b61c722d2e2fdfccc",
+}
+
+
+@pytest.mark.parametrize("maxval", [255, 65535])
+@pytest.mark.parametrize("threshold", ["otsu", "0.2"])
+def test_overlay_bytes_pinned(tmp_path, maxval, threshold):
+    pred_p, gold_p, mask_p = _golden_overlay_inputs(tmp_path, maxval)
+    out = tmp_path / "ov.ppm"
+    assert run(["overlay", "--pred", str(pred_p), "--gold", str(gold_p), "--mask", str(mask_p),
+                "--threshold", threshold, "--out", str(out)]) == 0
+    digest = hashlib.sha256(out.read_bytes()).hexdigest()
+    assert digest == GOLDEN_OVERLAY_SHA256[maxval, threshold]
+
+
 # ---------------------------------------------------------------------------
 # program entry
 
@@ -545,6 +586,26 @@ def _blas_env_after_import(**preset):
 def test_import_pins_blas_threads_unless_set():
     assert _blas_env_after_import() == ["1", "1"]
     assert _blas_env_after_import(OPENBLAS_NUM_THREADS="3", OMP_NUM_THREADS="2") == ["3", "2"]
+
+
+def test_only_fov_detection_imports_scipy(trained_run, tmp_path):
+    out_dir, sample, _ = trained_run
+    img_path = tmp_path / "f.ppm"
+    _as_p6(sample, img_path)
+    infer = ["infer", "--checkpoint", str(out_dir / "best.ckpt"), "--image", str(img_path),
+             "--out", str(tmp_path / "p.pgm")]
+    pred_d, gold_d, image_d = _golden_eval_inputs(tmp_path)
+    report = tmp_path / "report"
+    evaluate = ["eval", "--pred-dir", str(pred_d), "--gold-dir", str(gold_d),
+                "--image-dir", str(image_d), "--out", str(report)]
+    code = (
+        "import sys\nfrom vesselseg import cli\n"
+        f"assert cli.main({infer!r}) == 0\nprint('scipy' in sys.modules)\n"
+        f"assert cli.main({evaluate!r}) == 0\nprint('scipy' in sys.modules)\n"
+    )
+    lines = _python(["-c", code]).stdout.splitlines()
+    assert [lines[1], lines[3]] == ["False", "True"]
+    assert "im1: FOV mask synthesized" in (report / "notes.txt").read_text()
 
 
 @pytest.mark.parametrize("script", ["run_synthetic_pipeline.py", "run_discriminator_ablation.py"])

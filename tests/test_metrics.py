@@ -515,6 +515,69 @@ def test_evaluate_per_image_counts_match_full_size_confusion(seed, n_images, per
     assert (report.total.tp, report.total.fp, report.total.fn, report.total.tn) == tuple(total)
 
 
+def test_8bit_level_scores_equal_16bit_level_scores():
+    k = np.arange(256)
+    assert (k * 257 / 65535 == k / 255).all()
+    assert np.array_equal(metrics.LEVELS[k * 257], k / 255)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(0, 2**31 - 1),
+    st.lists(st.sampled_from([255, 65535]), min_size=1, max_size=4),
+    st.sampled_from([3, 40, None]),
+    st.booleans(),
+)
+@example(seed=0, maxvals=[255, 65535], n_levels=None, per_image=True)  # a mix of the two
+def test_evaluate_level_maps_match_float_maps(seed, maxvals, n_levels, per_image):
+    rng = np.random.default_rng(seed)
+    level_maps, float_maps, golds, masks = [], [], [], []
+    for i, maxval in enumerate(maxvals):
+        shape = (int(rng.integers(1, 12)), int(rng.integers(2 if i == 0 else 1, 12)))
+        gold = (rng.uniform(size=shape) < 0.3).astype(np.uint8)
+        mask = (rng.uniform(size=shape) < 0.8).astype(np.uint8)
+        mask.flat[0] = 1
+        if i == 0:  # the pooled FOV holds a vessel and a background pixel
+            gold.flat[0], gold.flat[-1], mask.flat[-1] = 1, 0, 1
+        # n_levels draws from a few distinct levels, so images tie within and across
+        pool = rng.integers(0, maxval + 1, n_levels) if n_levels else np.arange(maxval + 1)
+        level = rng.choice(pool, shape)
+        level_maps.append((level * (65535 // maxval)).astype(np.uint16))
+        float_maps.append(level / maxval)
+        golds.append(gold)
+        masks.append(mask)
+    got = metrics.evaluate(level_maps, golds, masks, per_image_threshold=per_image)
+    want = metrics.evaluate(float_maps, golds, masks, per_image_threshold=per_image)
+    for a, b in ((got.roc, want.roc), (got.pr, want.pr)):
+        assert a.points.tolist() == b.points.tolist() and a.auc == b.auc
+    assert (got.roc_auc, got.pr_auc) == (want.roc_auc, want.pr_auc)
+    assert got.otsu_threshold == want.otsu_threshold
+    assert got.per_image_thresholds == want.per_image_thresholds
+    assert got.per_image == want.per_image and got.total == want.total
+
+
+def test_evaluate_rejects_maps_mixing_levels_and_floats():
+    gold, mask = np.array([[1, 0]], np.uint8), np.ones((1, 2), np.uint8)
+    levels, scores = np.array([[65535, 0]], np.uint16), np.array([[1.0, 0.0]])
+    with pytest.raises(ValueError, match="mix"):
+        metrics.evaluate([levels, scores], [gold] * 2, [mask] * 2)
+
+
+@pytest.mark.parametrize(
+    "scores,values,match",
+    [
+        ([0, 3], [0.0, 0.5, 1.0], "levels"),  # a level past the table
+        ([0, -1], [0.0, 0.5, 1.0], "levels"),
+        ([0.0, 1.0], [0.0, 0.5, 1.0], "levels"),  # float scores are not levels
+        ([0, 1], [0.0, 0.5, 0.5], "values"),  # table not strictly ascending
+        ([0, 1], [0.0, np.inf], "values"),
+    ],
+)
+def test_scored_pixels_rejects_bad_levels_or_values(scores, values, match):
+    with pytest.raises(ValueError, match=match):
+        ScoredPixels(np.array(scores), [0, 1], values=values)
+
+
 def test_evaluate_rejects_empty_and_mismatched():
     with pytest.raises(ValueError):
         metrics.evaluate([], [], [])
