@@ -20,29 +20,52 @@ Gradient-tracking leaves (``Tensor(..., requires_grad=True)``) hold a zeroed
 and allocate it on the first accumulation during :func:`backward`.
 
 The convolutions are BLAS matrix products; ``conv2d`` builds no im2col
-columns.  It copies the input once into a zero-padded buffer split into
-stride x stride phase planes (one plane at stride 1), each flattened
-row-major with row width ``wq = Wo + (kw - 1) // stride``.  Kernel tap
-(i, j) then reads a contiguous slice of plane (i % stride, j % stride)
-starting at ``(i // stride) * wq + j // stride``, and the (N, Cout, Ho*wq)
-output accumulates the tap's (Cout, Cin) kernel matrix times that slice; a
-view drops the ``wq - Wo`` columns of each row that wrap into the next plane
-row.  The backward runs the same slices against the output grad with those
-columns zeroed, so a closure keeps the planes (about the input's size), not
-kh*kw copies of it.  Both walk the flattened output in blocks so that a
-block's per-tap products stay in cache.  A 1x1, stride-1, unpadded conv
-multiplies the input itself.  ``transposed_conv2d`` (kernel == stride) is
-one product of the kernel matrix with the (Cin, H*W) input per image, whose
-bias add writes it interleaved into the output.
+columns.  It reads the input from a zero-padded buffer split into stride x
+stride phase planes (one plane at stride 1), each flattened row-major with
+row width ``wq = Wo + (kw - 1) // stride``.  Kernel tap (i, j) then reads a
+contiguous slice of plane (i % stride, j % stride) starting at
+``(i // stride) * wq + j // stride``, and the (N, Cout, Ho*wq) output
+accumulates the tap's (Cout, Cin) kernel matrix times that slice; the
+``wq - Wo`` columns of each output row wrap into the next plane row.  The
+backward runs the same slices against the output grad with those columns
+zeroed, so a closure keeps the planes (about the input's size), not kh*kw
+copies of it.  Both walk the flattened output in blocks so that a block's
+per-tap products stay in cache.
+
+Zero-bordered buffers are a layout that ops produce, so that a stride-1
+conv rarely copies its input.  A map of (H, W) with border p lives in an
+(N, C, (H + 2p) * (W + 2p) + 2p) buffer that is zero except for the map,
+which starts at offset ``p * (W + 2p) + p``: exactly the plane a stride-1
+conv with padding p reads.  A tensor's ``data`` is the map's view into its
+buffer.  A same-size stride-1 ``conv2d`` (kernel 2p + 1, padding p) writes
+its output straight into such a buffer, then zeroes the wrap columns,
+which land on the next row's border.  A stride-1 conv whose padding equals
+its input's border reads its taps from the input's buffer; any other input
+is copied into phase planes as above.  A C-contiguous array is its own
+buffer with border 0, so a 1x1 unpadded conv multiplies it in place.
+``maxpool2x2`` writes into a buffer with its input's border.
+
+``conv2d(..., act=)`` applies ``"relu"`` or a leaky slope in [0, 1] to
+each output block in place.  The output is positive exactly where its
+pre-activation is, so the backward takes its mask from the output's sign
+and no mask or pre-activation is kept.  ``transposed_conv2d`` (kernel ==
+stride) is a product of the kernel matrix with bands of the (Cin, H*W)
+input rows, read from the input's buffer; the bias add interleaves each
+band into a contiguous array that is copied into the output, as ufuncs
+run several times faster on contiguous arrays than on strided views.
+Given ``skip``, its result is the channel concat ``[skip, upsampled]`` in
+one buffer with skip's border: skip is copied in once and the upsample is
+written after it, so the decoder conv that follows reads the concat in
+place.
 
 The other layers make as few full-size passes as they can.
 ``maxpool2x2`` takes the elementwise max of the four strided views
 ``x[..., a::2, b::2]``, one per window position, and its backward routes
 each window's gradient by comparing those views with the max; no window
-copy and no index array are made.  ``relu`` and ``leaky_relu`` keep the
-boolean mask ``x > 0`` for their backward, made only when a graph is
-recorded, and ``sigmoid`` evaluates both branches from one
-``exp(-|x|)``.
+copy and no index array are made.  The standalone ``relu`` and
+``leaky_relu`` keep the boolean mask ``x > 0`` for their backward, made
+only when a graph is recorded, and ``sigmoid`` evaluates both branches
+from one ``exp(-|x|)``.
 """
 
 from __future__ import annotations
@@ -66,18 +89,18 @@ class Tensor:
     and under :func:`no_grad` they track nothing at all.
     """
 
-    __slots__ = ("data", "requires_grad", "grad", "name", "_parents", "_backward")
+    __slots__ = ("data", "requires_grad", "grad", "_parents", "_backward", "_buffer")
 
-    def __init__(self, data, requires_grad=False, dtype=None, name=None):
+    def __init__(self, data, requires_grad=False, dtype=None):
         arr = np.asarray(data)
         if dtype is None:
             dtype = arr.dtype if arr.dtype in (np.float32, np.float64) else np.float32
         self.data = arr.astype(dtype, copy=False)
         self.requires_grad = bool(requires_grad)
         self.grad = np.zeros_like(self.data) if self.requires_grad else None
-        self.name = name
         self._parents = ()
         self._backward = None
+        self._buffer = None  # (buffer, border) when data is a bordered buffer's interior
 
     @property
     def shape(self):
@@ -144,12 +167,14 @@ def _tracked(*parents):
     return _grad_enabled and any(p.requires_grad for p in parents)
 
 
-def _result(values, parents, backward_fn):
+def _result(values, parents, backward_fn, buffer=None):
     """Wrap an op result, keeping graph edges only where gradients can flow.
 
     The result's ``grad`` starts as ``None``; :func:`_accum` allocates it.
+    ``buffer`` is the (buffer, border) pair of a bordered result.
     """
     out = Tensor(values)
+    out._buffer = buffer
     if _tracked(*parents):
         out.requires_grad = True
         out._parents = tuple(parents)
@@ -368,6 +393,33 @@ def _out_size(size, k, stride, padding):
     return (size + 2 * padding - k) // stride + 1
 
 
+def _bordered(n, c, h, w, border, dtype):
+    """A zeroed (N, C, L) buffer with room for an (N, C, h, w) map inside a
+    zero border, and the view of that map.
+
+    Rows are ``w + 2 * border`` wide and the map starts at ``border`` rows
+    and ``border`` columns in; ``L`` adds ``2 * border`` zeros after the
+    last row, which the widest tap slice of a stride-1 conv reads.
+    """
+    wq = w + 2 * border
+    start = border * wq + border
+    buf = np.zeros((n, c, (h + 2 * border) * wq + 2 * border), dtype=dtype)
+    return buf, buf[..., start : start + h * wq].reshape(n, c, h, wq)[..., :w]
+
+
+def _layout(t):
+    """(buffer, border) that t's (N, C, H, W) data lives in, or None.
+
+    A C-contiguous array is its own buffer with border 0.
+    """
+    if t._buffer is not None:
+        return t._buffer
+    if t.data.ndim == 4 and t.data.flags.c_contiguous:
+        n, c, h, w = t.data.shape
+        return t.data.reshape(n, c, h * w), 0
+    return None
+
+
 def _phase_windows(x_shape, stride, padding, hq, wq):
     """For each phase (a, b): the region of its (hq, wq) plane that holds
     input pixels, and the input slice those pixels come from.
@@ -394,8 +446,14 @@ def _phase_windows(x_shape, stride, padding, hq, wq):
 _BLOCK = 4096
 
 
-def conv2d(x, kernel, bias, stride=1, padding=0):
-    """2-d cross-correlation with zero padding, differentiable in all inputs."""
+def conv2d(x, kernel, bias, stride=1, padding=0, act=None):
+    """2-d cross-correlation with zero padding, differentiable in all inputs.
+
+    ``act`` applies an activation to the output in place: ``"relu"``, or a
+    slope alpha in [0, 1] for the leaky ``max(alpha * y, y)``.  A same-size
+    stride-1 result is the interior of a zero-bordered buffer that the next
+    stride-1 conv reads its taps from (see the module docstring).
+    """
     if x.data.ndim != 4 or kernel.data.ndim != 4:
         raise ValueError(
             f"conv2d: expected 4-d input and kernel, got {x.data.shape} and {kernel.data.shape}"
@@ -414,20 +472,26 @@ def conv2d(x, kernel, bias, stride=1, padding=0):
         raise ValueError(
             f"conv2d: padded input {x.data.shape} smaller than kernel {kernel.data.shape}"
         )
+    if act not in (None, "relu") and not (isinstance(act, (int, float)) and 0.0 <= act <= 1.0):
+        raise ValueError(f"conv2d: act must be None, 'relu' or a slope in [0, 1], got {act!r}")
 
     s, dtype = stride, np.result_type(x.data, kernel.data, bias.data)
     ho, wo = _out_size(h, kh, s, padding), _out_size(w, kw, s, padding)
-    hq, wq = ho + (kh - 1) // s, wo + (kw - 1) // s
-    length = ho * wq
-    size = hq * wq + (kw - 1) // s  # the last tap's slice runs past row hq
-    if s == 1 and padding == 0 and kw == 1:
-        # the input is its own (only) plane and no slice runs past its end
-        planes = x.data.reshape(1, 1, n, cin, h * w)
+    layout = _layout(x) if s == 1 else None
+    in_place = layout is not None and layout[1] == padding and kw <= 2 * padding + 1
+    if in_place:
+        # the input's zero-bordered buffer is its one plane
+        planes = layout[0][None, None]
+        hq, wq = h + 2 * padding, w + 2 * padding
+        size = planes.shape[-1]
     else:
+        hq, wq = ho + (kh - 1) // s, wo + (kw - 1) // s
+        size = hq * wq + (kw - 1) // s  # the last tap's slice runs past row hq
         planes = np.zeros((s, s, n, cin, size), dtype=x.data.dtype)
         grid = planes[..., : hq * wq].reshape(s, s, n, cin, hq, wq)
         for a, b, plane_win, x_win in _phase_windows(x.data.shape, s, padding, hq, wq):
             grid[a, b][plane_win] = x.data[x_win]
+    length = ho * wq
     taps = [(i, j, (i % s, j % s), (i // s) * wq + j // s) for i in range(kh) for j in range(kw)]
     ktap = np.ascontiguousarray(kernel.data.transpose(2, 3, 0, 1))  # (kh, kw, Cout, Cin)
     step = -(-length // max(1, length // _BLOCK))
@@ -438,16 +502,42 @@ def conv2d(x, kernel, bias, stride=1, padding=0):
         return arr[phase][..., offset + blk.start : offset + blk.stop]
 
     # out[:, :, y*wq + x] is output pixel (y, x) for x < wo; the wq - wo
-    # columns past it wrap into the next plane row and are dropped
-    out = np.empty((n, cout, length), dtype=dtype)
+    # columns past it wrap into the next plane row.  A same-size stride-1
+    # output is written into a bordered buffer of the same row width, where
+    # those columns are the border and are zeroed after the activation.
+    bordered = s == 1 and (ho, wo) == (h, w)
+    start = padding * wq + padding  # offset of the map in a stride-1 bordered buffer
+    if bordered:
+        buf, _ = _bordered(n, cout, ho, wo, padding, dtype)
+        out = buf[..., start : start + length]
+    else:
+        out = np.empty((n, cout, length), dtype=dtype)
+    # a block accumulates in a contiguous buffer, as ufuncs run several
+    # times faster on it than on a block's strided view of the output
     prod = np.empty((n, cout, step), dtype=dtype)
     for blk in blocks:
-        acc, p = out[..., blk], prod[..., : blk.stop - blk.start]
+        m = blk.stop - blk.start
+        acc, p = np.empty((n, cout, m), dtype=dtype), prod[..., :m]
         acc[...] = bias.data[:, None]
         for i, j, phase, offset in taps:
             acc += np.matmul(ktap[i, j], window(planes, phase, offset, blk), out=p)
+        if act == "relu":
+            np.maximum(acc, 0, out=acc)
+        elif act is not None:
+            np.maximum(np.multiply(acc, act, out=p), acc, out=acc)
+        out[..., blk] = acc
+    y = out.reshape(n, cout, ho, wq)
+    if bordered:
+        y[..., wo:] = 0
+    y = y[..., :wo]
 
     def bw(g):
+        # the output is positive exactly where its pre-activation is, for
+        # any slope in [0, 1]
+        if act == "relu":
+            g = g * (y > 0)
+        elif act is not None:
+            g = np.where(y > 0, g, g * act)
         if bias.requires_grad:
             _accum(bias, g.sum(axis=(0, 2, 3)))
         # the output grad in the (ho, wq) layout, zero in the wrap columns
@@ -468,20 +558,26 @@ def conv2d(x, kernel, bias, stride=1, padding=0):
                 gb, p = gq[..., blk], dprod[..., : blk.stop - blk.start]
                 for i, j, phase, offset in taps:
                     window(dplanes, phase, offset, blk)[...] += np.matmul(ktap[i, j].T, gb, out=p)
-            dgrid = dplanes[..., : hq * wq].reshape(s, s, n, cin, hq, wq)
-            dx = np.zeros(x.data.shape, dtype=dtype)
-            for a, b, plane_win, x_win in _phase_windows(x.data.shape, s, padding, hq, wq):
-                dx[x_win] = dgrid[a, b][plane_win]
+            if in_place:
+                # the taps read x's buffer: x's grad is the interior of theirs
+                dx = dplanes[0, 0][..., start : start + h * wq].reshape(n, cin, h, wq)[..., :w]
+            else:
+                dgrid = dplanes[..., : hq * wq].reshape(s, s, n, cin, hq, wq)
+                dx = np.zeros(x.data.shape, dtype=dtype)
+                for a, b, plane_win, x_win in _phase_windows(x.data.shape, s, padding, hq, wq):
+                    dx[x_win] = dgrid[a, b][plane_win]
             _accum(x, dx)
 
-    return _result(out.reshape(n, cout, ho, wq)[..., :wo], (x, kernel, bias), bw)
+    return _result(y, (x, kernel, bias), bw, (buf, padding) if bordered else None)
 
 
-def transposed_conv2d(x, kernel, bias, stride):
+def transposed_conv2d(x, kernel, bias, stride, skip=None):
     """Stride-factor upsampling; the adjoint of conv2d with the same kernel.
 
     Requires kh == kw == stride so the output is exactly stride times the
-    input spatially (the only configuration the models use).
+    input spatially (the only configuration the models use).  Given
+    ``skip``, the result is the channel concat ``[skip, upsampled]``, built
+    in one buffer with skip's border (see the module docstring).
     """
     if x.data.ndim != 4 or kernel.data.ndim != 4:
         raise ValueError(
@@ -500,40 +596,68 @@ def transposed_conv2d(x, kernel, bias, stride):
         )
     if bias.data.shape != (cout,):
         raise ValueError(f"transposed_conv2d: bias shape {bias.data.shape} does not match ({cout},)")
+    s = stride
+    if skip is not None:
+        sk = skip.data.shape
+        if skip.data.ndim != 4 or sk[0] != n or sk[2:] != (h * s, w * s):
+            raise ValueError(
+                f"transposed_conv2d: skip {sk} does not match the upsampled ({n}, {cout}, {h * s}, {w * s})"
+            )
 
     # taps never overlap, so each (input pixel, tap) product is one output
-    # pixel: a GEMM gives (N, Cout*s*s, H*W), and one add of the bias writes
-    # it interleaved into the output
-    s = stride
+    # pixel: a GEMM over a band of input rows gives (N, Cout*s*s, rows*wq),
+    # and one add of the bias writes it interleaved into the output, after
+    # the skip channels.  The GEMM reads x's own buffer of row width wq.
     k2 = kernel.data.reshape(cin, cout * s * s)
-    x2 = x.data.reshape(n, cin, h * w)
-    y = k2.T @ x2
-    out = np.empty((n, cout, h * s, w * s), dtype=y.dtype)
-    np.add(
-        y.reshape(n, cout, s, s, h, w).transpose(0, 1, 4, 2, 5, 3),
-        bias.data[:, None, None, None, None],
-        out=out.reshape(n, cout, h, s, w, s),
-    )
+    src, xb = _layout(x) or (np.ascontiguousarray(x.data).reshape(n, cin, h * w), 0)
+    wq = w + 2 * xb
+    first = xb * wq + xb
+    layout = _layout(skip) if skip is not None else None
+    border = layout[1] if layout is not None else 0
+    cs = 0 if skip is None else sk[1]
+    dtype = np.result_type(k2, src) if skip is None else np.result_type(k2, src, skip.data)
+    buf, out = _bordered(n, cs + cout, h * s, w * s, border, dtype)
+    if skip is not None:
+        out[:, :cs] = skip.data
+    # each band is interleaved into a contiguous buffer, then copied into
+    # the output's strided rows
+    band = max(1, _BLOCK // wq)
+    for r in range(0, h, band):
+        rows = min(band, h - r)
+        y = k2.T @ src[..., first + r * wq : first + (r + rows) * wq]
+        up = np.empty((n, cout, rows * s, w * s), dtype=dtype)
+        np.add(
+            y.reshape(n, cout, s, s, rows, wq)[..., :w].transpose(0, 1, 4, 2, 5, 3),
+            bias.data[:, None, None, None, None],
+            out=up.reshape(n, cout, rows, s, w, s),
+        )
+        out[:, cs:, r * s : (r + rows) * s] = up
 
     def bw(g):
+        if skip is not None and skip.requires_grad:
+            _accum(skip, g[:, :cs])
+        g = np.ascontiguousarray(g[:, cs:])
         g2 = g.reshape(n, cout, h, s, w, s).transpose(0, 1, 3, 5, 2, 4).reshape(n, cout * s * s, h * w)
         if x.requires_grad:
             _accum(x, (k2 @ g2).reshape(x.data.shape))
         if kernel.requires_grad:
+            x2 = x.data.reshape(n, cin, h * w)  # a copy when x is a bordered map
             _accum(kernel, (x2 @ g2.transpose(0, 2, 1)).sum(axis=0).reshape(kernel.data.shape))
         if bias.requires_grad:
             _accum(bias, g.sum(axis=(0, 2, 3)))
 
-    return _result(out, (x, kernel, bias), bw)
+    parents = (x, kernel, bias) if skip is None else (x, kernel, bias, skip)
+    return _result(out, parents, bw, (buf, border))
 
 
 def maxpool2x2(x):
     """Disjoint 2x2 max pooling; gradient goes to the first max in scan order.
 
     The four views ``x[..., a::2, b::2]`` each hold one position of every
-    window.  The forward is their elementwise max; the backward sends a
-    window's gradient to the first view, in scan order, equal to that max,
-    or to its first NaN when the max is NaN.
+    window.  The forward is their elementwise max, written into a buffer
+    with x's border; the backward sends a window's gradient to the first
+    view, in scan order, equal to that max, or to its first NaN when the
+    max is NaN.
     """
     if x.data.ndim != 4:
         raise ValueError(f"maxpool2x2: expected 4-d input, got shape {x.data.shape}")
@@ -541,12 +665,17 @@ def maxpool2x2(x):
     if h % 2 or w % 2:
         raise ValueError(f"maxpool2x2: spatial size {h}x{w} must be even")
     views = [(..., slice(a, None, 2), slice(b, None, 2)) for a in (0, 1) for b in (0, 1)]
+    layout = _layout(x)
+    border = layout[1] if layout is not None else 0
+    buf, out = _bordered(n, c, h // 2, w // 2, border, x.data.dtype)
     # equal values can differ only in the sign of zero; where np.maximum
     # returns its second operand unless the first is greater (as on x86),
-    # folding from the last view keeps the earliest of them
-    out = np.maximum(x.data[views[3]], x.data[views[2]])
-    np.maximum(out, x.data[views[1]], out=out)
-    np.maximum(out, x.data[views[0]], out=out)
+    # folding from the last view keeps the earliest of them.  The fold runs
+    # on a contiguous array, which ufuncs handle faster than the strided out.
+    pooled = np.maximum(x.data[views[3]], x.data[views[2]])
+    np.maximum(pooled, x.data[views[1]], out=pooled)
+    np.maximum(pooled, x.data[views[0]], out=pooled)
+    out[...] = pooled
 
     def bw(g):
         if not x.requires_grad:
@@ -561,7 +690,7 @@ def maxpool2x2(x):
             taken |= hit
         _accum(x, dx)
 
-    return _result(out, (x,), bw)
+    return _result(out, (x,), bw, (buf, border))
 
 
 # ---------------------------------------------------------------------------

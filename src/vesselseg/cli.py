@@ -233,13 +233,14 @@ def probability_map(g, x_chw):
     """Run the generator over a z-scored (3,H,W) array of any size.
 
     The forward pass builds no graph, so each layer's buffers are freed as
-    soon as the next layer has consumed them.
+    soon as the next layer has consumed them.  A float32 input is used
+    as it is, not copied.
     """
     div = g.spec.divisor
     h, w = x_chw.shape[-2:]
     padded, offsets = data.pad_to_multiple(x_chw, div)
     with no_grad():
-        out = models.generator_forward(g, Tensor(padded[None].astype(np.float32)))
+        out = models.generator_forward(g, Tensor(padded[None], dtype=np.float32))
     return data.crop_from_padding(out.data[0, 0], offsets, (h, w))
 
 

@@ -3,15 +3,17 @@
 Curves put a threshold at every distinct score with ties grouped, and
 integrate by trapezoid, so the ROC area equals the tie-corrected rank
 statistic.  Scores are grouped by counting: each pixel holds a level, an
-index into an ascending table of distinct scores, and one ``bincount`` of
-the levels (and one of the vessel pixels' levels) gives every distinct
-score's pixel and vessel counts, grouped once per ``ScoredPixels`` and
-shared by ROC and PR.  16-bit probability maps are their own levels against
-``LEVELS``, so ``evaluate`` on them sorts nothing; float scores find their
-levels by ``np.unique`` and a binary search.  The Otsu search runs over the
-255 boundaries of a 256-bin histogram with exact integer moments, making the
-argmax reproducible against an exhaustive sweep; the pooled histogram bins
-the grouped distinct scores weighted by their pixel counts.  ``evaluate``
+index into an ascending table of distinct scores, and ``bincount`` of the
+levels (and of the vessel pixels' levels) gives every distinct score's
+pixel and vessel counts, grouped once per ``ScoredPixels`` and shared by
+ROC and PR.  The counts are summed over fixed chunks of levels, so
+``bincount`` never copies all of them to intp at once.  16-bit probability
+maps are their own levels against ``LEVELS``, so ``evaluate`` on them sorts
+nothing; float scores find their levels by ``np.unique`` and a binary
+search.  The Otsu search runs over the 255 boundaries of a 256-bin
+histogram with exact integer moments, making the argmax reproducible
+against an exhaustive sweep; the pooled histogram bins the grouped
+distinct scores weighted by their pixel counts.  ``evaluate``
 gathers each image's FOV pixels once and counts each image's tp/fp/fn/tn
 from its slice of the pooled levels.  A curve CSV is written by one
 ``%``-format of all its values.
@@ -114,11 +116,19 @@ class MetricsReport:
     per_image_thresholds: list | None = None
 
 
+# levels per bincount call: its intp copy of them stays at 8 MB
+_COUNT_CHUNK = 1 << 20
+
+
 def _group_counts(sp: ScoredPixels):
     """Cumulative true/false positive counts at each distinct score, descending."""
     values, levels = sp.leveled
-    pixels = np.bincount(levels, minlength=len(values))
-    vessels = np.bincount(levels[sp.labels == 1], minlength=len(values))
+    pixels = np.zeros(len(values), dtype=np.intp)
+    vessels = np.zeros(len(values), dtype=np.intp)
+    for lo in range(0, levels.size, _COUNT_CHUNK):
+        chunk = levels[lo : lo + _COUNT_CHUNK]
+        pixels += np.bincount(chunk, minlength=len(values))
+        vessels += np.bincount(chunk[sp.labels[lo : lo + _COUNT_CHUNK] == 1], minlength=len(values))
     seen = np.flatnonzero(pixels)[::-1]
     cum_tp = np.cumsum(vessels[seen])
     cum_fp = np.cumsum(pixels[seen]) - cum_tp

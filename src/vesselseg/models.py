@@ -82,11 +82,6 @@ class Model:
         return sum(p.data.size for p in self.params.values())
 
 
-def parameter(name, data):
-    """A trainable leaf tensor."""
-    return Tensor(data, requires_grad=True, name=name)
-
-
 def param_shapes(layout):
     """Yield (name, shape) of every parameter a layout describes, in build order."""
     for name, kernel_shape, cout in layout:
@@ -103,13 +98,13 @@ def _init(spec, layout, seed):
     for name, kernel_shape, cout in layout:
         s = math.sqrt(1.0 / (math.prod(kernel_shape) // cout))
         w = rng.uniform(-s, s, kernel_shape).astype(np.float32)
-        m.params[f"{name}_w"] = parameter(f"{name}_w", w)
-        m.params[f"{name}_b"] = parameter(f"{name}_b", np.zeros(cout, dtype=np.float32))
+        m.params[f"{name}_w"] = Tensor(w, requires_grad=True)
+        m.params[f"{name}_b"] = Tensor(np.zeros(cout, dtype=np.float32), requires_grad=True)
     return m
 
 
-def _conv(model, name, x, stride=1, padding=0):
-    return ag.conv2d(x, model.params[f"{name}_w"], model.params[f"{name}_b"], stride, padding)
+def _conv(model, name, x, stride=1, padding=0, act=None):
+    return ag.conv2d(x, model.params[f"{name}_w"], model.params[f"{name}_b"], stride, padding, act)
 
 
 # ---------------------------------------------------------------------------
@@ -165,19 +160,19 @@ def generator_forward(model: Model, x: Tensor) -> Tensor:
     skips = []
     t = x
     for lvl in range(spec.scales):
-        t = ag.relu(_conv(model, f"enc{lvl}_conv1", t, padding=pad))
-        t = ag.relu(_conv(model, f"enc{lvl}_conv2", t, padding=pad))
+        t = _conv(model, f"enc{lvl}_conv1", t, padding=pad, act="relu")
+        t = _conv(model, f"enc{lvl}_conv2", t, padding=pad, act="relu")
         skips.append(t)
         t = ag.maxpool2x2(t)
-    t = ag.relu(_conv(model, "mid_conv1", t, padding=pad))
-    t = ag.relu(_conv(model, "mid_conv2", t, padding=pad))
+    t = _conv(model, "mid_conv1", t, padding=pad, act="relu")
+    t = _conv(model, "mid_conv2", t, padding=pad, act="relu")
     for lvl in reversed(range(spec.scales)):
+        # [skip, upsampled] in one buffer, which dec conv1 reads in place
         t = ag.transposed_conv2d(
-            t, model.params[f"dec{lvl}_up_w"], model.params[f"dec{lvl}_up_b"], stride=2
+            t, model.params[f"dec{lvl}_up_w"], model.params[f"dec{lvl}_up_b"], 2, skips.pop()
         )
-        t = ag.concat_channels(skips.pop(), t)
-        t = ag.relu(_conv(model, f"dec{lvl}_conv1", t, padding=pad))
-        t = ag.relu(_conv(model, f"dec{lvl}_conv2", t, padding=pad))
+        t = _conv(model, f"dec{lvl}_conv1", t, padding=pad, act="relu")
+        t = _conv(model, f"dec{lvl}_conv2", t, padding=pad, act="relu")
     return ag.sigmoid(_conv(model, "head", t))
 
 
@@ -286,10 +281,9 @@ def discriminator_forward(model: Model, x: Tensor, y: Tensor) -> Tensor:
     n_layers = len(spec.channels)
     for i in range(n_layers):
         if kind == "pixel":
-            t = _conv(model, f"layer{i}", t)
+            t = _conv(model, f"layer{i}", t, act=LEAKY_SLOPE)
         else:
-            t = _conv(model, f"layer{i}", t, stride=2, padding=1)
-        t = ag.leaky_relu(t, LEAKY_SLOPE)
+            t = _conv(model, f"layer{i}", t, stride=2, padding=1, act=LEAKY_SLOPE)
     t = _conv(model, "head", t)
     if kind == "image":
         t = ag.spatial_mean(t)

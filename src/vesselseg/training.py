@@ -318,7 +318,7 @@ def rebuild_models(ckpt: Checkpoint):
     built = []
     for what, spec, layout, arrays in _parts(ckpt):
         names = _param_names(what, layout, arrays)
-        built.append(mdl.Model(spec, {k: mdl.parameter(k, arrays[k].copy()) for k in names}))
+        built.append(mdl.Model(spec, {k: Tensor(arrays[k].copy(), requires_grad=True) for k in names}))
     return built[0], built[1] if len(built) == 2 else None
 
 

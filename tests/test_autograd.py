@@ -469,6 +469,127 @@ def test_first_grad_does_not_alias_its_source():
 
 
 # ---------------------------------------------------------------------------
+# zero-bordered buffers and fused activations
+
+
+def interior_mask(length, h, w, border):
+    """Which positions of a bordered buffer's rows hold the (h, w) map."""
+    wq = w + 2 * border
+    assert length == (h + 2 * border) * wq + 2 * border
+    mask = np.zeros(length, dtype=bool)
+    start = border * wq + border
+    mask[start : start + h * wq].reshape(h, wq)[:, :w] = True
+    return mask
+
+
+def assert_bordered(t, border):
+    """t's data is the interior of a zero-bordered buffer of that border."""
+    buf, got = t._buffer
+    n, c, h, w = t.data.shape
+    assert got == border and buf.shape[:2] == (n, c)
+    mask = interior_mask(buf.shape[-1], h, w, border)
+    assert np.shares_memory(buf, t.data)
+    np.testing.assert_array_equal(buf[..., mask].reshape(t.data.shape), t.data)
+    assert not buf[..., ~mask].any(), "border or wrap columns are not zero"
+
+
+@pytest.mark.parametrize("k", [3, 5])
+def test_borders_and_wrap_columns_stay_zero(k, monkeypatch):
+    # a positive bias fills the wrap columns before they are zeroed, and
+    # only the first conv copies its input into phase planes
+    copies = []
+    windows = ag._phase_windows
+    monkeypatch.setattr(ag, "_phase_windows", lambda *a: copies.append(a) or windows(*a))
+    rng = np.random.default_rng(30 + k)
+    p = k // 2
+
+    def conv(t, cin, cout, act):
+        kern = Tensor(rng.uniform(-1, 1, (cout, cin, k, k)))
+        return ag.conv2d(t, kern, Tensor(np.full(cout, 0.5)), 1, p, act=act)
+
+    x = Tensor(rng.uniform(-1, 1, (2, 3, 8, 6)))
+    h1 = conv(x, 3, 4, "relu")
+    assert len(copies) == 1
+    h2 = conv(h1, 4, 4, 0.2)
+    h3 = conv(h2, 4, 2, None)
+    pooled = ag.maxpool2x2(h2)
+    h4 = conv(pooled, 4, 4, "relu")
+    up = ag.transposed_conv2d(h4, Tensor(rng.uniform(-1, 1, (4, 3, 2, 2))), Tensor(np.ones(3)), 2, skip=h2)
+    h5 = conv(up, 7, 2, "relu")
+    assert len(copies) == 1, "a conv copied a bordered input"
+    for t in (h1, h2, h3, pooled, h4, up, h5):
+        assert_bordered(t, p)
+    np.testing.assert_array_equal(up.data[:, :4], h2.data)
+
+
+def test_conv2d_activation_equals_standalone_ops():
+    # output and every grad bit-equal to relu / leaky_relu after the conv,
+    # also where the pre-activation is exactly 0 (zero input rows, zero bias)
+    rng = np.random.default_rng(31)
+    for dtype in (np.float32, np.float64):
+        for stride, padding in [(1, 1), (2, 1), (1, 0)]:
+            x = rng.standard_normal((2, 3, 6, 8)).astype(dtype)
+            x[:, :, :3] = 0
+            k, b = rng.standard_normal((4, 3, 3, 3)).astype(dtype), rng.standard_normal(4).astype(dtype)
+            b[:2] = 0
+            for act, standalone in [("relu", ag.relu), (0.2, lambda t: ag.leaky_relu(t, 0.2))]:
+                runs = []
+                for fused in (True, False):
+                    leaves = [Tensor(a, requires_grad=True) for a in (x, k, b)]
+                    if fused:
+                        out = ag.conv2d(*leaves, stride, padding, act=act)
+                    else:
+                        out = standalone(ag.conv2d(*leaves, stride, padding))
+                    w = np.linspace(-1, 1, out.data.size).reshape(out.data.shape)
+                    ag.backward(weighted_sum(out, w))
+                    runs.append([np.ascontiguousarray(out.data)] + [t.grad for t in leaves])
+                for got, want in zip(*runs):
+                    assert got.dtype == dtype and got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("act", [-0.1, 1.5, "tanh"])
+def test_conv2d_rejects_unknown_activation(act):
+    zeros = Tensor(np.zeros((1, 1, 3, 3)))
+    with pytest.raises(ValueError):
+        ag.conv2d(zeros, zeros, Tensor(np.zeros(1)), act=act)
+
+
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("bordered_skip", [False, True])
+def test_tconv_with_skip_equals_concat_of_tconv(n, dtype, bordered_skip):
+    # values and every grad bit-equal to concat_channels(skip, tconv(x))
+    rng = np.random.default_rng(32)
+    arrays = [
+        rng.standard_normal(shape).astype(dtype)
+        for shape in [(n, 4, 5, 3), (4, 3, 2, 2), (3,), (n, 2, 10, 6), (2, 2, 3, 3), (2,)]
+    ]
+    w = rng.standard_normal((n, 5, 10, 6)).astype(dtype)
+
+    def run(fused):
+        leaves = [Tensor(a, requires_grad=True) for a in arrays]
+        x, k, b, s0, sk, sb = leaves
+        skip = ag.conv2d(s0, sk, sb, 1, 1, act="relu") if bordered_skip else s0
+        if fused:
+            out = ag.transposed_conv2d(x, k, b, 2, skip=skip)
+        else:
+            out = ag.concat_channels(skip, ag.transposed_conv2d(x, k, b, 2))
+        ag.backward(weighted_sum(out, w))
+        return [np.ascontiguousarray(out.data)] + [t.grad for t in leaves]
+
+    for got, want in zip(run(True), run(False)):
+        assert got.dtype == want.dtype == dtype and got.tobytes() == want.tobytes()
+
+
+def test_tconv_rejects_misaligned_skip():
+    x, k, b = Tensor(np.zeros((1, 2, 3, 3))), Tensor(np.zeros((2, 2, 2, 2))), Tensor(np.zeros(2))
+    for shape in [(1, 2, 6, 5), (2, 2, 6, 6), (2, 6, 6)]:
+        with pytest.raises(ValueError) as e:
+            ag.transposed_conv2d(x, k, b, 2, skip=Tensor(np.zeros(shape)))
+        assert str(shape) in str(e.value)
+
+
+# ---------------------------------------------------------------------------
 # finite-difference gradient checks for every operator
 
 
@@ -519,6 +640,76 @@ def test_grad_conv2d_stride23_nonsquare_batch2():
             return weighted_sum(ag.conv2d(xt, kt, bt, stride=stride, padding=padding), w)
 
         check_grad(loss, [x, k, b], wrt=trial % 3)
+
+
+def _clear_of_kink(pre, gap=1e-2):
+    """Whether every pre-activation is far enough from 0 that no finite
+    difference step crosses the activation's kink."""
+    return np.abs(pre).min() > gap
+
+
+@pytest.mark.parametrize("act", ["relu", 0.2])
+@pytest.mark.parametrize("stride", [1, 2])
+def test_grad_conv2d_fused_activation(stride, act):
+    # at stride 1 the output is a bordered buffer's interior; either way the
+    # backward takes its mask from the output's sign
+    rng = np.random.default_rng(26 + stride)
+    done = 0
+    while done < 6:
+        x = rng.uniform(-1, 1, (2, 2, 5, 6))
+        k = rng.uniform(-1, 1, (3, 2, 3, 3))
+        b = rng.uniform(-1, 1, 3)
+        pre = ag.conv2d(Tensor(x), Tensor(k), Tensor(b), stride, 1)
+        if not _clear_of_kink(pre.data):
+            continue
+        assert (pre._buffer is not None) == (stride == 1)
+        w = rng.uniform(0.2, 1.0, pre.data.shape) * rng.choice([-1, 1], pre.data.shape)
+
+        def loss(xt, kt, bt):
+            return weighted_sum(ag.conv2d(xt, kt, bt, stride, 1, act=act), w)
+
+        check_grad(loss, [x, k, b], wrt=done % 3)
+        done += 1
+
+
+@pytest.mark.parametrize("act", ["relu", 0.2])
+def test_grad_conv2d_reading_a_bordered_input(act):
+    # the second conv reads its taps from the first one's buffer, and hands
+    # back the interior of its plane grad as its input grad
+    rng = np.random.default_rng(28)
+    done = 0
+    while done < 8:
+        x = rng.uniform(-1, 1, (1, 2, 5, 6))
+        k1, b1 = rng.uniform(-1, 1, (3, 2, 3, 3)), rng.uniform(-1, 1, 3)
+        k2, b2 = rng.uniform(-1, 1, (2, 3, 3, 3)), rng.uniform(-1, 1, 2)
+        pre1 = ag.conv2d(Tensor(x), Tensor(k1), Tensor(b1), 1, 1)
+        h = ag.conv2d(Tensor(x), Tensor(k1), Tensor(b1), 1, 1, act=act)
+        pre = ag.conv2d(h, Tensor(k2), Tensor(b2), 1, 1)
+        if not (_clear_of_kink(pre1.data) and _clear_of_kink(pre.data)):
+            continue
+        w = rng.uniform(0.2, 1.0, pre.data.shape) * rng.choice([-1, 1], pre.data.shape)
+
+        def loss(xt, k1t, b1t, k2t, b2t):
+            h = ag.conv2d(xt, k1t, b1t, 1, 1, act=act)
+            return weighted_sum(ag.conv2d(h, k2t, b2t, 1, 1, act=act), w)
+
+        check_grad(loss, [x, k1, b1, k2, b2], wrt=done % 5, h=1e-5)
+        done += 1
+
+
+def test_grad_transposed_conv2d_with_skip():
+    rng = np.random.default_rng(29)
+    for trial in range(8):
+        x = rng.uniform(-1, 1, (2, 2, 3, 2))
+        k = rng.uniform(-1, 1, (2, 3, 2, 2))
+        b = rng.uniform(-1, 1, 3)
+        skip = rng.uniform(-1, 1, (2, 2, 6, 4))
+        w = rng.uniform(0.2, 1.0, (2, 5, 6, 4)) * rng.choice([-1, 1], (2, 5, 6, 4))
+
+        def loss(xt, kt, bt, st):
+            return weighted_sum(ag.transposed_conv2d(xt, kt, bt, 2, skip=st), w)
+
+        check_grad(loss, [x, k, b, skip], wrt=trial % 4)
 
 
 def test_grad_transposed_conv2d():
@@ -802,7 +993,7 @@ def test_adam_first_step_closed_form():
 
 
 def test_adam_rejects_non_finite_named():
-    p = Tensor(np.array([0.0], dtype=np.float32), requires_grad=True, name="enc0_conv1_w")
+    p = Tensor(np.array([0.0], dtype=np.float32), requires_grad=True)
     p.grad[...] = np.nan
     opt = ag.Adam([("enc0_conv1_w", p)])
     with pytest.raises(ag.NumericalError) as e:

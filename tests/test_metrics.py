@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -209,6 +211,44 @@ def test_grouping_matches_argsort_oracle(seed, n, kind, vessel_share):
 )
 def test_grouping_matches_argsort_oracle_edge_cases(scores, labels):
     assert_matches_argsort(scores, labels)
+
+
+@pytest.mark.parametrize("chunk", [1, 7, 999, 1000, 1001])
+def test_grouping_in_chunks_matches_one_chunk(monkeypatch, chunk):
+    # counting fixed chunks of levels and adding the counts changes no value
+    # or dtype, for level tables and for float scores
+    rng = np.random.default_rng(41)
+    levels = rng.integers(0, 65536, 1000).astype(np.uint16)
+    levels[:300] = 17  # a level shared across chunk boundaries
+    labels = (rng.uniform(0, 1, 1000) < 0.3).astype(np.uint8)
+    scores = tie_heavy_scores(rng, 1000, 2)
+    whole = [
+        metrics._group_counts(ScoredPixels(levels, labels, metrics.LEVELS)),
+        metrics._group_counts(ScoredPixels(scores, labels)),
+    ]
+    monkeypatch.setattr(metrics, "_COUNT_CHUNK", chunk)
+    chunked = [
+        metrics._group_counts(ScoredPixels(levels, labels, metrics.LEVELS)),
+        metrics._group_counts(ScoredPixels(scores, labels)),
+    ]
+    for got, want in zip(chunked, whole):
+        for a, b in zip(got, want):
+            assert a.dtype == b.dtype and np.array_equal(a, b)
+    assert_matches_argsort(scores, labels)
+
+
+def test_grouping_makes_no_intp_copy_of_all_levels():
+    n = 3_000_000
+    levels = np.random.default_rng(42).integers(0, 65536, n).astype(np.uint16)
+    labels = (levels % 8 == 0).astype(np.uint8)
+    sp = ScoredPixels(levels, labels, metrics.LEVELS)
+    tracemalloc.start()
+    try:
+        metrics._group_counts(sp)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < n * np.dtype(np.intp).itemsize / 2, peak
 
 
 def test_roc_and_pr_share_one_grouping(monkeypatch):

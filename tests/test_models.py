@@ -101,6 +101,99 @@ def test_no_grad_generator_forward_needs_no_column_buffer():
     assert peak < widest_columns, (peak, widest_columns)
 
 
+def generator_forward_oracle(model, x):
+    """The generator from standalone ops: convs without ``act``, then
+    ``relu``, and ``concat_channels`` after a ``transposed_conv2d`` without
+    ``skip``."""
+    spec = model.spec
+    pad = spec.kernel_size // 2
+
+    def conv(name, t, padding=pad):
+        return ag.conv2d(t, model.params[f"{name}_w"], model.params[f"{name}_b"], 1, padding)
+
+    skips = []
+    t = x
+    for lvl in range(spec.scales):
+        t = ag.relu(conv(f"enc{lvl}_conv1", t))
+        t = ag.relu(conv(f"enc{lvl}_conv2", t))
+        skips.append(t)
+        t = ag.maxpool2x2(t)
+    t = ag.relu(conv("mid_conv1", t))
+    t = ag.relu(conv("mid_conv2", t))
+    for lvl in reversed(range(spec.scales)):
+        up = ag.transposed_conv2d(t, model.params[f"dec{lvl}_up_w"], model.params[f"dec{lvl}_up_b"], 2)
+        t = ag.concat_channels(skips.pop(), up)
+        t = ag.relu(conv(f"dec{lvl}_conv1", t))
+        t = ag.relu(conv(f"dec{lvl}_conv2", t))
+    return ag.sigmoid(conv("head", t, 0))
+
+
+def discriminator_forward_oracle(model, x, y):
+    """The discriminator with a standalone ``leaky_relu`` after each conv."""
+    kind = model.spec.variant.kind
+    t = ag.concat_channels(x, y)
+    for i in range(len(model.spec.channels)):
+        w, b = model.params[f"layer{i}_w"], model.params[f"layer{i}_b"]
+        t = ag.conv2d(t, w, b) if kind == "pixel" else ag.conv2d(t, w, b, 2, 1)
+        t = ag.leaky_relu(t, models.LEAKY_SLOPE)
+    t = ag.conv2d(t, model.params["head_w"], model.params["head_b"])
+    if kind == "image":
+        t = ag.spatial_mean(t)
+    return ag.sigmoid(t)
+
+
+@pytest.mark.parametrize("shape", [(1, 3, 64, 64), (2, 3, 32, 32)])
+@pytest.mark.parametrize("kernel_size", [3, 5])
+def test_generator_bit_equal_to_standalone_ops(shape, kernel_size):
+    # fused activations, bordered buffers and the in-place skip concat give
+    # the same output and the same grad of every parameter, bit for bit
+    g = models.build_generator(GeneratorSpec(scales=2, base_channels=8, kernel_size=kernel_size), seed=6)
+    x = rand_input(shape, seed=7)
+    w = np.random.default_rng(8).uniform(-1, 1, (shape[0], 1) + shape[2:]).astype(np.float32)
+    runs = []
+    for forward in (models.generator_forward, generator_forward_oracle):
+        ag.zero_grads(g.params.values())
+        out = forward(g, x)
+        ag.backward(ag.global_mean(ag.mul(out, Tensor(w))))
+        runs.append([out.data] + [p.grad.copy() for p in g.params.values()])
+    for got, want in zip(*runs):
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("variant", ["pixel", "patch10", "image"])
+def test_discriminator_bit_equal_to_standalone_ops(variant):
+    x, y = pair(n=2, size=32, seed=9)
+    v = models.parse_variant(variant, (32, 32))
+    d = models.build_discriminator(v, (32, 32), 4, seed=10)
+    y = Tensor(y.data, requires_grad=True)
+    runs = []
+    for forward in (models.discriminator_forward, discriminator_forward_oracle):
+        ag.zero_grads(list(d.params.values()) + [y])
+        out = forward(d, x, y)
+        ag.backward(ag.global_mean(ag.mul(out, out)))
+        runs.append([out.data, y.grad.copy()] + [p.grad.copy() for p in d.params.values()])
+    for got, want in zip(*runs):
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+def test_no_grad_generator_forward_peak_memory():
+    # at the last decoder level the skip, the half-size input and the
+    # 16-channel [skip, upsampled] buffer are alive: about 3.5 full-size
+    # 8-channel maps.  A concat made after the upsample, a padded copy of it
+    # and a separate relu output would cost about one map more.
+    g = models.build_generator(GeneratorSpec(scales=2, base_channels=8), seed=2)
+    x = rand_input((1, 3, 256, 256), seed=5)
+    full_map = 8 * 256 * 256 * 4
+    tracemalloc.start()
+    try:
+        with ag.no_grad():
+            models.generator_forward(g, x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4.5 * full_map, (peak / full_map, "full-size maps")
+
+
 def test_generator_rejects_indivisible_size():
     g = models.build_generator(GeneratorSpec(scales=3, base_channels=4), seed=0)
     with pytest.raises(ValueError) as e:
