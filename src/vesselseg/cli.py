@@ -271,7 +271,10 @@ def _load_prob(path):
     img = data.load_image(path)
     if img.channels != 1:
         raise DataError(f"{path}: probability maps must be 1-channel P5")
-    return img.pixels[:, :, 0].astype(np.uint16) * np.uint16(65535 // img.maxval)
+    levels = img.pixels[:, :, 0]
+    if img.maxval == 65535:
+        return levels
+    return levels.astype(np.uint16) * np.uint16(65535 // img.maxval)
 
 
 def _load_binary(path):
@@ -298,6 +301,27 @@ def _stem_map(directory, suffixes=(".pgm",)):
     return {p.stem: p for p in sorted(d.iterdir()) if p.suffix in suffixes}
 
 
+def _eval_pixels(stem, preds, golds, masks, images, args, notes):
+    """``metrics.fov_pixels`` of one image; its full-size maps are freed on return."""
+    probs = _load_prob(preds[stem])
+    gold = _load_binary(golds[stem])
+    if probs.shape != gold.shape:
+        raise DataError(f"{stem}: prediction {probs.shape} and gold {gold.shape} differ")
+    if stem in masks:
+        mask = _load_binary(masks[stem])
+    elif stem in images:
+        mask = _fov_mask(images[stem], args.fov_threshold)
+        notes.append(f"{stem}: FOV mask synthesized from {images[stem]}")
+    else:
+        mask = np.ones_like(gold)
+        notes.append(f"{stem}: no mask available, counted all pixels")
+    if mask.shape != gold.shape:
+        raise DataError(f"{stem}: mask {mask.shape} and gold {gold.shape} differ")
+    if args.per_image_otsu and not mask.any():
+        raise DataError(f"{stem}: empty FOV mask, no pixel to pick an Otsu threshold from")
+    return metrics.fov_pixels(probs, gold, mask)
+
+
 def cmd_eval(args):
     _check_fov_threshold(args.fov_threshold, "--fov-threshold")
     preds = _stem_map(args.pred_dir)
@@ -316,43 +340,21 @@ def cmd_eval(args):
             raise DataError("mask directory lacks masks for: " + ", ".join(missing))
     images = _stem_map(args.image_dir, suffixes=(".ppm",)) if args.image_dir else {}
 
-    notes = []
-    prob_list, gold_list, mask_list, ids = [], [], [], []
+    notes, parts, ids = [], [], []
     for stem in sorted(preds):
-        probs = _load_prob(preds[stem])
-        gold = _load_binary(golds[stem])
-        if probs.shape != gold.shape:
-            raise DataError(f"{stem}: prediction {probs.shape} and gold {gold.shape} differ")
-        if stem in masks:
-            mask = _load_binary(masks[stem])
-        elif stem in images:
-            mask = _fov_mask(images[stem], args.fov_threshold)
-            notes.append(f"{stem}: FOV mask synthesized from {images[stem]}")
-        else:
-            mask = np.ones_like(gold)
-            notes.append(f"{stem}: no mask available, counted all pixels")
-        if mask.shape != gold.shape:
-            raise DataError(f"{stem}: mask {mask.shape} and gold {gold.shape} differ")
-        if args.per_image_otsu and not mask.any():
-            raise DataError(f"{stem}: empty FOV mask, no pixel to pick an Otsu threshold from")
-        prob_list.append(probs)
-        gold_list.append(gold)
-        mask_list.append(mask)
+        parts.append(_eval_pixels(stem, preds, golds, masks, images, args, notes))
         ids.append(stem)
     # the pooled ROC needs vessel and background pixels inside the FOV
-    fov = sum(int(np.count_nonzero(m)) for m in mask_list)
-    vessel = sum(int(np.count_nonzero(g & m)) for g, m in zip(gold_list, mask_list))
+    fov = sum(labels.size for _, labels in parts)
+    vessel = sum(int(np.count_nonzero(labels)) for _, labels in parts)
     for count, kind in ((vessel, "vessel"), (fov - vessel, "background")):
         if count == 0:
             raise DataError(f"no {kind} pixel inside the FOV of any gold map: {', '.join(ids)}")
 
-    report = metrics.evaluate(
-        prob_list, gold_list, mask_list, ids=ids, per_image_threshold=args.per_image_otsu
-    )
+    report = metrics.evaluate_pixels(parts, ids=ids, per_image_threshold=args.per_image_otsu)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    metrics.write_curve_csv(report.roc, out / "roc.csv")
-    metrics.write_curve_csv(report.pr, out / "pr.csv")
+    metrics.write_curve_csv((report.roc, out / "roc.csv"), (report.pr, out / "pr.csv"))
     metrics.write_summary_csv(report, out / "summary.csv")
     if notes:
         (out / "notes.txt").write_text("\n".join(notes) + "\n")
@@ -446,6 +448,7 @@ def build_parser():
 
 def main(argv=None):
     parser = build_parser()
+    args = None
     try:
         args = parser.parse_args(argv)
         return args.fn(args)
@@ -458,6 +461,11 @@ def main(argv=None):
     except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
+    except MemoryError as exc:
+        # what no size check caught: the command's inputs do not fit in memory
+        command = getattr(args, "command", parser.prog)
+        print(f"data error: {command}: out of memory: {str(exc) or 'MemoryError'}", file=sys.stderr)
+        return EXIT_DATA
 
 
 def main_entry():

@@ -217,6 +217,14 @@ def _bright_sums(maxval, threshold):
     return sums / 3 / maxval >= threshold
 
 
+def _bright_cut(maxval, threshold):
+    """The least 3-channel sum that ``_bright_sums`` marks bright, or
+    ``3 * maxval + 1`` when none is; the table is monotone in the sum, so its
+    false entries are a prefix."""
+    table = _bright_sums(maxval, threshold)
+    return len(table) - int(np.count_nonzero(table))
+
+
 def generate_fov_mask(fundus: Image, luminance_threshold=DEFAULT_FOV_THRESHOLD) -> np.ndarray:
     """Bright center blob of a fundus photo as a {0,1} mask.
 
@@ -234,8 +242,9 @@ def generate_fov_mask(fundus: Image, luminance_threshold=DEFAULT_FOV_THRESHOLD) 
         raise ValueError(f"FOV detection needs a 3-channel image, got {fundus.channels}")
     px = fundus.pixels
     # explicit adds: .sum(axis=2) over the 3-long channel axis is about 8x slower
-    sums = px[:, :, 0].astype(np.uint32) + px[:, :, 1] + px[:, :, 2]
-    bright = _bright_sums(fundus.maxval, luminance_threshold)[sums]
+    acc = np.uint16 if px.dtype == np.uint8 else np.uint32  # 3 * 255 fits 16 bits
+    sums = px[:, :, 0].astype(acc) + px[:, :, 1] + px[:, :, 2]
+    bright = sums >= _bright_cut(fundus.maxval, luminance_threshold)
     if not bright.any():
         raise DataError("no blob found: no pixel reaches the luminance threshold")
     labels, n = ndimage.label(bright, structure=_CROSS)
@@ -249,7 +258,7 @@ def generate_fov_mask(fundus: Image, luminance_threshold=DEFAULT_FOV_THRESHOLD) 
     fill[outside[[0, -1]]] = 0
     fill[outside[:, [0, -1]]] = 0
     fill[0] = 1
-    return fill[outside]
+    return np.take(fill, outside)
 
 
 # ---------------------------------------------------------------------------

@@ -13,14 +13,23 @@ nothing; float scores find their levels by ``np.unique`` and a binary
 search.  The Otsu search runs over the 255 boundaries of a 256-bin
 histogram with exact integer moments, making the argmax reproducible
 against an exhaustive sweep; the pooled histogram bins the grouped
-distinct scores weighted by their pixel counts.  ``evaluate``
-gathers each image's FOV pixels once and counts each image's tp/fp/fn/tn
-from its slice of the pooled levels.  A curve CSV is written by one
-``%``-format of all its values.
+distinct scores weighted by their pixel counts.
+
+``fov_pixels`` reduces one image to its FOV pixels.  ``evaluate_pixels``
+takes those per-image parts, copies them into one pooled allocation and
+drops each part as it is copied, then counts each image's tp/fp/fn/tn from
+its slice of the pooled levels; ``evaluate`` is ``fov_pixels`` of every
+image followed by ``evaluate_pixels``.  ``vesselseg eval`` reduces each
+image as soon as it is read, so its memory follows the FOV pixel count,
+not the frame size.  ``write_curve_csv`` writes several curves in one
+call: a column they share bit for bit, as ROC and PR share their
+thresholds and ROC's tpr is PR's recall, is formatted once, and rows are
+formatted a chunk at a time by one ``%``-format per column.
 """
 
 from __future__ import annotations
 
+from contextlib import ExitStack
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -116,8 +125,8 @@ class MetricsReport:
     per_image_thresholds: list | None = None
 
 
-# levels per bincount call: its intp copy of them stays at 8 MB
-_COUNT_CHUNK = 1 << 20
+# levels per bincount call: its intp copy of them stays at 2 MB
+_COUNT_CHUNK = 1 << 18
 
 
 def _group_counts(sp: ScoredPixels):
@@ -141,13 +150,17 @@ def _points(thresholds, x, y, anchor):
     return np.vstack([np.column_stack([thresholds, x, y])[::-1], anchor])
 
 
+def _class_counts(cum_tp, cum_fp):
+    """(positives, negatives): the grouped counts at the lowest threshold."""
+    return (int(cum_tp[-1]), int(cum_fp[-1])) if cum_tp.size else (0, 0)
+
+
 def roc_auc(sp: ScoredPixels):
     """ROC curve and area; needs both classes present."""
-    p = int(np.sum(sp.labels == 1))
-    n = int(np.sum(sp.labels == 0))
+    thresholds, cum_tp, cum_fp = sp.grouped
+    p, n = _class_counts(cum_tp, cum_fp)
     if p == 0 or n == 0:
         raise ValueError(f"ROC needs both classes; got {p} positives, {n} negatives")
-    thresholds, cum_tp, cum_fp = sp.grouped
     tpr = cum_tp / p
     fpr = cum_fp / n
     # trapezoid from the (0,0) anchor through each grouped threshold
@@ -160,10 +173,10 @@ def roc_auc(sp: ScoredPixels):
 
 def pr_auc(sp: ScoredPixels):
     """Precision/recall curve and area; needs at least one positive."""
-    p = int(np.sum(sp.labels == 1))
+    thresholds, cum_tp, cum_fp = sp.grouped
+    p, _ = _class_counts(cum_tp, cum_fp)
     if p == 0:
         raise ValueError("PR curve needs at least one positive label")
-    thresholds, cum_tp, cum_fp = sp.grouped
     recall = cum_tp / p
     precision = cum_tp / (cum_tp + cum_fp)
     # anchor at recall zero with the first point's precision
@@ -260,25 +273,36 @@ def overlay(pred, gold, mask) -> Image:
     return Image(pixels=px, maxval=255)
 
 
-def _fov_pixels(prob_maps, golds, masks):
-    """Pooled in-FOV pixels with 0/1 labels, and each image's [start, end) bounds in them.
+def fov_pixels(prob_map, gold, mask):
+    """One image's in-FOV pixels as 1-D (scores, labels), labels 0/1 uint8.
 
-    uint16 maps pool as levels against ``LEVELS`` (2 bytes a pixel), other
-    maps as float64 scores.  The per-image arrays are freed on return.
+    A uint16 map gives its levels against ``LEVELS`` (2 bytes a pixel), any
+    other map float64 scores.
     """
-    kinds = {np.asarray(pm).dtype == np.uint16 for pm in prob_maps}
+    inside = np.asarray(mask, dtype=bool)
+    scores = np.asarray(prob_map)[inside]
+    if scores.dtype != np.uint16:
+        scores = scores.astype(np.float64)
+    return scores, np.asarray(gold)[inside].astype(np.uint8)
+
+
+def _pool(parts):
+    """Pooled ``ScoredPixels`` of per-image (scores, labels) parts, and each
+    image's [start, end) bounds in them.
+
+    The pool is one allocation; each part is dropped from ``parts`` as soon as
+    it is copied, so the parts and the pool are never all alive at once.
+    """
+    kinds = {scores.dtype == np.uint16 for scores, _ in parts}
     if len(kinds) > 1:
         raise ValueError("evaluate: maps mix uint16 levels with float scores")
     leveled = kinds.pop()
-    dtype = np.uint16 if leveled else np.float64
-    scores, labels = [], []
-    for pm, gold, mask in zip(prob_maps, golds, masks):
-        inside = mask.astype(bool)
-        scores.append(np.asarray(pm, dtype=dtype)[inside])
-        labels.append(np.asarray(gold)[inside].astype(np.uint8))
-    bounds = np.cumsum([0] + [len(s) for s in scores]).tolist()
-    values = LEVELS if leveled else None
-    return ScoredPixels(np.concatenate(scores), np.concatenate(labels), values), bounds
+    bounds = np.cumsum([0] + [len(labels) for _, labels in parts]).tolist()
+    scores = np.empty(bounds[-1], dtype=np.uint16 if leveled else np.float64)
+    labels = np.empty(bounds[-1], dtype=np.uint8)
+    for start, end in zip(bounds[:-1], bounds[1:]):
+        scores[start:end], labels[start:end] = parts.pop(0)
+    return ScoredPixels(scores, labels, LEVELS if leveled else None), bounds
 
 
 def evaluate(prob_maps, golds, masks, ids=None, per_image_threshold=False) -> MetricsReport:
@@ -289,17 +313,28 @@ def evaluate(prob_maps, golds, masks, ids=None, per_image_threshold=False) -> Me
     image instead.  Maps hold float scores, or all are uint16 levels whose
     score is ``level / 65535``, as ``vesselseg eval`` loads them.
     """
-    if not prob_maps:
-        raise ValueError("evaluate: empty input")
     if not (len(prob_maps) == len(golds) == len(masks)):
         raise ValueError(
             f"evaluate: length mismatch: {len(prob_maps)} maps, "
             f"{len(golds)} golds, {len(masks)} masks"
         )
-    if ids is None:
-        ids = [f"image{i:03d}" for i in range(len(prob_maps))]
+    parts = [fov_pixels(*image) for image in zip(prob_maps, golds, masks)]
+    return evaluate_pixels(parts, ids, per_image_threshold)
 
-    pooled, bounds = _fov_pixels(prob_maps, golds, masks)
+
+def evaluate_pixels(parts, ids=None, per_image_threshold=False) -> MetricsReport:
+    """``evaluate`` of images already reduced by ``fov_pixels``.
+
+    ``parts`` holds one (scores, labels) pair per image and is emptied: the
+    pooled pixels take its place, so a caller that keeps no other reference
+    to the parts holds each FOV pixel once.
+    """
+    if not parts:
+        raise ValueError("evaluate: empty input")
+    if ids is None:
+        ids = [f"image{i:03d}" for i in range(len(parts))]
+
+    pooled, bounds = _pool(parts)
     roc_curve, roc_area = roc_auc(pooled)
     pr_curve, pr_area = pr_auc(pooled)
     thresholds, cum_tp, cum_fp = pooled.grouped
@@ -344,11 +379,38 @@ def fmt(v):
     return f"{v:.9g}"
 
 
-def write_curve_csv(curve: Curve, path):
-    # "%.9g" % v is fmt(v) for a float; one format call writes every point
-    rows = "%.9g,%.9g,%.9g\n" * len(curve.points) % tuple(curve.points.ravel().tolist())
-    with open(path, "w") as fh:
-        fh.write("threshold,x,y\n" + rows)
+# rows per formatting pass: one pass's strings stay near 1 MB
+_CSV_ROWS = 1 << 12
+
+
+def _formatted(column):
+    """``fmt`` of each value, from one format call: "%.9g" % v is fmt(v) for a float."""
+    return ("%.9g\n" * len(column) % tuple(column.tolist())).split("\n")[:-1]
+
+
+def write_curve_csv(*curves):
+    """Write each (curve, path) pair as a ``threshold,x,y`` CSV.
+
+    A column that several curves share bit for bit is formatted once: ROC and
+    PR share their thresholds, and ROC's tpr is PR's recall.  Rows are
+    formatted in chunks, so no string holds a whole curve.
+    """
+    # distinct columns by their bytes, which tell -0.0 from 0.0 as the format does
+    index = {}
+    layouts = [
+        [index.setdefault(c.tobytes(), len(index)) for c in curve.points.T] for curve, _ in curves
+    ]
+    columns = [np.frombuffer(b) for b in index]
+    with ExitStack() as stack:
+        files = [stack.enter_context(open(path, "w")) for _, path in curves]
+        for fh in files:
+            fh.write("threshold,x,y\n")
+        for lo in range(0, max(map(len, columns), default=0), _CSV_ROWS):
+            strings = [_formatted(c[lo : lo + _CSV_ROWS]) for c in columns]
+            for fh, layout in zip(files, layouts):
+                rows = "\n".join(map(",".join, zip(*(strings[j] for j in layout))))
+                if rows:
+                    fh.write(rows + "\n")
 
 
 def write_summary_csv(report: MetricsReport, path):

@@ -4,6 +4,7 @@ import runpy
 import struct
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -462,6 +463,96 @@ def test_eval_csv_bytes_pinned(tmp_path, per_image):
     digests = {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
                for name in ("roc.csv", "pr.csv", "summary.csv")}
     assert digests == GOLDEN_EVAL_SHA256[per_image]
+
+
+def _framed_eval_inputs(root, frame_rows, n=12, side=96):
+    """n tie-heavy side x side images (17 levels, so the CSVs stay small), each
+    at the top of a frame frame_rows times as tall; the mask is the image."""
+    dirs = root / "pred", root / "gold", root / "mask"
+    for d in dirs:
+        d.mkdir()
+    rng = np.random.default_rng(5)
+    for i in range(n):
+        gold = rng.uniform(size=(side, side)) < 0.2
+        level = np.round(np.clip(0.6 * rng.uniform(size=gold.shape) + 0.4 * gold, 0, 1) * 16)
+        for d, values, maxval in ((dirs[0], level * 4095, 65535), (dirs[1], gold * 255, 255),
+                                  (dirs[2], np.full(gold.shape, 255), 255)):
+            frame = np.zeros((frame_rows * side, side, 1), np.uint16 if maxval > 255 else np.uint8)
+            frame[:side, :, 0] = values
+            data.write_image(Image(pixels=frame, maxval=maxval), d / f"im{i}.pgm")
+    return dirs
+
+
+def _eval_traced_peak(root, frame_rows, n, side):
+    pred_d, gold_d, mask_d = _framed_eval_inputs(root, frame_rows, n, side)
+    argv = ["eval", "--pred-dir", str(pred_d), "--gold-dir", str(gold_d),
+            "--mask-dir", str(mask_d), "--out", str(root / "report")]
+    assert run(argv) == 0  # a first run imports and caches what eval needs
+    tracemalloc.start()
+    try:
+        assert run(argv) == 0
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_eval_peak_memory_follows_fov_pixels_not_frame_size(tmp_path):
+    # the same FOV pixels in frames four times as tall: an eval that kept
+    # every full-size map, gold and mask (4 bytes a pixel) until the end
+    # would peak 4 bytes higher per added frame pixel; each image is reduced
+    # to its FOV pixels as it is read, so the peak may grow by less than one
+    n, side = 12, 96
+    small, large = tmp_path / "small", tmp_path / "large"
+    small.mkdir()
+    large.mkdir()
+    peak_small = _eval_traced_peak(small, 1, n, side)
+    peak_large = _eval_traced_peak(large, 4, n, side)
+    for name in ("roc.csv", "pr.csv", "summary.csv"):
+        assert (small / "report" / name).read_bytes() == (large / "report" / name).read_bytes()
+    added_pixels = n * 3 * side * side
+    assert peak_large - peak_small < added_pixels, (peak_small, peak_large)
+
+
+def test_load_prob_keeps_16bit_levels_without_copies(tmp_path, monkeypatch):
+    levels = np.random.default_rng(6).integers(0, 65536, (7, 5, 1)).astype(np.uint16)
+    path = tmp_path / "p.pgm"
+    data.write_image(Image(pixels=levels, maxval=65535), path)
+    loaded = []
+    original = data.load_image
+
+    def recording(p):
+        loaded.append(original(p))
+        return loaded[-1]
+
+    monkeypatch.setattr(data, "load_image", recording)
+    got = cli._load_prob(path)
+    assert got.dtype == np.uint16 and np.array_equal(got, levels[:, :, 0])
+    assert np.shares_memory(got, loaded[0].pixels)
+
+
+@pytest.mark.parametrize("command", ["eval", "infer"])
+def test_memory_error_is_data_exit_naming_the_command(trained_run, tmp_path, capsys,
+                                                      monkeypatch, command):
+    def out_of_memory(path):
+        raise MemoryError("Unable to allocate 2.62 TiB for an array")
+
+    if command == "eval":
+        pred_d, gold_d, image_d = _golden_eval_inputs(tmp_path)
+        argv = ["eval", "--pred-dir", str(pred_d), "--gold-dir", str(gold_d),
+                "--image-dir", str(image_d), "--out", str(tmp_path / "report")]
+        out = tmp_path / "report"
+    else:
+        img_path = tmp_path / "f.ppm"
+        _as_p6(trained_run[1], img_path)
+        out = tmp_path / "p.pgm"
+        argv = ["infer", "--checkpoint", str(trained_run[0] / "best.ckpt"),
+                "--image", str(img_path), "--out", str(out)]
+    monkeypatch.setattr(data, "load_image", out_of_memory)
+    assert run(argv) == cli.EXIT_DATA
+    err = capsys.readouterr().err
+    assert err == (f"data error: {command}: out of memory: "
+                   "Unable to allocate 2.62 TiB for an array\n")
+    assert not out.exists()
 
 
 # ---------------------------------------------------------------------------

@@ -241,6 +241,23 @@ def test_fov_threshold_table_matches_float64_mean_for_every_sum(maxval):
         np.testing.assert_array_equal(table[summed], lum >= threshold, err_msg=str(threshold))
 
 
+@pytest.mark.parametrize("maxval", [255, 65535])
+def test_fov_bright_cut_reproduces_the_table_at_every_sum(maxval):
+    sums = np.arange(3 * maxval + 1)
+    unreachable = np.nextafter(1.0, 2.0)  # no mean of channels reaches it
+    for threshold in (data.DEFAULT_FOV_THRESHOLD, 0.0, 1 / 3, 0.5, 7 / 255, 0.9, 1.0, unreachable):
+        cut = data._bright_cut(maxval, threshold)
+        np.testing.assert_array_equal(
+            sums >= cut, data._bright_sums(maxval, threshold), err_msg=str(threshold)
+        )
+    assert data._bright_cut(maxval, unreachable) == len(sums)
+    dtype = np.uint8 if maxval == 255 else np.uint16
+    white = Image(pixels=np.full((4, 4, 3), maxval, dtype), maxval=maxval)
+    assert data.generate_fov_mask(white, 1.0).all()
+    with pytest.raises(data.DataError, match="no blob found"):
+        data.generate_fov_mask(white, unreachable)
+
+
 def test_fov_mask_fills_holes_and_is_single_component():
     img, disc = disc_image()
     px = img.pixels.copy()

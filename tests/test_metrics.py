@@ -128,6 +128,25 @@ def test_roc_rejects_single_class():
         metrics.roc_auc(ScoredPixels([0.5, 0.6], [1, 1]))
 
 
+@pytest.mark.parametrize(
+    "labels,message",
+    [
+        ([1, 1], "ROC needs both classes; got 2 positives, 0 negatives"),
+        ([0, 0, 0], "ROC needs both classes; got 0 positives, 3 negatives"),
+        ([], "ROC needs both classes; got 0 positives, 0 negatives"),
+    ],
+)
+def test_one_class_messages_pinned(labels, message):
+    scores = np.linspace(0.1, 0.9, len(labels))
+    with pytest.raises(ValueError) as roc:
+        metrics.roc_auc(ScoredPixels(scores, np.array(labels, np.uint8)))
+    assert str(roc.value) == message
+    if not any(labels):
+        with pytest.raises(ValueError) as pr:
+            metrics.pr_auc(ScoredPixels(scores, np.array(labels, np.uint8)))
+        assert str(pr.value) == "PR curve needs at least one positive label"
+
+
 def test_roc_invariant_under_increasing_transform():
     rng = np.random.default_rng(1)
     scores = rng.uniform(0.01, 0.99, 100)
@@ -596,6 +615,47 @@ def test_evaluate_level_maps_match_float_maps(seed, maxvals, n_levels, per_image
     assert got.per_image == want.per_image and got.total == want.total
 
 
+@pytest.mark.parametrize("dtype", [np.uint16, np.uint8, np.float32, np.float64])
+def test_fov_pixels_keeps_levels_or_float64_scores_inside_the_mask(dtype):
+    rng = np.random.default_rng(13)
+    prob = rng.integers(0, 256, (5, 7)).astype(dtype)
+    gold = (rng.uniform(size=(5, 7)) < 0.3).astype(np.uint8)
+    mask = (rng.uniform(size=(5, 7)) < 0.6).astype(np.uint8) * np.uint8(255)
+    scores, labels = metrics.fov_pixels(prob, gold, mask)
+    inside = mask > 0
+    assert scores.dtype == (np.uint16 if dtype == np.uint16 else np.float64)
+    assert labels.dtype == np.uint8
+    assert np.array_equal(scores, prob[inside]) and np.array_equal(labels, gold[inside])
+
+
+@pytest.mark.parametrize("per_image", [False, True])
+def test_evaluate_pixels_matches_evaluate_and_empties_its_parts(per_image):
+    rng = np.random.default_rng(14)
+    maps, golds, masks = [], [], []
+    for shape in ((6, 9), (4, 4), (7, 3)):
+        gold = (rng.uniform(size=shape) < 0.3).astype(np.uint8)
+        gold.flat[:2] = (1, 0)
+        mask = (rng.uniform(size=shape) < 0.7).astype(np.uint8)
+        mask.flat[:2] = 1
+        maps.append(rng.integers(0, 65536, shape).astype(np.uint16))
+        golds.append(gold)
+        masks.append(mask)
+    want = metrics.evaluate(maps, golds, masks, ids=["a", "b", "c"], per_image_threshold=per_image)
+    parts = [metrics.fov_pixels(*image) for image in zip(maps, golds, masks)]
+    got = metrics.evaluate_pixels(parts, ids=["a", "b", "c"], per_image_threshold=per_image)
+    assert parts == []
+    for a, b in ((got.roc, want.roc), (got.pr, want.pr)):
+        assert a.points.tolist() == b.points.tolist() and a.auc == b.auc
+    assert got.otsu_threshold == want.otsu_threshold
+    assert got.per_image_thresholds == want.per_image_thresholds
+    assert got.per_image == want.per_image and got.total == want.total
+
+
+def test_evaluate_pixels_rejects_no_parts():
+    with pytest.raises(ValueError, match="empty input"):
+        metrics.evaluate_pixels([])
+
+
 def test_evaluate_rejects_maps_mixing_levels_and_floats():
     gold, mask = np.array([[1, 0]], np.uint8), np.ones((1, 2), np.uint8)
     levels, scores = np.array([[65535, 0]], np.uint16), np.array([[1.0, 0.0]])
@@ -633,7 +693,7 @@ def test_curve_csv_format(tmp_path):
     sp = ScoredPixels([0.9, 0.8, 0.2, 0.1], [1, 1, 0, 0])
     curve, _ = metrics.roc_auc(sp)
     path = tmp_path / "roc.csv"
-    metrics.write_curve_csv(curve, path)
+    metrics.write_curve_csv((curve, path))
     lines = path.read_text().strip().split("\n")
     assert lines[0] == "threshold,x,y"
     assert len(lines) == len(curve.points) + 1
@@ -644,9 +704,29 @@ def test_curve_csv_bytes_match_per_point_fstrings(tmp_path):
     points = [(t, x, y) for t, x, y in zip(edge, edge[3:] + edge[:3], edge[7:] + edge[:7])]
     points.append((float("inf"), 0.0, 1 / 3))
     path = tmp_path / "curve.csv"
-    metrics.write_curve_csv(metrics.Curve(points=np.array(points), auc=0.5), path)
+    metrics.write_curve_csv((metrics.Curve(points=np.array(points), auc=0.5), path))
     lines = ["threshold,x,y"] + [f"{t:.9g},{x:.9g},{y:.9g}" for t, x, y in points]
     assert path.read_bytes() == ("\n".join(lines) + "\n").encode()
+
+
+@pytest.mark.parametrize("rows", [1, 2, 3, 4096])
+def test_curves_written_together_match_per_point_fstrings(tmp_path, monkeypatch, rows):
+    # ROC and PR share their thresholds and tpr/recall, and are formatted
+    # once; a column equal but for the sign of a zero is not shared, and a
+    # curve of another length is written in the same passes
+    rng = np.random.default_rng(15)
+    sp = ScoredPixels(np.round(rng.uniform(size=40), 1), (rng.uniform(size=40) < 0.4).astype(int))
+    roc, pr = metrics.roc_auc(sp)[0], metrics.pr_auc(sp)[0]
+    signed = roc.points.copy()
+    signed[signed == 0.0] = -0.0
+    short = metrics.Curve(points=roc.points[3:], auc=0.0)
+    curves = [roc, pr, metrics.Curve(points=signed, auc=0.0), short]
+    monkeypatch.setattr(metrics, "_CSV_ROWS", rows)
+    metrics.write_curve_csv(*[(c, tmp_path / f"curve{i}.csv") for i, c in enumerate(curves)])
+    for i, curve in enumerate(curves):
+        want = "".join(f"{t:.9g},{x:.9g},{y:.9g}\n" for t, x, y in curve.points.tolist())
+        assert (tmp_path / f"curve{i}.csv").read_text() == "threshold,x,y\n" + want
+    assert "-0," in (tmp_path / "curve2.csv").read_text()
 
 
 def test_summary_csv_format(tmp_path):
