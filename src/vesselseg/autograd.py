@@ -746,21 +746,8 @@ def zero_grads(tensors):
 # ---------------------------------------------------------------------------
 # Adam
 
-def adam_step(value, grad, m, v, t, lr, beta1, beta2, eps):
-    """One bias-corrected Adam update for a single parameter array.
-
-    Pure: returns (new_value, new_m, new_v, new_t) without touching inputs.
-    """
-    t = t + 1
-    m = beta1 * m + (1.0 - beta1) * grad
-    v = beta2 * v + (1.0 - beta2) * grad * grad
-    m_hat = m / (1.0 - beta1**t)
-    v_hat = v / (1.0 - beta2**t)
-    return value - lr * m_hat / (np.sqrt(v_hat) + eps), m, v, t
-
-
 class Adam:
-    """Adam over a named parameter list, updating tensors in place."""
+    """Adam over a named parameter list, updating tensors and moments in place."""
 
     def __init__(self, named_params, lr=2e-4, beta1=0.5, beta2=0.999, eps=1e-8):
         self.named_params = list(named_params)
@@ -773,16 +760,28 @@ class Adam:
         self.v = {name: np.zeros_like(p.data) for name, p in self.named_params}
 
     def step(self):
-        t_next = self.t
-        for name, p in self.named_params:
-            g = p.grad
-            if not np.all(np.isfinite(g)):
-                raise NumericalError(f"non-finite gradient for parameter '{name}'")
-            new, self.m[name], self.v[name], t_next = adam_step(
-                p.data, g, self.m[name], self.v[name], self.t, self.lr, self.beta1, self.beta2, self.eps
-            )
-            p.data = new
-        self.t = t_next
+        """One bias-corrected update; raises NumericalError naming the parameter and the
+        step on a non-finite gradient or on an overflow, say of the squared gradient, after
+        which every later update of that parameter would silently be 0."""
+        t = self.t + 1
+        b1, b2 = self.beta1, self.beta2
+        try:
+            with np.errstate(over="raise", invalid="raise"):
+                for name, p in self.named_params:
+                    g, m, v = p.grad, self.m[name], self.v[name]
+                    if not np.all(np.isfinite(g)):
+                        raise NumericalError(f"non-finite gradient for parameter '{name}'")
+                    # value - lr * m_hat / (sqrt(v_hat) + eps), operation for operation
+                    m *= b1
+                    m += (1.0 - b1) * g
+                    v *= b2
+                    v += (1.0 - b2) * g * g
+                    den = np.sqrt(v / (1.0 - b2**t))
+                    den += self.eps
+                    p.data -= self.lr * (m / (1.0 - b1**t)) / den
+        except FloatingPointError as exc:
+            raise NumericalError(f"Adam step {t}: parameter '{name}' overflowed ({exc})") from None
+        self.t = t
 
     def zero_grad(self):
         zero_grads(p for _, p in self.named_params)

@@ -82,14 +82,20 @@ def _parse_header(buf, path):
             pos += 1
         if start == pos:
             raise PixmapError(f"{path}: header ended early at offset {pos}")
-        tokens.append(buf[start:pos])
+        token = buf[start:pos]
+        if not token.isdigit():  # ASCII digits: int() would also take b"+4", b"-0" and b"1_0"
+            name = ("width", "height", "maxval")[len(tokens)]
+            raise PixmapError(
+                f"{path}: {name} {token[:20]!r} at offset {start} is not a decimal number"
+            )
+        tokens.append(token)
     if pos >= len(buf):
         raise PixmapError(f"{path}: missing whitespace after maxval at offset {pos}")
     pos += 1  # exactly one whitespace byte separates header from payload
     try:
         width, height, maxval = (int(t) for t in tokens)
-    except ValueError:
-        raise PixmapError(f"{path}: non-numeric header fields {tokens}") from None
+    except ValueError:  # more digits than int() converts
+        raise PixmapError(f"{path}: a header field has too many digits") from None
     return width, height, maxval, pos
 
 

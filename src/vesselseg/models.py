@@ -16,18 +16,18 @@ from . import autograd as ag
 from .autograd import Tensor
 
 
+IN_CHANNELS = 3  # an RGB fundus photo
+KERNEL_SIZE = 3  # of every same-padded generator conv
+
+
 @dataclass(frozen=True)
 class GeneratorSpec:
-    in_channels: int = 3
     scales: int = 2
     base_channels: int = 8
-    kernel_size: int = 3
 
     def __post_init__(self):
-        if self.in_channels < 1 or self.scales < 1 or self.base_channels < 1:
+        if self.scales < 1 or self.base_channels < 1:
             raise ValueError(f"invalid generator spec {self}")
-        if self.kernel_size < 1 or self.kernel_size % 2 == 0:
-            raise ValueError(f"generator kernel size must be odd, got {self.kernel_size}")
 
     @property
     def divisor(self):
@@ -65,8 +65,6 @@ class DiscriminatorVariant:
 @dataclass(frozen=True)
 class DiscriminatorSpec:
     variant: DiscriminatorVariant
-    input_size: tuple[int, int]
-    base_channels: int
     channels: tuple[int, ...]  # output width of each conv block, head excluded
 
 
@@ -77,9 +75,6 @@ class Model:
 
     def parameters(self):
         return list(self.params.items())
-
-    def parameter_count(self):
-        return sum(p.data.size for p in self.params.values())
 
 
 def param_shapes(layout):
@@ -119,7 +114,7 @@ def generator_layout(spec: GeneratorSpec):
     with stride-2 transposed convs, whose kernels are laid out
     (cin, cout, 2, 2), and channel concatenation.
     """
-    k, cin = spec.kernel_size, spec.in_channels
+    k, cin = KERNEL_SIZE, IN_CHANNELS
     for lvl in range(spec.scales):
         cout = spec.base_channels * 2**lvl
         yield f"enc{lvl}_conv1", (cout, cin, k, k), cout
@@ -146,17 +141,15 @@ def build_generator(spec: GeneratorSpec, seed: int) -> Model:
 def generator_forward(model: Model, x: Tensor) -> Tensor:
     """Map (N,3,H,W) to a same-size vessel probability map in (0,1)."""
     spec = model.spec
-    if x.data.ndim != 4 or x.data.shape[1] != spec.in_channels:
-        raise ValueError(
-            f"generator expects (N,{spec.in_channels},H,W) input, got {x.data.shape}"
-        )
+    if x.data.ndim != 4 or x.data.shape[1] != IN_CHANNELS:
+        raise ValueError(f"generator expects (N,{IN_CHANNELS},H,W) input, got {x.data.shape}")
     h, w = x.data.shape[2], x.data.shape[3]
     div = spec.divisor
     if h % div or w % div:
         raise ValueError(
             f"generator input {h}x{w} must have spatial sizes divisible by {div}"
         )
-    pad = spec.kernel_size // 2
+    pad = KERNEL_SIZE // 2
     skips = []
     t = x
     for lvl in range(spec.scales):
@@ -241,7 +234,7 @@ def discriminator_spec(variant: DiscriminatorVariant, input_size, base_channels:
     for _ in range(depth):
         widths.append(c)
         c = min(c * 2, base_channels * MAX_WIDTH_FACTOR)
-    return DiscriminatorSpec(variant, (h, w), base_channels, tuple(widths))
+    return DiscriminatorSpec(variant, tuple(widths))
 
 
 def discriminator_layout(spec: DiscriminatorSpec):

@@ -228,11 +228,8 @@ def split_train_val(samples, cfg):
 class Checkpoint:
     round_index: int
     gen_spec: mdl.GeneratorSpec
-    disc_spec: mdl.DiscriminatorSpec | None
     gen_params: dict
-    disc_params: dict | None
     val_g_loss: float
-    fingerprint: str
 
 
 @dataclass
@@ -241,21 +238,9 @@ class FitResult:
     history: list = field(default_factory=list)
 
 
-def config_fingerprint(cfg, g, d):
-    text = f"{cfg!r}|{g.spec!r}|{d.spec if d is not None else None!r}"
-    return hashlib.sha256(text.encode()).hexdigest()
-
-
-def _snapshot(g, d, round_index, val_loss, fingerprint):
-    return Checkpoint(
-        round_index=round_index,
-        gen_spec=g.spec,
-        disc_spec=d.spec if d is not None else None,
-        gen_params={k: p.data.copy() for k, p in g.params.items()},
-        disc_params={k: p.data.copy() for k, p in d.params.items()} if d is not None else None,
-        val_g_loss=val_loss,
-        fingerprint=fingerprint,
-    )
+def _snapshot(g, round_index, val_loss):
+    params = {k: p.data.copy() for k, p in g.params.items()}
+    return Checkpoint(round_index, g.spec, params, val_loss)
 
 
 def fit(g, d, train, val, cfg, val_loss_fn=None, progress=None):
@@ -271,7 +256,6 @@ def fit(g, d, train, val, cfg, val_loss_fn=None, progress=None):
     opt_g = Adam(g.parameters(), cfg.lr, cfg.beta1, cfg.beta2)
     opt_d = Adam(d.parameters(), cfg.lr, cfg.beta1, cfg.beta2) if d is not None else None
     evaluate = val_loss_fn if val_loss_fn is not None else validation_loss
-    fingerprint = config_fingerprint(cfg, g, d)
 
     history = []
     best = None
@@ -280,81 +264,67 @@ def fit(g, d, train, val, cfg, val_loss_fn=None, progress=None):
         stats.val_g_loss = float(evaluate(g, d, val, cfg))
         history.append(stats)
         if best is None or stats.val_g_loss < best.val_g_loss:
-            best = _snapshot(g, d, r, stats.val_g_loss, fingerprint)
+            best = _snapshot(g, r, stats.val_g_loss)
         if progress is not None:
             progress(stats)
     return FitResult(checkpoint=best, history=history)
 
 
-def _parts(ckpt):
-    """(what, spec, layout, parameters) of the generator and, with one, the discriminator."""
-    gs, ds = ckpt.gen_spec, ckpt.disc_spec
-    yield "generator", gs, mdl.generator_layout(gs), ckpt.gen_params
-    if ds is not None:
-        yield "discriminator", ds, mdl.discriminator_layout(ds), ckpt.disc_params
-
-
-def _param_names(what, layout, arrays):
-    """The layout's parameter names in build order, if arrays holds exactly them as float32
-    arrays of their shapes."""
+def _param_names(ckpt):
+    """The generator's parameter names in build order, if ckpt holds exactly them as
+    float32 arrays of their shapes."""
+    layout = mdl.generator_layout(ckpt.gen_spec)
     # islice: a corrupt spec can describe far more parameters than were stored
-    shapes = itertools.islice(mdl.param_shapes(layout), len(arrays) + 1)
+    shapes = itertools.islice(mdl.param_shapes(layout), len(ckpt.gen_params) + 1)
     want = {k: (shape, "float32") for k, shape in shapes}
-    got = {k: (v.shape, v.dtype.name) for k, v in arrays.items()}
+    got = {k: (v.shape, v.dtype.name) for k, v in ckpt.gen_params.items()}
     if want != got:
         differ = sorted(k for k in want.keys() | got.keys() if want.get(k) != got.get(k))
         raise CheckpointError(
-            f"{what} parameters missing, unexpected, misshapen or not float32: {differ}"
+            f"generator parameters missing, unexpected, misshapen or not float32: {differ}"
         )
     return list(want)
 
 
 def rebuild_models(ckpt: Checkpoint):
-    """Reconstruct (generator, discriminator) holding exactly the checkpointed weights.
+    """(generator, None): the generator holding exactly the checkpointed weights.
 
-    Raises CheckpointError unless the parameter names and shapes are exactly
-    those the specs build.
+    A checkpoint holds no discriminator.  The pair and the name stay because
+    ``bench/checks.py`` and the acceptance gate unpack ``g, _ = ...`` and
+    ``bench/tracing.py`` wraps this function by name.  Raises
+    CheckpointError unless the parameters are exactly those the spec builds.
     """
-    built = []
-    for what, spec, layout, arrays in _parts(ckpt):
-        names = _param_names(what, layout, arrays)
-        built.append(mdl.Model(spec, {k: Tensor(arrays[k].copy(), requires_grad=True) for k in names}))
-    return built[0], built[1] if len(built) == 2 else None
+    params = {k: Tensor(ckpt.gen_params[k].copy(), requires_grad=True) for k in _param_names(ckpt)}
+    return mdl.Model(ckpt.gen_spec, params), None
 
 
 # ---------------------------------------------------------------------------
-# checkpoint serialization, version 3: the magic, a u16 version, a u32 length
-# and that many bytes of UTF-8 JSON metadata (round, val_g_loss, fingerprint,
-# gen_spec, disc_spec), the little-endian f32 values of every parameter in
-# mdl.param_shapes order (generator, then discriminator), then the sha256 of
-# everything before it.  Parameter names and shapes are not stored, because
-# the specs fix them; no optimizer state is stored.
+# checkpoint serialization, version 4: the magic, a u16 version, a u32 length
+# and that many bytes of UTF-8 JSON metadata (round, val_g_loss and gen_spec
+# as [scales, base_channels]), the little-endian f32 values of every generator
+# parameter in mdl.param_shapes order, then the sha256 of everything before
+# it.  Parameter names and shapes are not stored, because the spec fixes
+# them; neither the discriminator, which only training uses, nor optimizer
+# state is stored.
 
 MAGIC = b"VGANCKPT"
-VERSION = 3
+VERSION = 4
 _HEAD = len(MAGIC) + 2
 _DIGEST = hashlib.sha256().digest_size
-_META_KEYS = ("round", "val_g_loss", "fingerprint", "gen_spec", "disc_spec")
-_INT = (int,)
+_META_KEYS = ("round", "val_g_loss", "gen_spec")
 
 
 def save_checkpoint(ckpt: Checkpoint, path):
-    """Write ckpt; raise CheckpointError if its parameters are not those its specs build."""
-    gs, ds = ckpt.gen_spec, ckpt.disc_spec
+    """Write ckpt; raise CheckpointError if its parameters are not those its spec builds."""
+    gs = ckpt.gen_spec
     meta = {
         "round": ckpt.round_index,
         "val_g_loss": ckpt.val_g_loss,
-        "fingerprint": ckpt.fingerprint,
-        "gen_spec": [gs.in_channels, gs.scales, gs.base_channels, gs.kernel_size],
-        "disc_spec": None
-        if ds is None
-        else [ds.variant.kind, ds.variant.patch_size, ds.base_channels, *ds.input_size],
+        "gen_spec": [gs.scales, gs.base_channels],
     }
     text = json.dumps(meta).encode()
     chunks = [MAGIC, struct.pack("<HI", VERSION, len(text)), text]
-    for what, _, layout, arrays in _parts(ckpt):
-        names = _param_names(what, layout, arrays)
-        chunks += [np.asarray(arrays[k], "<f4").tobytes() for k in names]
+    chunks += [np.asarray(ckpt.gen_params[k], "<f4").tobytes() for k in _param_names(ckpt)]
     body = b"".join(chunks)
     Path(path).write_bytes(body + hashlib.sha256(body).digest())
 
@@ -381,26 +351,16 @@ def _decode_meta(text):
             f"checkpoint metadata must be an object with exactly the keys {_META_KEYS}, "
             f"got {text[:200]!r}"
         )
-    gen = _typed(meta["gen_spec"], [_INT] * 4, "gen_spec")
-    disc = meta["disc_spec"]
-    if disc is not None:
-        disc = _typed(disc, [(str,), (int, type(None)), _INT, _INT, _INT], "disc_spec")
+    gen = _typed(meta["gen_spec"], [(int,)] * 2, "gen_spec")
     try:
         gen_spec = mdl.GeneratorSpec(*gen)
-        disc_spec = None
-        if disc is not None:
-            kind, patch, base, h, w = disc
-            disc_spec = mdl.discriminator_spec(mdl.DiscriminatorVariant(kind, patch), (h, w), base)
     except ValueError as exc:
         raise CheckpointError(f"checkpoint metadata describes no model: {exc}") from None
     return Checkpoint(
-        round_index=_typed(meta["round"], _INT, "round"),
+        round_index=_typed(meta["round"], (int,), "round"),
         gen_spec=gen_spec,
-        disc_spec=disc_spec,
         gen_params={},
-        disc_params={} if disc_spec is not None else None,
         val_g_loss=_typed(meta["val_g_loss"], (float,), "val_g_loss"),
-        fingerprint=_typed(meta["fingerprint"], (str,), "fingerprint"),
     )
 
 
@@ -434,10 +394,9 @@ def load_checkpoint(path) -> Checkpoint:
 
     (meta_len,) = struct.unpack("<I", take(4, "the metadata length"))
     ckpt = _decode_meta(take(meta_len, "the metadata"))
-    for what, _, layout, arrays in _parts(ckpt):
-        for k, shape in mdl.param_shapes(layout):
-            values = take(4 * math.prod(shape), f"{what} parameter {k}")
-            arrays[k] = np.frombuffer(values, "<f4").reshape(shape).copy()
+    for k, shape in mdl.param_shapes(mdl.generator_layout(ckpt.gen_spec)):
+        values = take(4 * math.prod(shape), f"generator parameter {k}")
+        ckpt.gen_params[k] = np.frombuffer(values, "<f4").reshape(shape).copy()
     if pos != end:
         raise CheckpointError(f"{end - pos} bytes left over after the parameters at offset {pos}")
     return ckpt

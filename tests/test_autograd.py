@@ -1001,20 +1001,49 @@ def test_adam_rejects_non_finite_named():
     assert "enc0_conv1_w" in str(e.value)
 
 
-def test_adam_step_function_is_pure():
+def adam_formula(value, grad, m, v, t, lr, beta1, beta2, eps):
+    """One bias-corrected Adam update on fresh arrays: (new_value, new_m, new_v, new_t)."""
+    t = t + 1
+    m = beta1 * m + (1.0 - beta1) * grad
+    v = beta2 * v + (1.0 - beta2) * grad * grad
+    m_hat = m / (1.0 - beta1**t)
+    v_hat = v / (1.0 - beta2**t)
+    return value - lr * m_hat / (np.sqrt(v_hat) + eps), m, v, t
+
+
+@pytest.mark.parametrize(
+    "lr, beta1, beta2, eps",
+    [(2e-4, 0.5, 0.999, 1e-8), (2e-3, 0.9, 0.999, 1e-8), (0.1, 0.0, 0.5, 1e-3)],
+)
+def test_adam_step_in_place_matches_formula_bit_for_bit(lr, beta1, beta2, eps):
     rng = np.random.default_rng(18)
-    value = rng.uniform(-1, 1, 5).astype(np.float32)
-    grad = rng.uniform(-1, 1, 5).astype(np.float32)
-    m = rng.uniform(0, 1, 5).astype(np.float32)
-    v = rng.uniform(0, 1, 5).astype(np.float32)
-    snap = (value.copy(), grad.copy(), m.copy(), v.copy())
-    out1 = ag.adam_step(value, grad, m, v, 3, 1e-3, 0.9, 0.999, 1e-8)
-    out2 = ag.adam_step(value, grad, m, v, 3, 1e-3, 0.9, 0.999, 1e-8)
-    for a, b in zip(out1[:3], out2[:3]):
-        np.testing.assert_array_equal(a, b)
-    assert out1[3] == out2[3] == 4
-    for arr, orig in zip((value, grad, m, v), snap):
-        np.testing.assert_array_equal(arr, orig)
+    p = Tensor(rng.uniform(-1, 1, (4, 3, 3, 3)).astype(np.float32), requires_grad=True)
+    opt = ag.Adam([("p", p)], lr, beta1, beta2, eps)
+    arrays = (p.data, opt.m["p"], opt.v["p"])
+    want = (p.data.copy(), np.zeros_like(p.data), np.zeros_like(p.data), 0)
+    for scale in (1.0, 1e-3, 30.0, 1e-30, 1.0):
+        p.grad[...] = rng.standard_normal(p.data.shape).astype(np.float32) * np.float32(scale)
+        want = adam_formula(want[0], p.grad, *want[1:], lr, beta1, beta2, eps)
+        opt.step()
+        got = (p.data, opt.m["p"], opt.v["p"], opt.t)
+        for a, b in zip(got[:3], want[:3]):
+            assert a.dtype == b.dtype == np.float32 and a.tobytes() == b.tobytes()
+        assert got[3] == want[3]
+    assert all(a is b for a, b in zip(arrays, got))  # updated in place
+
+
+@pytest.mark.parametrize(
+    "value, grad, lr",
+    [(0.5, 1e20, 2e-4), (-3e38, 1.0, 1e38)],
+    ids=["squared-gradient", "new-value"],
+)
+def test_adam_overflow_is_named_numerical_error(value, grad, lr):
+    p = Tensor(np.array([value], dtype=np.float32), requires_grad=True)
+    q = Tensor(np.zeros(1, np.float32), requires_grad=True)
+    opt = ag.Adam([("enc0_conv1_w", q), ("head_b", p)], lr=lr)
+    p.grad[...] = np.float32(grad)
+    with pytest.raises(ag.NumericalError, match=r"Adam step 1: parameter 'head_b' overflowed"):
+        opt.step()
 
 
 # ---------------------------------------------------------------------------

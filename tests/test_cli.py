@@ -1,4 +1,6 @@
+import contextlib
 import hashlib
+import io
 import os
 import runpy
 import struct
@@ -9,6 +11,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, event, given, settings
+from hypothesis import strategies as st
 
 from vesselseg import cli, data, metrics, models, training
 from vesselseg.autograd import Tensor
@@ -158,7 +162,21 @@ def test_train_without_discriminator(tmp_path):
         assert d == "nan" and gan == "nan"
         assert float(seg) > 0 and np.isfinite(float(val))
     ckpt = training.load_checkpoint(out / "best.ckpt")
-    assert ckpt.disc_spec is None
+    layout = models.generator_layout(ckpt.gen_spec)
+    assert list(ckpt.gen_params) == [k for k, _ in models.param_shapes(layout)]
+
+
+def test_overflowing_adam_step_is_numerical_exit(tmp_path, capsys):
+    # lambda=1e38 overflows the squared gradient of the generator's first
+    # update; without the check every later update would be 0 and the run
+    # would end with exit 0 and a frozen seg_loss
+    cfg = write_cfg(tmp_path / "c.cfg", image_size=16, synthetic_count=4, rounds=3)
+    cfg.write_text(cfg.read_text() + "lambda=1e38\n")
+    out = tmp_path / "o"
+    assert run(["train", "--config", str(cfg), "--out", str(out)]) == cli.EXIT_NUMERICAL
+    err = capsys.readouterr().err
+    assert "numerical failure: Adam step 1: parameter 'enc0_conv1_w' overflowed" in err
+    assert not (out / "best.ckpt").exists()
 
 
 def test_train_seed_flag_overrides_config(tmp_path):
@@ -654,7 +672,109 @@ def test_overlay_bytes_pinned(tmp_path, maxval, threshold):
 
 
 # ---------------------------------------------------------------------------
+# mutated netpbm inputs through main
+
+
+def _netpbm_files(root, maxval):
+    """A 16x16 disc photo (P6), probability map, gold and FOV mask (P5) at maxval, as paths."""
+    rng = np.random.default_rng(41)
+    yy, xx = np.mgrid[:16, :16]
+    disc = (yy - 8) ** 2 + (xx - 8) ** 2 <= 36
+    scale = maxval // 255
+    photo = disc[:, :, None] * rng.integers(60, 200, (16, 16, 3)) * scale
+    gold = rng.uniform(size=(16, 16, 1)) < 0.3
+    gold[8, 8], gold[9, 9] = True, False
+    images = {
+        "photo.ppm": photo,
+        "pred.pgm": rng.integers(0, maxval + 1, (16, 16, 1)),
+        "gold.pgm": gold * maxval,
+        "mask.pgm": disc[:, :, None] * maxval,
+    }
+    dtype = np.uint8 if maxval == 255 else np.uint16
+    paths = {}
+    for name, pixels in images.items():
+        stem, suffix = name.split(".")
+        (root / stem).mkdir(exist_ok=True)
+        paths[name] = root / stem / f"im.{suffix}"  # one file per directory, for eval
+        data.write_image(Image(pixels=pixels.astype(dtype), maxval=maxval), paths[name])
+    return paths
+
+
+@st.composite
+def _mutations(draw):
+    """(kind, argument) of one edit of a netpbm file's bytes."""
+    kind = draw(st.sampled_from(["flip", "truncate", "token", "junk"]))
+    if kind == "flip":  # a byte of the header or just past it
+        return kind, (draw(st.integers(0, 20)), draw(st.integers(1, 255)))
+    if kind == "truncate":  # to a length within the header or the payload
+        return kind, draw(st.integers(0, 20) | st.integers(0, 1600))
+    if kind == "token":
+        text = st.text("0123456789+-_ #\t\nxP٣", max_size=7).map(str.encode)
+        return kind, (draw(st.integers(0, 2)), draw(text | st.binary(max_size=4)))
+    return kind, draw(st.binary(min_size=1, max_size=24))
+
+
+def _mutated(raw, kind, arg):
+    if kind == "flip":
+        at, mask = arg
+        out = bytearray(raw)
+        out[at] ^= mask
+        return bytes(out)
+    if kind == "truncate":
+        return raw[: min(arg, len(raw) - 1)]
+    if kind == "token":  # write_image's header is b"P5\n<width> <height>\n<maxval>\n"
+        index, token = arg
+        magic, size, maxval, payload = raw.split(b"\n", 3)
+        fields = [*size.split(b" "), maxval]
+        fields[index] = token
+        return b"%s\n%s %s\n%s\n" % (magic, *fields) + payload
+    return raw + arg
+
+
+@pytest.fixture(scope="module")
+def netpbm_root(tmp_path_factory):
+    return tmp_path_factory.mktemp("netpbm")
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    st.sampled_from([255, 65535]),
+    st.sampled_from([
+        ("infer", "photo.ppm"),
+        ("eval", "pred.pgm"), ("eval", "gold.pgm"), ("eval", "photo.ppm"), ("eval", "mask.pgm"),
+        ("overlay", "pred.pgm"), ("overlay", "gold.pgm"), ("overlay", "mask.pgm"),
+    ]),
+    _mutations(),
+)
+def test_mutated_netpbm_inputs_end_in_exit_0_or_2(trained_run, netpbm_root, maxval, case, mutation):
+    command, target = case
+    paths = _netpbm_files(netpbm_root, maxval)
+    paths[target].write_bytes(_mutated(paths[target].read_bytes(), *mutation))
+    out = netpbm_root / "out"
+    out.mkdir(exist_ok=True)
+    if command == "infer":
+        argv = ["infer", "--checkpoint", str(trained_run[0] / "best.ckpt"),
+                "--image", str(paths["photo.ppm"]), "--out", str(out / "p.pgm")]
+    elif command == "eval":
+        fov = ["--mask-dir", str(paths["mask.pgm"].parent)] if target == "mask.pgm" else \
+              ["--image-dir", str(paths["photo.ppm"].parent)]
+        argv = ["eval", "--pred-dir", str(paths["pred.pgm"].parent),
+                "--gold-dir", str(paths["gold.pgm"].parent), *fov, "--out", str(out)]
+    else:
+        argv = ["overlay", "--pred", str(paths["pred.pgm"]), "--gold", str(paths["gold.pgm"]),
+                "--mask", str(paths["mask.pgm"]), "--out", str(out / "o.ppm")]
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        rc = cli.main(argv)
+    event(f"{command} exit {rc}")
+    assert rc in (cli.EXIT_OK, cli.EXIT_DATA), stderr.getvalue()
+    if rc == cli.EXIT_DATA:
+        assert stderr.getvalue().startswith("data error: "), stderr.getvalue()
+
+
+# ---------------------------------------------------------------------------
 # program entry
+
 
 BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
 SRC = Path(cli.__file__).resolve().parents[1]

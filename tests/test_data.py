@@ -54,6 +54,32 @@ def test_load_bad_magic_and_maxval(tmp_path):
         data.load_image(p)
 
 
+@pytest.mark.parametrize(
+    "header, field, offset",
+    [
+        (b"P5\n1_0 2\n255\n", "width b'1_0'", 3),
+        (b"P5\n2 +4\n255\n", "height b'+4'", 5),
+        (b"P5\n2 2\n-0\n", "maxval b'-0'", 7),
+    ],
+    ids=["underscore-width", "plus-height", "minus-zero-maxval"],
+)
+def test_header_fields_must_be_ascii_digits(tmp_path, header, field, offset):
+    # int() takes each of these, as 10, 4 and 0
+    p = tmp_path / "h.pgm"
+    p.write_bytes(header + bytes(40))
+    with pytest.raises(data.PixmapError) as e:
+        data.load_image(p)
+    assert str(e.value).endswith(f"{field} at offset {offset} is not a decimal number")
+
+
+def test_header_field_too_long_for_int_is_pixmap_error(tmp_path):
+    # int() refuses more than 4300 digits with a ValueError on current Pythons
+    p = tmp_path / "h.pgm"
+    p.write_bytes(b"P5\n" + b"9" * 5000 + b" 2\n255\n" + bytes(4))
+    with pytest.raises(data.PixmapError):
+        data.load_image(p)
+
+
 def test_roundtrip_8bit_and_16bit(tmp_path):
     rng = np.random.default_rng(0)
     img8 = Image(pixels=rng.integers(0, 256, (5, 7, 3)).astype(np.uint8), maxval=255)

@@ -1,3 +1,4 @@
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -42,7 +43,7 @@ def test_generator_parameter_count_hand_tally():
         + conv_n(1, 4, 1)
     )
     g = models.build_generator(GeneratorSpec(scales=1, base_channels=4), seed=0)
-    assert g.parameter_count() == expected
+    assert sum(p.data.size for p in g.params.values()) == expected
 
 
 def test_generator_build_deterministic():
@@ -106,7 +107,7 @@ def generator_forward_oracle(model, x):
     ``relu``, and ``concat_channels`` after a ``transposed_conv2d`` without
     ``skip``."""
     spec = model.spec
-    pad = spec.kernel_size // 2
+    pad = models.KERNEL_SIZE // 2
 
     def conv(name, t, padding=pad):
         return ag.conv2d(t, model.params[f"{name}_w"], model.params[f"{name}_b"], 1, padding)
@@ -144,10 +145,13 @@ def discriminator_forward_oracle(model, x, y):
 
 @pytest.mark.parametrize("shape", [(1, 3, 64, 64), (2, 3, 32, 32)])
 @pytest.mark.parametrize("kernel_size", [3, 5])
-def test_generator_bit_equal_to_standalone_ops(shape, kernel_size):
+def test_generator_bit_equal_to_standalone_ops(shape, kernel_size, monkeypatch):
     # fused activations, bordered buffers and the in-place skip concat give
-    # the same output and the same grad of every parameter, bit for bit
-    g = models.build_generator(GeneratorSpec(scales=2, base_channels=8, kernel_size=kernel_size), seed=6)
+    # the same output and the same grad of every parameter, bit for bit; at
+    # 5x5 too, so that the layout and the forward both follow KERNEL_SIZE
+    monkeypatch.setattr(models, "KERNEL_SIZE", kernel_size)
+    g = models.build_generator(GeneratorSpec(scales=2, base_channels=8), seed=6)
+    assert g.params["enc0_conv1_w"].data.shape[2:] == (kernel_size, kernel_size)
     x = rand_input(shape, seed=7)
     w = np.random.default_rng(8).uniform(-1, 1, (shape[0], 1) + shape[2:]).astype(np.float32)
     runs = []
@@ -205,7 +209,12 @@ def test_generator_spec_validation():
     with pytest.raises(ValueError):
         GeneratorSpec(scales=0)
     with pytest.raises(ValueError):
-        GeneratorSpec(kernel_size=4)
+        GeneratorSpec(base_channels=0)
+
+
+def test_specs_hold_only_what_the_layouts_read():
+    assert [f.name for f in dataclasses.fields(GeneratorSpec)] == ["scales", "base_channels"]
+    assert [f.name for f in dataclasses.fields(models.DiscriminatorSpec)] == ["variant", "channels"]
 
 
 # ---------------------------------------------------------------------------

@@ -343,7 +343,6 @@ def assert_same_checkpoint(loaded, saved):
 
 def test_checkpoint_roundtrip_bit_exact(tmp_path):
     ckpt, samples = make_checkpoint()
-    assert ckpt.disc_spec is not None
     # a mean of two float32 losses that float32 cannot hold, so a float32 store would lose it
     assert float(np.float32(ckpt.val_g_loss)) != ckpt.val_g_loss
     path = tmp_path / "m.ckpt"
@@ -351,12 +350,14 @@ def test_checkpoint_roundtrip_bit_exact(tmp_path):
     loaded = training.load_checkpoint(path)
     assert_same_checkpoint(loaded, ckpt)
 
-    # magic, version, metadata and float32 parameters: no optimizer state
+    # magic, version, metadata and the generator's float32 parameters: no
+    # discriminator and no optimizer state
     raw = path.read_bytes()
     (meta_len,) = struct.unpack_from("<I", raw, training._HEAD)
     meta = json.loads(raw[training._HEAD + 4 : training._HEAD + 4 + meta_len])
-    assert sorted(meta) == ["disc_spec", "fingerprint", "gen_spec", "round", "val_g_loss"]
-    n_params = sum(v.size for v in [*ckpt.gen_params.values(), *ckpt.disc_params.values()])
+    assert sorted(meta) == ["gen_spec", "round", "val_g_loss"]
+    assert meta["gen_spec"] == [ckpt.gen_spec.scales, ckpt.gen_spec.base_channels]
+    n_params = sum(v.size for v in ckpt.gen_params.values())
     assert len(raw) == training._HEAD + 4 + meta_len + 4 * n_params + training._DIGEST
 
     g1, _ = training.rebuild_models(ckpt)
@@ -371,9 +372,7 @@ def test_checkpoint_roundtrip_without_discriminator(tmp_path):
     ckpt, _ = make_checkpoint(with_disc=False)
     path = tmp_path / "m.ckpt"
     training.save_checkpoint(ckpt, path)
-    loaded = training.load_checkpoint(path)
-    assert loaded.disc_spec is None and loaded.disc_params is None
-    assert_same_checkpoint(loaded, ckpt)
+    assert_same_checkpoint(training.load_checkpoint(path), ckpt)
 
 
 def test_checkpoint_bad_magic(tmp_path):
@@ -451,6 +450,17 @@ def test_checkpoint_v2_refused(tmp_path):
         training.load_checkpoint(path)
 
 
+def test_checkpoint_v3_refused(tmp_path):
+    # v3 also stored a config fingerprint and the discriminator's spec and weights
+    ckpt, _ = make_checkpoint()
+    path, raw = saved_bytes(ckpt, tmp_path)
+    v3 = with_meta(raw, lambda meta: meta.update(fingerprint="0" * 64, disc_spec=None))
+    body = training.MAGIC + struct.pack("<H", 3) + body_of(v3)[training._HEAD :]
+    path.write_bytes(with_digest(body))
+    with pytest.raises(training.CheckpointError, match="version 3 at offset 8"):
+        training.load_checkpoint(path)
+
+
 def test_checkpoint_payload_length_must_match(tmp_path):
     ckpt, _ = make_checkpoint()
     path, raw = saved_bytes(ckpt, tmp_path)
@@ -460,11 +470,11 @@ def test_checkpoint_payload_length_must_match(tmp_path):
     with pytest.raises(training.CheckpointError, match=f"12 bytes left over .* at offset {end}$"):
         training.load_checkpoint(path)
     # a payload that stops short is refused at the parameter it cuts off
-    last = list(models.param_shapes(models.discriminator_layout(ckpt.disc_spec)))[-1][0]
+    last = list(models.param_shapes(models.generator_layout(ckpt.gen_spec)))[-1][0]
     path.write_bytes(with_digest(body_of(raw)[:-2]))
     with pytest.raises(training.CheckpointError) as e:
         training.load_checkpoint(path)
-    want = f"wanted 4 bytes for discriminator parameter {last} at offset {end - 4}, 2 left"
+    want = f"wanted 4 bytes for generator parameter {last} at offset {end - 4}, 2 left"
     assert want in str(e.value)
 
 
@@ -492,16 +502,17 @@ def _set(key, value, index=None):
 @pytest.mark.parametrize(
     "edit, message",
     [
-        pytest.param(_set("gen_spec", "8", 2), r"gen_spec\[2\] has the wrong", id="str-entry"),
+        pytest.param(_set("gen_spec", "8", 1), r"gen_spec\[1\] has the wrong", id="str-entry"),
         pytest.param(_set("gen_spec", True, 0), r"gen_spec\[0\] has the wrong", id="bool-entry"),
-        pytest.param(_set("gen_spec", [3, 2, 4]), "gen_spec has the wrong type", id="short-spec"),
+        pytest.param(_set("gen_spec", [2]), "gen_spec has the wrong type", id="short-spec"),
+        pytest.param(_set("gen_spec", [3, 2, 8, 3]), "gen_spec has the wrong type", id="v3-spec"),
         pytest.param(_set("round", 1.0), "round has the wrong type: 1.0", id="float-round"),
         pytest.param(_set("val_g_loss", 1), "val_g_loss has the wrong type: 1", id="int-loss"),
-        pytest.param(_set("fingerprint", None), "fingerprint has the wrong type", id="null-print"),
-        pytest.param(_set("disc_spec", "global", 0), "unknown discriminator kind", id="kind"),
-        pytest.param(_set("disc_spec", 0, 2), "width 0", id="zero-width"),
-        pytest.param(_set("disc_spec", {}), "disc_spec has the wrong type", id="object-spec"),
+        pytest.param(_set("gen_spec", 0, 1), "describes no model: .*base_channels=0", id="zero-width"),
+        pytest.param(_set("gen_spec", 0, 0), "describes no model: .*scales=0", id="zero-scales"),
+        pytest.param(_set("gen_spec", {}), "gen_spec has the wrong type", id="object-spec"),
         pytest.param(_set("opt_g", [1.0]), "exactly the keys", id="extra-key"),
+        pytest.param(_set("disc_spec", None), "exactly the keys", id="disc-spec-key"),
         pytest.param(lambda meta: meta.pop("round"), "exactly the keys", id="missing-key"),
     ],
 )
@@ -528,7 +539,7 @@ def test_checkpoint_digest_mismatch_refused(tmp_path):
 @pytest.mark.parametrize("fault", ["missing", "extra", "shape", "dtype"])
 def test_rebuild_refuses_parameters_unlike_the_spec(fault, tmp_path):
     ckpt, _ = make_checkpoint()
-    params = ckpt.disc_params if fault == "extra" else ckpt.gen_params
+    params = ckpt.gen_params
     if fault == "missing":
         del params["head_w"]
     elif fault == "extra":
