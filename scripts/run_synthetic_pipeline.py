@@ -44,14 +44,9 @@ def main():
         fundus, gold, mask = data.generate_synthetic_raw(args.image_size, 990_000 + i)
         stem = f"test{i}"
         data.write_image(fundus, eval_dirs["fundus"] / f"{stem}.ppm")
-        data.write_image(
-            Image(pixels=(gold[:, :, None] * 255).astype(np.uint8), maxval=255),
-            eval_dirs["gold"] / f"{stem}.pgm",
-        )
-        data.write_image(
-            Image(pixels=(mask[:, :, None] * 255).astype(np.uint8), maxval=255),
-            eval_dirs["mask"] / f"{stem}.pgm",
-        )
+        for name, binary in (("gold", gold), ("mask", mask)):
+            pixels = (binary[:, :, None] * 255).astype(np.uint8)
+            data.write_image(Image(pixels=pixels, maxval=255), eval_dirs[name] / f"{stem}.pgm")
         rc = cli.main([
             "infer",
             "--checkpoint", str(run_dir / "best.ckpt"),

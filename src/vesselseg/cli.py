@@ -9,6 +9,7 @@ is reproducible from config.resolved alone.  Exit codes: 0 success,
 from __future__ import annotations
 
 import argparse
+import re
 import sys
 from contextlib import contextmanager
 from pathlib import Path
@@ -57,6 +58,11 @@ CONFIG_SCHEMA = {
 }
 
 
+# An int value matches -?[0-9]+ and a float value is ASCII without "_": int() and
+# float() alone also take "1_0", "+3" and non-ASCII digits such as "٣".
+_VALUE_FORMS = {int: r"-?[0-9]+", float: r"[^_\x80-\U0010ffff]*", str: r".*"}
+
+
 def parse_config_text(text, source="<config>"):
     """Parse key=value lines onto the defaults; collect every bad line."""
     cfg = {k: default for k, (_, default) in CONFIG_SCHEMA.items()}
@@ -82,6 +88,8 @@ def parse_config_text(text, source="<config>"):
             cfg[key] = value
         else:
             try:
+                if not re.fullmatch(_VALUE_FORMS[kind], value):
+                    raise ValueError(value)
                 cfg[key] = kind(value)
             except ValueError:
                 errors.append(f"{source}:{lineno}: {key} expects {kind.__name__}, got {value!r}")
@@ -111,12 +119,8 @@ def config_lines(cfg):
     return [f"{k}={cfg[k]}" for k in CONFIG_SCHEMA]
 
 
-def write_resolved(cfg, out_dir):
-    (Path(out_dir) / "config.resolved").write_text("\n".join(config_lines(cfg)) + "\n")
-
-
-def _check_fov_threshold(value, name):
-    """A FOV luminance threshold is a fraction of maxval: finite and in [0, 1]."""
+def _check_fraction(value, name):
+    """A FOV luminance threshold (a fraction of maxval) or a test share: finite and in [0, 1]."""
     if not 0.0 <= value <= 1.0:  # false for NaN too
         raise ConfigError(f"{name} {value} outside [0, 1]")
 
@@ -191,7 +195,8 @@ def _history_lines(history):
 def cmd_train(args):
     cfg = resolve_config(args.config, args.seed)
     # derive everything from the config before the output directory exists
-    _check_fov_threshold(cfg["fov_threshold"], "fov_threshold")
+    for key in ("fov_threshold", "test_fraction"):
+        _check_fraction(cfg[key], key)
     train_cfg = train_config(cfg)
     with _config_keys(cfg, "scales", "base_channels"):
         gen_spec = GeneratorSpec(scales=cfg["scales"], base_channels=cfg["base_channels"])
@@ -214,7 +219,7 @@ def cmd_train(args):
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    write_resolved(cfg, out)
+    (out / "config.resolved").write_text("\n".join(config_lines(cfg)) + "\n")
     result = training.fit(g, d, train, val, train_cfg)
     training.save_checkpoint(result.checkpoint, out / "best.ckpt")
     (out / "history.csv").write_text("\n".join(_history_lines(result.history)) + "\n")
@@ -247,10 +252,7 @@ def probability_map(g, x_chw):
 def cmd_infer(args):
     ckpt = training.load_checkpoint(args.checkpoint)
     g, _ = training.rebuild_models(ckpt)
-    img = data.load_image(args.image)
-    if img.channels != 3:
-        raise DataError(f"{args.image}: inference needs a 3-channel P6 fundus image")
-    x = data.zscore_normalize(img).transpose(2, 0, 1)
+    x = data.zscore_normalize(data.load_photo(args.image)).transpose(2, 0, 1)
     probs = probability_map(g, x)
     quantized = np.round(probs * 65535.0).astype(np.uint16)
     data.write_image(Image(pixels=quantized[:, :, None], maxval=65535), args.out)
@@ -277,40 +279,16 @@ def _load_prob(path):
     return levels.astype(np.uint16) * np.uint16(65535 // img.maxval)
 
 
-def _load_binary(path):
-    img = data.load_image(path)
-    if img.channels != 1:
-        raise DataError(f"{path}: expected 1-channel P5")
-    return data.binarize(img)
-
-
-def _fov_mask(path, threshold):
-    fundus = data.load_image(path)
-    if fundus.channels != 3:
-        raise DataError(f"{path}: FOV detection needs a 3-channel P6 fundus image")
-    try:
-        return data.generate_fov_mask(fundus, threshold)
-    except DataError as exc:
-        raise DataError(f"{path}: {exc}") from exc
-
-
-def _stem_map(directory, suffixes=(".pgm",)):
-    d = Path(directory)
-    if not d.is_dir():
-        raise DataError(f"{directory} is not a readable directory")
-    return {p.stem: p for p in sorted(d.iterdir()) if p.suffix in suffixes}
-
-
 def _eval_pixels(stem, preds, golds, masks, images, args, notes):
     """``metrics.fov_pixels`` of one image; its full-size maps are freed on return."""
     probs = _load_prob(preds[stem])
-    gold = _load_binary(golds[stem])
+    gold = data.load_binary(golds[stem])
     if probs.shape != gold.shape:
         raise DataError(f"{stem}: prediction {probs.shape} and gold {gold.shape} differ")
     if stem in masks:
-        mask = _load_binary(masks[stem])
+        mask = data.load_binary(masks[stem])
     elif stem in images:
-        mask = _fov_mask(images[stem], args.fov_threshold)
+        mask = data.detect_fov(data.load_photo(images[stem]), images[stem], args.fov_threshold)
         notes.append(f"{stem}: FOV mask synthesized from {images[stem]}")
     else:
         mask = np.ones_like(gold)
@@ -323,9 +301,9 @@ def _eval_pixels(stem, preds, golds, masks, images, args, notes):
 
 
 def cmd_eval(args):
-    _check_fov_threshold(args.fov_threshold, "--fov-threshold")
-    preds = _stem_map(args.pred_dir)
-    golds = _stem_map(args.gold_dir)
+    _check_fraction(args.fov_threshold, "--fov-threshold")
+    preds = data.stem_paths(args.pred_dir, ".pgm")
+    golds = data.stem_paths(args.gold_dir, ".pgm")
     if not preds:
         raise DataError(f"no .pgm probability maps under {args.pred_dir}")
     mismatched = sorted(set(preds) ^ set(golds))
@@ -333,12 +311,12 @@ def cmd_eval(args):
         raise DataError(
             "unmatched basenames between pred and gold directories: " + ", ".join(mismatched)
         )
-    masks = _stem_map(args.mask_dir) if args.mask_dir else {}
+    masks = data.stem_paths(args.mask_dir, ".pgm") if args.mask_dir else {}
     if args.mask_dir:
         missing = sorted(set(preds) - set(masks))
         if missing:
             raise DataError("mask directory lacks masks for: " + ", ".join(missing))
-    images = _stem_map(args.image_dir, suffixes=(".ppm",)) if args.image_dir else {}
+    images = data.stem_paths(args.image_dir, ".ppm") if args.image_dir else {}
 
     notes, parts, ids = [], [], []
     for stem in sorted(preds):
@@ -373,15 +351,11 @@ def cmd_eval(args):
 
 def cmd_overlay(args):
     probs = _load_prob(args.pred)
-    gold = _load_binary(args.gold)
-    if gold.shape != probs.shape:
-        raise DataError(f"{args.gold}: gold {gold.shape} and prediction {probs.shape} differ")
-    if args.mask:
-        mask = _load_binary(args.mask)
-        if mask.shape != probs.shape:
-            raise DataError(f"{args.mask}: mask {mask.shape} and prediction {probs.shape} differ")
-    else:
-        mask = np.ones_like(gold)
+    gold = data.load_binary(args.gold)
+    mask = data.load_binary(args.mask) if args.mask else np.ones_like(gold)
+    for path, role, arr in ((args.gold, "gold", gold), (args.mask, "mask", mask)):
+        if arr.shape != probs.shape:
+            raise DataError(f"{path}: {role} {arr.shape} and prediction {probs.shape} differ")
     if args.threshold == "otsu":
         if not mask.any():
             raise DataError(f"{args.mask}: empty FOV mask, no pixel to pick an Otsu threshold from")

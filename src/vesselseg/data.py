@@ -339,46 +339,65 @@ def pad_sample(sample: Sample, multiple) -> Sample:
 # directory loading: <root>/images/*.ppm, <root>/labels/*.pgm, [masks/*.pgm]
 
 
-def binarize(img: Image) -> np.ndarray:
-    """First channel as {0,1}: 1 where the value is at least half of maxval."""
+def stem_paths(directory, suffix):
+    """``{stem: path}`` of the files in directory with this suffix, in name order."""
+    d = Path(directory)
+    if not d.is_dir():
+        raise DataError(f"{directory} is not a readable directory")
+    return {p.stem: p for p in sorted(d.iterdir()) if p.suffix == suffix}
+
+
+def load_photo(path) -> Image:
+    """A fundus photo: a 3-channel P6 image."""
+    img = load_image(path)
+    if img.channels != 3:
+        raise DataError(f"{path}: fundus images must be 3-channel P6")
+    return img
+
+
+def load_binary(path) -> np.ndarray:
+    """A label or FOV mask: a 1-channel P5 image as a {0,1} map, 1 where the value is at
+    least half of maxval."""
+    img = load_image(path)
+    if img.channels != 1:
+        raise DataError(f"{path}: expected 1-channel P5")
     return (img.pixels[:, :, 0] >= (img.maxval + 1) // 2).astype(np.uint8)
+
+
+def detect_fov(photo: Image, path, threshold) -> np.ndarray:
+    """``generate_fov_mask`` of the photo read from path; a failure names the file."""
+    try:
+        return generate_fov_mask(photo, threshold)
+    except DataError as exc:
+        raise DataError(f"{path}: {exc}") from exc
 
 
 def load_dataset(root, fov_threshold=DEFAULT_FOV_THRESHOLD):
     """Load samples matched by basename stem across images/labels[/masks]."""
     root = Path(root)
-    img_dir, lbl_dir, mask_dir = root / "images", root / "labels", root / "masks"
-    if not img_dir.is_dir() or not lbl_dir.is_dir():
-        raise DataError(f"dataset root {root} needs images/ and labels/ directories")
-    images = {p.stem: p for p in sorted(img_dir.glob("*.ppm"))}
-    labels = {p.stem: p for p in sorted(lbl_dir.glob("*.pgm"))}
+    img_dir, mask_dir = root / "images", root / "masks"
+    images = stem_paths(img_dir, ".ppm")
+    labels = stem_paths(root / "labels", ".pgm")
     if not images:
         raise DataError(f"no .ppm files under {img_dir}")
     missing = sorted(set(images) ^ set(labels))
     if missing:
         raise DataError(f"unmatched basenames between images/ and labels/: {missing}")
-    masks = {p.stem: p for p in sorted(mask_dir.glob("*.pgm"))} if mask_dir.is_dir() else {}
+    masks = stem_paths(mask_dir, ".pgm") if mask_dir.is_dir() else {}
 
     samples = []
     for stem in sorted(images):
-        img = load_image(images[stem])
-        if img.channels != 3:
-            raise DataError(f"{images[stem]}: fundus images must be 3-channel P6")
-        lbl = load_image(labels[stem])
-        if lbl.pixels.shape[:2] != img.pixels.shape[:2]:
-            raise DataError(f"{stem}: label size differs from image size")
+        img = load_photo(images[stem])
+        y = load_binary(labels[stem])
         if stem in masks:
-            mimg = load_image(masks[stem])
-            if mimg.pixels.shape[:2] != img.pixels.shape[:2]:
-                raise DataError(f"{stem}: mask size differs from image size")
-            m = binarize(mimg)
+            m = load_binary(masks[stem])
         else:
-            try:
-                m = generate_fov_mask(img, fov_threshold)
-            except DataError as exc:
-                raise DataError(f"{images[stem]}: {exc}") from exc
+            m = detect_fov(img, images[stem], fov_threshold)
+        for role, arr in (("label", y), ("mask", m)):
+            if arr.shape != img.pixels.shape[:2]:
+                raise DataError(f"{stem}: {role} size differs from image size")
         x = zscore_normalize(img).transpose(2, 0, 1)
-        samples.append(Sample(id=stem, x=x, y=binarize(lbl), m=m))
+        samples.append(Sample(id=stem, x=x, y=y, m=m))
     return samples
 
 

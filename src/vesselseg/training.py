@@ -84,18 +84,14 @@ def g_gan_loss(d_fake):
 
 
 def seg_loss(pred, gold):
-    """Pixel binary cross entropy against a {0,1} gold map."""
-    gold_vals = gold.data if isinstance(gold, Tensor) else np.asarray(gold)
-    if not np.all((gold_vals == 0) | (gold_vals == 1)):
+    """Pixel binary cross entropy against a {0,1} gold map Tensor."""
+    if not np.all((gold.data == 0) | (gold.data == 1)):
         raise ValueError("gold standard must contain only 0/1 values")
-    if pred.data.shape != gold_vals.shape:
-        raise ValueError(
-            f"prediction shape {pred.data.shape} does not match gold {gold_vals.shape}"
-        )
-    gold_t = gold if isinstance(gold, Tensor) else Tensor(gold_vals)
+    if pred.shape != gold.shape:
+        raise ValueError(f"prediction shape {pred.shape} does not match gold {gold.shape}")
     p = _clamped(pred)
-    pos = ag.mul(gold_t, ag.log(p))
-    negt = ag.mul(ag.rsub(gold_t, 1.0), ag.log(_clamped(ag.rsub(pred, 1.0))))
+    pos = ag.mul(gold, ag.log(p))
+    negt = ag.mul(ag.rsub(gold, 1.0), ag.log(_clamped(ag.rsub(pred, 1.0))))
     return ag.neg(ag.global_mean(ag.add(pos, negt)))
 
 
@@ -135,6 +131,16 @@ class RoundStats:
     val_g_loss: float = float("nan")
 
 
+def _g_losses(g, d, x, y, cfg):
+    """(seg, gan, total) generator losses of one batch; gan is None without a discriminator."""
+    pred = mdl.generator_forward(g, x)
+    seg = seg_loss(pred, y)
+    if d is None:
+        return seg, None, seg
+    gan = g_gan_loss(mdl.discriminator_forward(d, x, pred))
+    return seg, gan, g_total_loss(gan, seg, cfg.lambda_)
+
+
 def _check_finite(value, round_index, batch_index, phase):
     if not np.isfinite(value):
         raise NumericalError(
@@ -142,18 +148,14 @@ def _check_finite(value, round_index, batch_index, phase):
         )
 
 
-def train_round(g, d, train_set, cfg, round_index=1, opt_g=None, opt_d=None):
+def train_round(g, d, train_set, cfg, round_index, opt_g, opt_d):
     """One discriminator epoch then one generator epoch over train_set.
 
-    Pass persistent optimizers to keep Adam state across rounds; the batch
-    order is a seeded shuffle derived from (cfg.seed, round_index).
+    opt_g and opt_d (None when d is) keep their Adam state across rounds; the
+    batch order is a seeded shuffle derived from (cfg.seed, round_index).
     """
     if not train_set:
         raise ValueError("train_round: empty training set")
-    if opt_g is None:
-        opt_g = Adam(g.parameters(), cfg.lr, cfg.beta1, cfg.beta2)
-    if opt_d is None and d is not None:
-        opt_d = Adam(d.parameters(), cfg.lr, cfg.beta1, cfg.beta2)
     order = np.random.default_rng([cfg.seed, round_index]).permutation(len(train_set))
 
     stats = RoundStats(round_index)
@@ -173,14 +175,9 @@ def train_round(g, d, train_set, cfg, round_index=1, opt_g=None, opt_d=None):
     gan_losses, seg_losses = [], []
     with ag.frozen(d.params.values() if d is not None else ()):
         for bi, (x, y) in enumerate(_batches(train_set, order, cfg.batch_size)):
-            pred = mdl.generator_forward(g, x)
-            seg = seg_loss(pred, y)
-            if d is not None:
-                gan = g_gan_loss(mdl.discriminator_forward(d, x, pred))
-                total = g_total_loss(gan, seg, cfg.lambda_)
+            seg, gan, total = _g_losses(g, d, x, y, cfg)
+            if gan is not None:
                 gan_losses.append(float(gan.data))
-            else:
-                total = seg
             _check_finite(float(total.data), round_index, bi, "generator")
             opt_g.zero_grad()
             ag.backward(total)
@@ -197,13 +194,7 @@ def validation_loss(g, d, val_set, cfg):
     totals = []
     with ag.no_grad():
         for x, y in _batches(val_set, list(range(len(val_set))), cfg.batch_size):
-            pred = mdl.generator_forward(g, x)
-            seg = seg_loss(pred, y)
-            if d is not None:
-                gan = g_gan_loss(mdl.discriminator_forward(d, x, pred))
-                totals.append(float(g_total_loss(gan, seg, cfg.lambda_).data))
-            else:
-                totals.append(float(seg.data))
+            totals.append(float(_g_losses(g, d, x, y, cfg)[2].data))
     return float(np.mean(totals))
 
 
@@ -243,6 +234,11 @@ def _snapshot(g, round_index, val_loss):
     return Checkpoint(round_index, g.spec, params, val_loss)
 
 
+def _adam(model, what, cfg):
+    """Adam over model's parameters named ``what.name``, so that an error says which model."""
+    return Adam([(f"{what}.{k}", p) for k, p in model.parameters()], cfg.lr, cfg.beta1, cfg.beta2)
+
+
 def fit(g, d, train, val, cfg, val_loss_fn=None, progress=None):
     """Run cfg.rounds alternating rounds; keep the best-validation checkpoint.
 
@@ -253,15 +249,19 @@ def fit(g, d, train, val, cfg, val_loss_fn=None, progress=None):
     """
     if not val:
         raise ValueError("empty validation split")
-    opt_g = Adam(g.parameters(), cfg.lr, cfg.beta1, cfg.beta2)
-    opt_d = Adam(d.parameters(), cfg.lr, cfg.beta1, cfg.beta2) if d is not None else None
+    opt_g = _adam(g, "generator", cfg)
+    opt_d = _adam(d, "discriminator", cfg) if d is not None else None
     evaluate = val_loss_fn if val_loss_fn is not None else validation_loss
 
     history = []
     best = None
     for r in range(1, cfg.rounds + 1):
-        stats = train_round(g, d, train, cfg, round_index=r, opt_g=opt_g, opt_d=opt_d)
-        stats.val_g_loss = float(evaluate(g, d, val, cfg))
+        try:  # an overflow anywhere in a round, say from a huge lambda or lr, ends the run
+            with np.errstate(over="raise", invalid="raise"):
+                stats = train_round(g, d, train, cfg, round_index=r, opt_g=opt_g, opt_d=opt_d)
+                stats.val_g_loss = float(evaluate(g, d, val, cfg))
+        except FloatingPointError as exc:
+            raise NumericalError(f"round {r}: {exc}") from None
         history.append(stats)
         if best is None or stats.val_g_loss < best.val_g_loss:
             best = _snapshot(g, r, stats.val_g_loss)

@@ -6,12 +6,13 @@ import runpy
 import struct
 import subprocess
 import sys
+import tempfile
 import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, event, given, settings
+from hypothesis import HealthCheck, event, example, given, settings
 from hypothesis import strategies as st
 
 from vesselseg import cli, data, metrics, models, training
@@ -103,6 +104,40 @@ def test_unsplittable_dataset_is_data_exit(capsys, tmp_path, dataset, fraction):
     assert not out.exists()
 
 
+def _write_p6(path, size=16):
+    """A 3-channel P6 image under a .pgm name, where a label or mask belongs."""
+    px = np.zeros((size, size, 3), np.uint8)
+    px[::2] = 255  # vessels in the red channel, which a red-channel read would take
+    data.write_image(Image(pixels=px, maxval=255), path)
+
+
+@pytest.mark.parametrize("role", ["labels", "masks"])
+def test_train_refuses_three_channel_label_or_mask(capsys, tmp_path, role):
+    root = _dataset(tmp_path / "ds")
+    (root / "masks").mkdir()
+    bad = root / role / "im1.pgm"
+    _write_p6(bad)
+    cfg = write_cfg(tmp_path / "c.cfg", dataset="custom", data_dir=str(root))
+    out = tmp_path / "o"
+    assert run(["train", "--config", str(cfg), "--out", str(out)]) == cli.EXIT_DATA
+    assert capsys.readouterr().err == f"data error: {bad}: expected 1-channel P5\n"
+    assert not out.exists()
+
+
+def test_train_and_eval_refuse_a_label_with_one_message(capsys, tmp_path):
+    root = _dataset(tmp_path / "ds")
+    _write_p6(root / "labels" / "im0.pgm")
+    with pytest.raises(data.DataError) as refused:
+        data.load_dataset(root)
+    pred = tmp_path / "pred"
+    pred.mkdir()
+    for stem in ("im0", "im1", "im2"):
+        data.write_image(Image(np.full((16, 16, 1), 128, np.uint8), 255), pred / f"{stem}.pgm")
+    argv = ["eval", "--pred-dir", str(pred), "--gold-dir", str(root / "labels")]
+    assert run([*argv, "--out", str(tmp_path / "o")]) == cli.EXIT_DATA
+    assert capsys.readouterr().err == f"data error: {refused.value}\n"
+
+
 def test_usage_error_is_config_exit():
     assert run(["train"]) == cli.EXIT_CONFIG
 
@@ -126,6 +161,12 @@ def test_usage_error_is_config_exit():
         ("fov_threshold", -0.5),
         ("fov_threshold", "nan"),
         ("fov_threshold", 1.5),
+        ("test_fraction", -0.5),
+        ("test_fraction", "inf"),
+        ("rounds", "1_0"),
+        ("seed", "+3"),
+        ("base_channels", "\u0663"),  # ARABIC-INDIC DIGIT THREE, which int() reads as 3
+        ("lambda", "1_0.5"),
     ],
 )
 def test_bad_config_value_is_located_config_exit(capsys, tmp_path, key, value):
@@ -134,6 +175,49 @@ def test_bad_config_value_is_located_config_exit(capsys, tmp_path, key, value):
     assert run(["train", "--config", str(cfg), "--out", str(out)]) == cli.EXIT_CONFIG
     assert key in capsys.readouterr().err
     assert not out.exists()  # refused before anything is written
+
+
+_INT_KEYS = sorted(k for k, (kind, _) in cli.CONFIG_SCHEMA.items() if kind is int)
+_FLOAT_KEYS = sorted(k for k, (kind, _) in cli.CONFIG_SCHEMA.items() if kind is float)
+# only numerals that parsing refuses: an accepted size or round count could allocate or loop
+_REFUSED_INTS = st.one_of(
+    st.integers(0, 99).map(lambda n: f"{n}_0"),
+    st.integers(0, 99).map(lambda n: f"+{n}"),
+    st.text("\u0660\u0663\u0969\uff13", min_size=1, max_size=3),  # non-ASCII decimal digits
+    st.just(""),
+    st.just("9" * 5000),
+)
+_FLOATS = st.one_of(
+    st.floats().map(repr),  # extreme, subnormal, negative, nan and inf
+    st.sampled_from(["nan", "-nan", "inf", "-inf", "1e39", "-1e-320", "3.4028236e38"]),
+    st.integers(0, 99).map(lambda n: f"{n}_0.5"),
+    st.text("\u0660\u0663\uff11.", min_size=1, max_size=4),  # float() reads these digits
+)
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@example([("lambda", "1e39")])  # overflows float32 where the loss is scaled
+@example([("lr", "1e38")])  # overflows a forward matmul after the first update
+@given(
+    st.lists(st.tuples(st.sampled_from(_FLOAT_KEYS), _FLOATS), min_size=1, max_size=2)
+    | st.lists(
+        st.tuples(st.sampled_from(_INT_KEYS), _REFUSED_INTS)
+        | st.tuples(st.sampled_from(_FLOAT_KEYS), _FLOATS),
+        min_size=1,
+        max_size=3,
+    )
+)
+def test_config_values_end_in_a_documented_exit(overrides):
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = write_cfg(Path(tmp) / "c.cfg", **{"image_size": 16, "rounds": 1, **dict(overrides)})
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            rc = cli.main(["train", "--config", str(cfg), "--out", str(Path(tmp) / "o")])
+    event(f"exit {rc}")
+    assert rc in (cli.EXIT_OK, cli.EXIT_CONFIG, cli.EXIT_DATA, cli.EXIT_NUMERICAL)
+    assert (stdout if rc == cli.EXIT_OK else stderr).getvalue().strip()
+    if any(k in _INT_KEYS for k, _ in overrides):
+        assert rc == cli.EXIT_CONFIG, stderr.getvalue()
 
 
 # ---------------------------------------------------------------------------
@@ -175,7 +259,7 @@ def test_overflowing_adam_step_is_numerical_exit(tmp_path, capsys):
     out = tmp_path / "o"
     assert run(["train", "--config", str(cfg), "--out", str(out)]) == cli.EXIT_NUMERICAL
     err = capsys.readouterr().err
-    assert "numerical failure: Adam step 1: parameter 'enc0_conv1_w' overflowed" in err
+    assert "numerical failure: Adam step 1: parameter 'generator.enc0_conv1_w' overflowed" in err
     assert not (out / "best.ckpt").exists()
 
 

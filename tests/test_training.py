@@ -254,13 +254,15 @@ def test_g_phase_backward_leaves_frozen_discriminator_grads():
 def test_train_round_unfreezes_discriminator():
     g, d, samples = tiny_setup(variant=DiscriminatorVariant.pixel())
     cfg = TrainConfig(seed=1)
-    training.train_round(g, d, samples, cfg)
+    opt_g = ag.Adam(g.parameters(), cfg.lr, cfg.beta1, cfg.beta2)
+    opt_d = ag.Adam(d.parameters(), cfg.lr, cfg.beta1, cfg.beta2)
+    training.train_round(g, d, samples, cfg, 1, opt_g, opt_d)
     assert all(p.requires_grad for p in d.params.values())
     # a NaN lambda passes the D phase and fails the G phase mid-loop; set after
     # construction because TrainConfig refuses it
     cfg.lambda_ = float("nan")
     with pytest.raises(ag.NumericalError, match="generator"):
-        training.train_round(g, d, samples, cfg)
+        training.train_round(g, d, samples, cfg, 1, opt_g, opt_d)
     assert all(p.requires_grad for p in d.params.values())
 
 
@@ -598,7 +600,10 @@ digest = hashlib.sha256()
 with ag.no_grad():
     digest.update(models.generator_forward(g, ag.Tensor(x[None])).data.tobytes())
 sample = Sample(id="s", x=x, y=y, m=np.ones_like(y))
-stats = training.train_round(g, d, [sample], training.TrainConfig(seed=74))
+cfg = training.TrainConfig(seed=74)
+opt_g = ag.Adam(g.parameters(), cfg.lr, cfg.beta1, cfg.beta2)
+opt_d = ag.Adam(d.parameters(), cfg.lr, cfg.beta1, cfg.beta2)
+stats = training.train_round(g, d, [sample], cfg, 1, opt_g, opt_d)
 digest.update(repr((stats.d_loss, stats.g_gan_loss, stats.seg_loss)).encode())
 for model in (g, d):
     for name, p in model.parameters():
