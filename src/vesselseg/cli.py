@@ -253,8 +253,12 @@ def cmd_infer(args):
     ckpt = training.load_checkpoint(args.checkpoint)
     g, _ = training.rebuild_models(ckpt)
     x = data.zscore_normalize(data.load_photo(args.image)).transpose(2, 0, 1)
-    probs = probability_map(g, x)
-    quantized = np.round(probs * 65535.0).astype(np.uint16)
+    try:  # weights that load but overflow float32 would otherwise quantize to a zero map
+        with np.errstate(over="raise", invalid="raise"):
+            probs = probability_map(g, x)
+            quantized = np.round(probs * 65535.0).astype(np.uint16)
+    except FloatingPointError as exc:
+        raise NumericalError(f"{args.checkpoint}: forward pass: {exc}") from None
     data.write_image(Image(pixels=quantized[:, :, None], maxval=65535), args.out)
     print(f"wrote {args.out}")
     return EXIT_OK

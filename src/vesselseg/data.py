@@ -213,8 +213,6 @@ def augment(sample: Sample) -> list[Sample]:
 
 DEFAULT_FOV_THRESHOLD = 20.0 / 255.0
 
-_CROSS = np.array([[0, 1, 0], [1, 1, 1], [0, 1, 0]], dtype=bool)
-
 
 def _bright_sums(maxval, threshold):
     """For each possible 3-channel sum, whether ``(sum / 3) / maxval``
@@ -231,40 +229,106 @@ def _bright_cut(maxval, threshold):
     return len(table) - int(np.count_nonzero(table))
 
 
+def _components(starts, stops, stride):
+    """Each run's 4-connected component, named by the component's first run.
+
+    Runs are half-open ``[start, stop)`` offsets into a row-major frame with
+    row stride ``stride``, sorted, none spanning two rows.  The runs that
+    touch a run from the row above are those that overlap it once moved
+    down a row: one slice ``[lo, hi)`` of the sorted runs.  Each run hooks
+    onto ``lo`` and keeps the rest of its slice as links.  Then, as in
+    Shiloach and Vishkin's hook-and-shortcut scheme, pointer jumping makes
+    every run point at its root, and each link between two roots hooks the
+    larger root onto the smaller, until no link joins two roots.  A hook
+    only ever points to an earlier run, so a root is its component's first
+    run in raster order: the order in which ``ndimage.label`` numbers them.
+    """
+    n = len(starts)
+    lo = np.searchsorted(stops, starts - stride, side="right")
+    hi = np.searchsorted(starts, stops - stride, side="left")
+    lab = np.where(hi > lo, lo, np.arange(n))
+    more = np.maximum(hi - lo - 1, 0)
+    below = np.repeat(np.arange(n), more)
+    above = np.arange(len(below)) + np.repeat(lo + 1 - (np.cumsum(more) - more), more)
+    while True:
+        while True:
+            up = lab[lab]
+            if np.array_equal(up, lab):
+                break
+            lab = up
+        ra, rb = lab[below], lab[above]
+        apart = ra != rb
+        if not apart.any():
+            return lab
+        below, above, ra, rb = below[apart], above[apart], ra[apart], rb[apart]
+        np.minimum.at(lab, np.maximum(ra, rb), np.minimum(ra, rb))
+
+
 def generate_fov_mask(fundus: Image, luminance_threshold=DEFAULT_FOV_THRESHOLD) -> np.ndarray:
     """Bright center blob of a fundus photo as a {0,1} mask.
 
     Mean-channel luminance ``(sum / 3) / maxval`` is thresholded; the
-    4-connected component under the center pixel wins (largest component if
-    the center is dark), then interior holes are filled.  A hole is a
-    4-connected component of everything outside the blob that does not touch
-    the frame border, as in ``ndimage.binary_fill_holes`` with the same
-    cross structure; one labeling of the outside finds them all.
-    """
-    # imported here: scipy costs ~0.2 s and ~20 MB, and only FOV detection needs it
-    from scipy import ndimage
+    4-connected component under the center pixel wins (the largest, first in
+    raster order on ties, if the center is dark), then interior holes are
+    filled: the result is ``ndimage.binary_fill_holes`` of that component
+    with the cross structure.
 
+    The frame is handled as runs of bright pixels along its rows.  Each row
+    gets a dark pixel on either side, so one pass over the flattened frame
+    finds every run; ``_components`` labels the runs.  The rows' gaps between
+    the blob's runs are labeled the same way; a gap component that reaches
+    the frame border is outside and every other one is a hole.  The mask is
+    painted from the outside runs' bounds in one ``np.repeat``.
+    """
     if fundus.channels != 3:
         raise ValueError(f"FOV detection needs a 3-channel image, got {fundus.channels}")
     px = fundus.pixels
+    h, w = fundus.height, fundus.width
+    stride = w + 2
     # explicit adds: .sum(axis=2) over the 3-long channel axis is about 8x slower
     acc = np.uint16 if px.dtype == np.uint8 else np.uint32  # 3 * 255 fits 16 bits
     sums = px[:, :, 0].astype(acc) + px[:, :, 1] + px[:, :, 2]
-    bright = sums >= _bright_cut(fundus.maxval, luminance_threshold)
-    if not bright.any():
+    bright = np.zeros((h, stride), dtype=bool)
+    np.greater_equal(sums, _bright_cut(fundus.maxval, luminance_threshold), out=bright[:, 1:-1])
+    flat = bright.ravel()
+    edges = np.flatnonzero(flat[1:] != flat[:-1]) + 1
+    if not len(edges):
         raise DataError("no blob found: no pixel reaches the luminance threshold")
-    labels, n = ndimage.label(bright, structure=_CROSS)
-    center = labels[fundus.height // 2, fundus.width // 2]
-    if center == 0:
-        sizes = ndimage.sum_labels(bright, labels, index=np.arange(1, n + 1))
-        center = int(np.argmax(sizes)) + 1
-    outside, n = ndimage.label(labels != center, structure=_CROSS)
-    # label 0 is the blob; a component reaching the frame border is not a hole
-    fill = np.ones(n + 1, dtype=np.uint8)
-    fill[outside[[0, -1]]] = 0
-    fill[outside[:, [0, -1]]] = 0
-    fill[0] = 1
-    return np.take(fill, outside)
+    starts, stops = edges[0::2], edges[1::2]
+    lab = _components(starts, stops, stride)
+
+    center = (h // 2) * stride + w // 2 + 1
+    at = np.searchsorted(starts, center, side="right") - 1
+    if at >= 0 and center < stops[at]:
+        blob = lab[at]
+    else:
+        blob = np.argmax(np.bincount(lab, weights=stops - starts))
+    in_blob = lab == blob
+
+    # each row's frame pixels outside the blob's runs, as runs; each concatenation
+    # is two sorted halves, which the stable sort merges in linear time
+    rows = np.arange(h) * stride
+    gap_starts = np.sort(np.concatenate([rows + 1, stops[in_blob]]), kind="stable")
+    gap_stops = np.sort(np.concatenate([starts[in_blob], rows + w + 1]), kind="stable")
+    nonempty = gap_starts < gap_stops
+    gap_starts, gap_stops = gap_starts[nonempty], gap_stops[nonempty]
+    gap_lab = _components(gap_starts, gap_stops, stride)
+    row = gap_starts // stride
+    border = (row == 0) | (row == h - 1) | (gap_starts == row * stride + 1)
+    border |= gap_stops == row * stride + w + 1
+    reaches = np.zeros(len(gap_starts), dtype=bool)
+    reaches[gap_lab[border]] = True
+    outside = reaches[gap_lab]
+
+    # frame offsets of the outside runs; the mask alternates 1, 0, 1, ... between them
+    shift = 2 * row[outside] + 1
+    bounds = np.empty(2 * np.count_nonzero(outside) + 2, dtype=np.int64)
+    bounds[0], bounds[-1] = 0, h * w
+    bounds[1:-1:2] = gap_starts[outside] - shift
+    bounds[2:-1:2] = gap_stops[outside] - shift
+    values = np.ones(len(bounds) - 1, dtype=np.uint8)
+    values[1::2] = 0
+    return np.repeat(values, np.diff(bounds)).reshape(h, w)
 
 
 # ---------------------------------------------------------------------------

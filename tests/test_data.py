@@ -356,6 +356,86 @@ def test_fov_hole_fill_edge_cases(rows, filled):
     np.testing.assert_array_equal(mask, [[int(c) for c in r] for r in filled])
 
 
+DRIVE_HW = (584, 565)
+
+
+def drive_photo(bright):
+    return Image(pixels=np.repeat(bright[:, :, None] * np.uint8(255), 3, axis=2), maxval=255)
+
+
+def drive_disc():
+    rr, cc = np.mgrid[0 : DRIVE_HW[0], 0 : DRIVE_HW[1]]
+    return (rr - 291.5) ** 2 + (cc - 282) ** 2 <= 250**2
+
+
+def disc_with_holes_and_blobs():
+    b = drive_disc()
+    b[250:300, 200:260] = False  # a hole
+    b[100:200, 250:320] = False  # a hole holding a bright island
+    b[140:160, 275:295] = True
+    b[285:295, 450:] = False  # a channel from the disc to the frame border
+    b[10:40, 10:40] = True  # stray blobs
+    b[560:575, 530:560] = True
+    b[0, 300] = True
+    return drive_photo(b)
+
+
+def photo_16bit():
+    # speckled both ways: dark pixels inside the disc, bright ones outside it
+    rng = np.random.default_rng(5)
+    disc = drive_disc()
+    lum = np.where(disc, rng.uniform(0.0, 0.6, DRIVE_HW), rng.uniform(0.0, 0.12, DRIVE_HW))
+    tint = rng.uniform(0.5, 1.5, (*DRIVE_HW, 3))
+    px = np.clip(lum[:, :, None] * tint * 65535, 0, 65535).astype(np.uint16)
+    return Image(pixels=px, maxval=65535)
+
+
+def dark_center_tie():
+    b = np.zeros(DRIVE_HW, bool)
+    b[40:140, 400:500] = True  # first in raster order
+    b[420:520, 60:160] = True  # the same size
+    return drive_photo(b)
+
+
+def comb():
+    b = np.zeros(DRIVE_HW, bool)
+    b[:, ::2] = True  # 1-pixel teeth, joined along the bottom row
+    b[-1] = True
+    return drive_photo(b)
+
+
+def spiral():
+    # 1-pixel rings 2 apart, each joined to the next inside it
+    h, w = DRIVE_HW
+    b = np.zeros(DRIVE_HW, bool)
+    for o in range(0, min(h, w) // 2, 2):
+        b[o, max(o - 2, 0) : w - o] = True
+        b[o : h - o, w - 1 - o] = True
+        b[h - 1 - o, o : w - o] = True
+        b[o + 2 : h - o, o] = True
+    return drive_photo(b)
+
+
+def serpentine():
+    b = np.zeros(DRIVE_HW, bool)
+    b[::2] = True  # every other row, joined at alternating ends
+    b[1::4, -1] = True
+    b[3::4, 0] = True
+    return drive_photo(b)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [disc_with_holes_and_blobs, photo_16bit, dark_center_tie, comb, spiral, serpentine],
+)
+def test_fov_mask_matches_binary_fill_holes_at_drive_size(make):
+    photo = make()
+    lum = photo.pixels.astype(np.float64).mean(axis=2) / photo.maxval
+    mask = data.generate_fov_mask(photo)
+    assert mask.dtype == np.uint8
+    np.testing.assert_array_equal(mask, fov_mask_fill_holes(lum >= data.DEFAULT_FOV_THRESHOLD))
+
+
 # ---------------------------------------------------------------------------
 # splits
 
