@@ -167,7 +167,7 @@ def zscore_normalize(image: Image) -> np.ndarray:
 
 
 def dihedral_transform(arr, quarter_turns, flip):
-    """Apply flip-then-rotation to the trailing two (H, W) axes.
+    """Flip-then-rotation of the trailing two (H, W) axes, as a view of arr.
 
     Rotation is clockwise; pixel (r, c) of an HxW image lands at
     (c, H-1-r) after one quarter turn.
@@ -177,15 +177,15 @@ def dihedral_transform(arr, quarter_turns, flip):
         out = np.flip(out, axis=-1)
     if quarter_turns % 4:
         out = np.rot90(out, k=-(quarter_turns % 4), axes=(-2, -1))
-    return np.ascontiguousarray(out)
+    return out
 
 
 def augment(sample: Sample) -> list[Sample]:
-    """All flip/rotation variants, x, y, m transformed jointly.
+    """All flip/rotation variants, x, y, m transformed jointly, as views of the sample's arrays.
 
     Square samples get the full 8-element group; rectangular ones only the
     4 variants that keep their shape.  The identity variant is the original
-    sample itself.
+    sample itself.  No variant copies a pixel; ``training.to_batch`` does.
     """
     square = sample.y.shape[0] == sample.y.shape[1]
     turns = (0, 1, 2, 3) if square else (0, 2)

@@ -109,9 +109,9 @@ def g_total_loss(g_gan, seg, lambda_):
 
 
 def to_batch(samples):
-    """Stack samples into (x, y) arrays of shape (B,3,H,W) and (B,1,H,W)."""
-    x = np.stack([s.x for s in samples]).astype(np.float32)
-    y = np.stack([s.y for s in samples]).astype(np.float32)[:, None, :, :]
+    """C-ordered float32 (B,3,H,W) and (B,1,H,W) copies of samples, which may be views."""
+    x = np.array([s.x for s in samples], dtype=np.float32)  # np.stack keeps a view's strides
+    y = np.array([s.y for s in samples], dtype=np.float32)[:, None, :, :]
     return x, y
 
 
