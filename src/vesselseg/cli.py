@@ -204,11 +204,12 @@ def cmd_train(args):
         pool = _synthetic_samples(cfg)
     else:
         pool = _real_samples(cfg)
-    if cfg["augment"] == "on":
-        pool = [v for s in pool for v in data.augment(s)]
     pool_key = "synthetic_count" if cfg["dataset"] == "synthetic" else "data_dir"
-    with _config_keys(cfg, pool_key, "augment", "val_fraction"):
+    with _config_keys(cfg, pool_key, "val_fraction"):
         train, val = training.split_train_val(pool, train_cfg)
+    # augment after the split, so that validation holds no twin of a training image
+    if cfg["augment"] == "on":
+        train = [v for s in train for v in data.augment(s)]
 
     h, w = pool[0].y.shape
     g = models.build_generator(gen_spec, seed=cfg["seed"])

@@ -8,6 +8,7 @@ whole pipeline testable without any external data.
 
 from __future__ import annotations
 
+import stat
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -99,9 +100,18 @@ def _parse_header(buf, path):
     return width, height, maxval, pos
 
 
+def read_file(path) -> bytes:
+    """The bytes of the file at path.  A FIFO, socket or device, whose read could block, is
+    refused unread; a missing path or a directory fails in the read."""
+    mode = Path(path).stat().st_mode
+    if not (stat.S_ISREG(mode) or stat.S_ISDIR(mode)):
+        raise DataError(f"{path} is not a regular file")
+    return Path(path).read_bytes()
+
+
 def load_image(path) -> Image:
     """Read a binary P6 (RGB) or P5 (gray) file, 8- or 16-bit."""
-    buf = Path(path).read_bytes()
+    buf = read_file(path)
     magic = buf[:2]
     if magic == b"P6":
         channels = 3
@@ -340,8 +350,8 @@ def make_split(ids, dataset_kind, seed, test_fraction=0.2) -> SplitPlan:
 
     stare: first 10 train, rest test.  drive: published halves by name
     ("_training" / "_test" stems).  custom: seeded shuffle with the given
-    test fraction.  Validation is split later from the augmented training
-    pool (training.split_train_val).
+    test fraction.  Validation is split later from the training images,
+    before they are augmented (training.split_train_val).
     """
     if not ids:
         raise ValueError("make_split: empty id list")

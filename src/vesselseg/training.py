@@ -21,6 +21,7 @@ import numpy as np
 from . import autograd as ag
 from . import models as mdl
 from .autograd import Adam, NumericalError, Tensor
+from .data import read_file
 
 
 class CheckpointError(ValueError):
@@ -199,7 +200,8 @@ def validation_loss(g, d, val_set, cfg):
 
 
 def split_train_val(samples, cfg):
-    """Seeded split of the (augmented) pool into train and validation parts."""
+    """Seeded split of the source samples into train and validation parts, before any
+    augmentation, so that no validation sample is a variant of a training one."""
     n = len(samples)
     n_val = max(1, round(n * cfg.val_fraction))
     if n_val >= n:
@@ -365,8 +367,9 @@ def _decode_meta(text):
 
 
 def load_checkpoint(path) -> Checkpoint:
-    """Read a checkpoint exactly as saved, or raise CheckpointError."""
-    raw = Path(path).read_bytes()
+    """Read a checkpoint exactly as saved, or raise CheckpointError (DataError for a FIFO or
+    device, which is not read)."""
+    raw = read_file(path)
     if raw[: len(MAGIC)] != MAGIC:
         raise CheckpointError(
             f"bad magic at offset 0: expected {MAGIC!r}, got {raw[: len(MAGIC)]!r}"

@@ -81,13 +81,14 @@ def test_missing_data_dir_exit_code(capsys, tmp_path):
     assert "absent" in capsys.readouterr().err
 
 
-def _dataset(root, n=3, size=16):
+def _dataset(root, n=3, size=16, width=None):
     rng = np.random.default_rng(6)
+    shape = (size, width or size)
     for sub in ("images", "labels"):
         (root / sub).mkdir(parents=True)
     for i in range(n):
-        px = rng.integers(40, 200, (size, size, 3)).astype(np.uint8)
-        gold = (rng.uniform(size=(size, size, 1)) > 0.7).astype(np.uint8) * 255
+        px = rng.integers(40, 200, (*shape, 3)).astype(np.uint8)
+        gold = (rng.uniform(size=(*shape, 1)) > 0.7).astype(np.uint8) * 255
         data.write_image(Image(pixels=px, maxval=255), root / "images" / f"im{i}.ppm")
         data.write_image(Image(pixels=gold, maxval=255), root / "labels" / f"im{i}.pgm")
     return root
@@ -270,6 +271,40 @@ def test_train_seed_flag_overrides_config(tmp_path):
     assert "seed=9" in (out / "config.resolved").read_text()
 
 
+def test_augmented_train_is_deterministic(tmp_path):
+    cfg = write_cfg(tmp_path / "c.cfg", image_size=16, synthetic_count=3, rounds=1, augment="on")
+    out_a, out_b = tmp_path / "a", tmp_path / "b"
+    for out in (out_a, out_b):
+        assert run(["train", "--config", str(cfg), "--out", str(out)]) == 0
+    for name in ("best.ckpt", "history.csv"):
+        assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
+
+
+@pytest.mark.parametrize("dataset,variants", [("synthetic", 8), ("custom", 4)])
+def test_validation_holds_no_twin_of_a_training_image(tmp_path, monkeypatch, dataset, variants):
+    # a square synthetic pool has 8 dihedral variants per image, a rectangular directory 4
+    passed = []
+    real_fit = training.fit
+
+    def fit(g, d, train, val, cfg):
+        passed.append((train, val))
+        return real_fit(g, d, train, val, cfg)
+
+    monkeypatch.setattr(training, "fit", fit)
+    source = {}
+    if dataset == "custom":
+        root = _dataset(tmp_path / "ds", n=4, size=16, width=24)
+        source = {"dataset": "custom", "data_dir": str(root), "test_fraction": 0}
+    cfg = write_cfg(tmp_path / "c.cfg", image_size=16, synthetic_count=4, rounds=1, augment="on",
+                    **source)
+    assert run(["train", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
+    [(train, val)] = passed
+    val_stems = {s.id.split("@")[0] for s in val}
+    assert val_stems == {s.id for s in val}  # the sources as they are
+    assert len(train) == variants * (4 - len(val))
+    assert not val_stems & {s.id.split("@")[0] for s in train}
+
+
 # ---------------------------------------------------------------------------
 # infer
 
@@ -352,6 +387,29 @@ def test_infer_directory_checkpoint_is_data_exit(trained_run, tmp_path, capsys):
     assert rc == cli.EXIT_DATA
     assert capsys.readouterr().err.startswith("data error: ")
     assert not (tmp_path / "p.pgm").exists()
+
+
+@pytest.mark.parametrize("command", ["infer", "eval"])
+def test_fifo_input_is_refused_not_read(trained_run, tmp_path, command):
+    # reading a FIFO blocks until a writer opens it; the subprocess's timeout turns a hang into
+    # a failure
+    _, sample, _ = trained_run
+    if command == "infer":
+        fifo = tmp_path / "fifo.ckpt"
+        img_path = tmp_path / "f.ppm"
+        _as_p6(sample, img_path)
+        argv = ["infer", "--checkpoint", str(fifo), "--image", str(img_path),
+                "--out", str(tmp_path / "p.pgm")]
+    else:
+        pred_d, gold_d, _ = _gold_dirs(tmp_path)
+        fifo = pred_d / "c.pgm"
+        data.write_image(Image(np.zeros((16, 16, 1), np.uint8), 255), gold_d / "c.pgm")
+        argv = ["eval", "--pred-dir", str(pred_d), "--gold-dir", str(gold_d),
+                "--out", str(tmp_path / "report")]
+    os.mkfifo(fifo)
+    done = _python(["-c", f"from vesselseg import cli\nprint(cli.main({argv!r}))"])
+    assert done.stdout == f"{cli.EXIT_DATA}\n"
+    assert done.stderr == f"data error: {fifo} is not a regular file\n"
 
 
 def test_infer_overflowing_forward_pass_is_numerical_exit(trained_run, tmp_path, capsys):

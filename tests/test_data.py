@@ -177,6 +177,13 @@ def test_augment_count_and_identity():
     assert len(set(ids)) == 8
 
 
+def test_augment_variants_are_views_of_their_source():
+    for s in (make_sample(), make_sample(h=4, w=6)):
+        for variant in data.augment(s)[1:]:
+            for ours, source in ((variant.x, s.x), (variant.y, s.y), (variant.m, s.m)):
+                assert np.shares_memory(ours, source), variant.id
+
+
 def test_augment_group_laws():
     s = make_sample()
     flipped_twice = data.dihedral_transform(data.dihedral_transform(s.x, 0, True), 0, True)

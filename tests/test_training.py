@@ -213,6 +213,22 @@ def test_train_round_overfits_tiny_set():
     assert last.seg_loss < 0.1
 
 
+def test_to_batch_of_views_matches_to_batch_of_copies():
+    rng = np.random.default_rng(4)
+    for h, w in ((8, 8), (8, 12)):
+        s = data.Sample(
+            id="s",
+            x=rng.normal(size=(3, h, w)).astype(np.float32),
+            y=(rng.uniform(size=(h, w)) > 0.7).astype(np.uint8),
+            m=np.ones((h, w), np.uint8),
+        )
+        for v in data.augment(s):
+            copy = data.Sample(v.id, *(np.ascontiguousarray(a) for a in (v.x, v.y, v.m)))
+            for ours, theirs in zip(training.to_batch([v]), training.to_batch([copy])):
+                assert ours.dtype == np.float32 and ours.flags.c_contiguous
+                assert ours.tobytes() == theirs.tobytes(), v.id
+
+
 def test_discriminator_can_learn_real_vs_fake():
     # frozen random generator, 4 samples, 200 discriminator steps
     g, d, samples = tiny_setup(n_samples=4, size=32, seed=5, variant=DiscriminatorVariant.pixel())
