@@ -54,7 +54,6 @@ CONFIG_SCHEMA = {
     "synthetic_count": (int, 8),
     "augment": (("on", "off"), "on"),
     "test_fraction": (float, 0.2),
-    "fov_threshold": (float, data.DEFAULT_FOV_THRESHOLD),
 }
 
 
@@ -166,7 +165,7 @@ def _real_samples(cfg):
     root = Path(cfg["data_dir"])
     if not cfg["data_dir"] or not root.is_dir():
         raise DataError(f"data_dir {cfg['data_dir']!r} is not a readable directory")
-    samples = data.load_dataset(root, cfg["fov_threshold"])
+    samples = data.load_dataset(root)
     try:
         plan = data.make_split(
             [s.id for s in samples], cfg["dataset"], cfg["seed"], test_fraction=cfg["test_fraction"]
@@ -195,8 +194,7 @@ def _history_lines(history):
 def cmd_train(args):
     cfg = resolve_config(args.config, args.seed)
     # derive everything from the config before the output directory exists
-    for key in ("fov_threshold", "test_fraction"):
-        _check_fraction(cfg[key], key)
+    _check_fraction(cfg["test_fraction"], "test_fraction")
     train_cfg = train_config(cfg)
     with _config_keys(cfg, "scales", "base_channels"):
         gen_spec = GeneratorSpec(scales=cfg["scales"], base_channels=cfg["base_channels"])

@@ -49,11 +49,17 @@ class Image:
 
 @dataclass
 class Sample:
-    """One training record: normalized fundus, binary vessel map, FOV mask."""
+    """One training record: normalized fundus and binary vessel map."""
 
     id: str
     x: np.ndarray  # float32 (3, H, W), z-scored
     y: np.ndarray  # uint8 (H, W) in {0,1}
+
+
+@dataclass
+class SyntheticSample(Sample):
+    """A generated record, with the FOV mask it was drawn in, for scoring."""
+
     m: np.ndarray  # uint8 (H, W) in {0,1}
 
 
@@ -191,7 +197,7 @@ def dihedral_transform(arr, quarter_turns, flip):
 
 
 def augment(sample: Sample) -> list[Sample]:
-    """All flip/rotation variants, x, y, m transformed jointly, as views of the sample's arrays.
+    """All flip/rotation variants, x and y transformed jointly, as views of the sample's arrays.
 
     Square samples get the full 8-element group; rectangular ones only the
     4 variants that keep their shape.  The identity variant is the original
@@ -211,7 +217,6 @@ def augment(sample: Sample) -> list[Sample]:
                     id=f"{sample.id}@{tag}",
                     x=dihedral_transform(sample.x, k, flip),
                     y=dihedral_transform(sample.y, k, flip),
-                    m=dihedral_transform(sample.m, k, flip),
                 )
             )
     return out
@@ -405,12 +410,11 @@ def crop_from_padding(arr, offsets, out_hw):
 def pad_sample(sample: Sample, multiple) -> Sample:
     x, _ = pad_to_multiple(sample.x, multiple)
     y, _ = pad_to_multiple(sample.y, multiple)
-    m, _ = pad_to_multiple(sample.m, multiple)
-    return Sample(id=sample.id, x=x, y=y, m=m)
+    return Sample(id=sample.id, x=x, y=y)
 
 
 # ---------------------------------------------------------------------------
-# directory loading: <root>/images/*.ppm, <root>/labels/*.pgm, [masks/*.pgm]
+# directory loading: <root>/images/*.ppm, <root>/labels/*.pgm
 
 
 def stem_paths(directory, suffix):
@@ -446,10 +450,10 @@ def detect_fov(photo: Image, path, threshold) -> np.ndarray:
         raise DataError(f"{path}: {exc}") from exc
 
 
-def load_dataset(root, fov_threshold=DEFAULT_FOV_THRESHOLD):
-    """Load samples matched by basename stem across images/labels[/masks]."""
+def load_dataset(root):
+    """Load samples matched by basename stem across images/labels."""
     root = Path(root)
-    img_dir, mask_dir = root / "images", root / "masks"
+    img_dir = root / "images"
     images = stem_paths(img_dir, ".ppm")
     labels = stem_paths(root / "labels", ".pgm")
     if not images:
@@ -457,21 +461,15 @@ def load_dataset(root, fov_threshold=DEFAULT_FOV_THRESHOLD):
     missing = sorted(set(images) ^ set(labels))
     if missing:
         raise DataError(f"unmatched basenames between images/ and labels/: {missing}")
-    masks = stem_paths(mask_dir, ".pgm") if mask_dir.is_dir() else {}
 
     samples = []
     for stem in sorted(images):
         img = load_photo(images[stem])
         y = load_binary(labels[stem])
-        if stem in masks:
-            m = load_binary(masks[stem])
-        else:
-            m = detect_fov(img, images[stem], fov_threshold)
-        for role, arr in (("label", y), ("mask", m)):
-            if arr.shape != img.pixels.shape[:2]:
-                raise DataError(f"{stem}: {role} size differs from image size")
+        if y.shape != img.pixels.shape[:2]:
+            raise DataError(f"{stem}: label size differs from image size")
         x = zscore_normalize(img).transpose(2, 0, 1)
-        samples.append(Sample(id=stem, x=x, y=y, m=m))
+        samples.append(Sample(id=stem, x=x, y=y))
     return samples
 
 
@@ -581,10 +579,10 @@ def generate_synthetic_raw(size, seed):
     return img, (vessels & fov).astype(np.uint8), fov.astype(np.uint8)
 
 
-def generate_synthetic_sample(size, seed) -> Sample:
-    """Normalized Sample view of :func:`generate_synthetic_raw`."""
+def generate_synthetic_sample(size, seed) -> SyntheticSample:
+    """Normalized SyntheticSample view of :func:`generate_synthetic_raw`."""
     img, y, m = generate_synthetic_raw(size, seed)
-    return Sample(
+    return SyntheticSample(
         id=f"synth-{seed}",
         x=zscore_normalize(img).transpose(2, 0, 1),
         y=y,

@@ -1,3 +1,5 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -162,7 +164,6 @@ def make_sample(h=6, w=6, seed=0):
         id="s",
         x=rng.normal(size=(3, h, w)).astype(np.float32),
         y=(rng.uniform(size=(h, w)) > 0.7).astype(np.uint8),
-        m=np.ones((h, w), dtype=np.uint8),
     )
 
 
@@ -180,7 +181,7 @@ def test_augment_count_and_identity():
 def test_augment_variants_are_views_of_their_source():
     for s in (make_sample(), make_sample(h=4, w=6)):
         for variant in data.augment(s)[1:]:
-            for ours, source in ((variant.x, s.x), (variant.y, s.y), (variant.m, s.m)):
+            for ours, source in ((variant.x, s.x), (variant.y, s.y)):
                 assert np.shares_memory(ours, source), variant.id
 
 
@@ -206,14 +207,14 @@ def test_rotation_coordinate_map():
 
 
 def test_augment_transforms_xym_jointly():
-    s = make_sample()
-    marked = np.zeros_like(s.y)
+    # x and y, the record's two maps, move together: a pixel marked in both lands at one place
+    marked = np.zeros((6, 6), np.uint8)
     marked[1, 2] = 1
-    s = Sample(id="s", x=s.x, y=marked, m=marked.copy())
+    s = Sample(id="s", x=np.stack([marked] * 3).astype(np.float32), y=marked)
     for variant in data.augment(s):
-        np.testing.assert_array_equal(variant.y, variant.m)
-        pos_y = np.argwhere(variant.y == 1)
-        assert len(pos_y) == 1
+        assert len(np.argwhere(variant.y == 1)) == 1
+        for channel in variant.x:
+            np.testing.assert_array_equal(channel, variant.y)
 
 
 @settings(max_examples=20, deadline=None)
@@ -540,20 +541,19 @@ def write_dataset(root, n=2, size=16, with_masks=True):
             data.write_image(Image(pixels=mk, maxval=255), root / "masks" / f"{stem}.pgm")
 
 
-def test_load_dataset_with_masks(tmp_path):
-    write_dataset(tmp_path, n=2)
-    samples = data.load_dataset(tmp_path)
-    assert [s.id for s in samples] == ["img00", "img01"]
-    s = samples[0]
+def test_load_dataset_reads_no_masks(tmp_path):
+    # a training record is (id, x, y): masks/ only restricts eval, so it changes nothing here
+    plain, masked = tmp_path / "plain", tmp_path / "masked"
+    write_dataset(plain, n=2, with_masks=False)
+    write_dataset(masked, n=2)
+    got = [data.load_dataset(root) for root in (plain, masked)]
+    for a, b in zip(*got):
+        assert [f.name for f in fields(a)] == [f.name for f in fields(b)] == ["id", "x", "y"]
+        assert a.id == b.id and a.x.tobytes() == b.x.tobytes() and a.y.tobytes() == b.y.tobytes()
+    s = got[0][0]
+    assert [t.id for t in got[0]] == ["img00", "img01"]
     assert s.x.shape == (3, 16, 16) and s.x.dtype == np.float32
     assert set(np.unique(s.y)) <= {0, 1}
-    assert np.all(s.m == 1)
-
-
-def test_load_dataset_generates_masks_when_missing(tmp_path):
-    write_dataset(tmp_path, n=1, with_masks=False)
-    samples = data.load_dataset(tmp_path)
-    assert samples[0].m.max() == 1
 
 
 def test_load_dataset_unmatched_basenames(tmp_path):

@@ -220,10 +220,9 @@ def test_to_batch_of_views_matches_to_batch_of_copies():
             id="s",
             x=rng.normal(size=(3, h, w)).astype(np.float32),
             y=(rng.uniform(size=(h, w)) > 0.7).astype(np.uint8),
-            m=np.ones((h, w), np.uint8),
         )
         for v in data.augment(s):
-            copy = data.Sample(v.id, *(np.ascontiguousarray(a) for a in (v.x, v.y, v.m)))
+            copy = data.Sample(v.id, *(np.ascontiguousarray(a) for a in (v.x, v.y)))
             for ours, theirs in zip(training.to_batch([v]), training.to_batch([copy])):
                 assert ours.dtype == np.float32 and ours.flags.c_contiguous
                 assert ours.tobytes() == theirs.tobytes(), v.id
@@ -328,7 +327,7 @@ def test_fit_rejects_empty_validation():
 
 def test_split_train_val_ratio():
     samples = [data.Sample(id=str(i), x=np.zeros((3, 8, 8), np.float32),
-                           y=np.zeros((8, 8), np.uint8), m=np.ones((8, 8), np.uint8))
+                           y=np.zeros((8, 8), np.uint8))
                for i in range(160)]
     train, val = training.split_train_val(samples, TrainConfig(seed=0))
     assert len(train) == 152 and len(val) == 8
@@ -615,7 +614,7 @@ d = models.build_discriminator(DiscriminatorVariant.image(), (256, 256), 8, seed
 digest = hashlib.sha256()
 with ag.no_grad():
     digest.update(models.generator_forward(g, ag.Tensor(x[None])).data.tobytes())
-sample = Sample(id="s", x=x, y=y, m=np.ones_like(y))
+sample = Sample(id="s", x=x, y=y)
 cfg = training.TrainConfig(seed=74)
 opt_g = ag.Adam(g.parameters(), cfg.lr, cfg.beta1, cfg.beta2)
 opt_d = ag.Adam(d.parameters(), cfg.lr, cfg.beta1, cfg.beta2)
