@@ -107,7 +107,10 @@ def desk_config(discriminator, rounds, seed, size=64, count=8):
 
 
 def resolve_config(config_path=None, seed_override=None):
-    text = Path(config_path).read_text() if config_path else ""
+    try:
+        text = data.read_file(config_path).decode() if config_path else ""
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{config_path}: not UTF-8 at byte offset {exc.start}") from None
     cfg = parse_config_text(text, source=str(config_path) if config_path else "<defaults>")
     if seed_override is not None:
         cfg["seed"] = seed_override
@@ -153,11 +156,20 @@ def train_config(cfg):
         )
 
 
+def _check_scales(cfg, side, *keys):
+    """2**scales must not exceed the smaller image side, compared with no power built:
+    for a side n >= 1, 2**s <= n exactly when s < n.bit_length()."""
+    if side < 1 or cfg["scales"] >= side.bit_length():
+        named = ", ".join(f"{k}={cfg[k]}" for k in ("scales", *keys))
+        raise ConfigError(f"{named}: 2**scales exceeds the smaller image side {side}")
+
+
 def _synthetic_samples(cfg):
     size, count, seed = cfg["image_size"], cfg["synthetic_count"], cfg["seed"]
+    _check_scales(cfg, size, "image_size")
     div = 2 ** cfg["scales"]
-    if size < div or size % div:
-        raise ConfigError(f"image_size {size} is not a positive multiple of 2**scales = {div}")
+    if size % div:
+        raise ConfigError(f"image_size {size} is not a multiple of 2**scales = {div}")
     return [data.generate_synthetic_sample(size, seed * 100003 + i) for i in range(count)]
 
 
@@ -179,8 +191,8 @@ def _real_samples(cfg):
     sizes = {s.y.shape for s in pool}
     if len(sizes) > 1:
         raise DataError(f"training images must share one size, got {sorted(sizes)}")
-    div = 2 ** cfg["scales"]
-    return [data.pad_sample(s, div) for s in pool]
+    _check_scales(cfg, min(pool[0].y.shape))
+    return [data.pad_sample(s, 2 ** cfg["scales"]) for s in pool]
 
 
 def _history_lines(history):

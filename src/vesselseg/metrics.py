@@ -414,9 +414,15 @@ def write_curve_csv(*curves):
 
 
 def write_summary_csv(report: MetricsReport, path):
-    lines = ["image_id,dice,tp,fp,fn,tn"]
-    for ev in report.per_image + [report.total]:
-        lines.append(f"{ev.image_id},{fmt(ev.dice)},{ev.tp},{ev.fp},{ev.fn},{ev.tn}")
+    """Per-image and ``ALL`` rows, then the AUCs and the pooled Otsu threshold.  A report with
+    per-image thresholds adds a ``threshold`` column: each image's, and an empty ``ALL`` field."""
+    header, tails = "image_id,dice,tp,fp,fn,tn", [""] * (len(report.per_image) + 1)
+    if report.per_image_thresholds is not None:
+        header += ",threshold"
+        tails = [f",{fmt(t)}" for t in report.per_image_thresholds] + [","]
+    lines = [header]
+    for ev, tail in zip(report.per_image + [report.total], tails):
+        lines.append(f"{ev.image_id},{fmt(ev.dice)},{ev.tp},{ev.fp},{ev.fn},{ev.tn}{tail}")
     lines.append("roc_auc,pr_auc,otsu_threshold")
     lines.append(f"{fmt(report.roc_auc)},{fmt(report.pr_auc)},{fmt(report.otsu_threshold)}")
     with open(path, "w") as fh:

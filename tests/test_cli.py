@@ -60,6 +60,15 @@ def test_config_error_message_lists_every_line(capsys, tmp_path):
     assert "bogus" in err and "scales" in err
 
 
+def test_config_that_is_not_utf8_is_located_config_exit(capsys, tmp_path):
+    cfg = tmp_path / "c.cfg"
+    cfg.write_bytes(b"rounds=1\nseed=\xff\xfe\n")
+    out = tmp_path / "o"
+    assert run(["train", "--config", str(cfg), "--out", str(out)]) == cli.EXIT_CONFIG
+    assert capsys.readouterr().err == f"config error: {cfg}: not UTF-8 at byte offset 14\n"
+    assert not out.exists()
+
+
 def test_defaults_documented_for_every_key():
     cfg = cli.parse_config_text("")
     assert set(cfg) == set(cli.CONFIG_SCHEMA)
@@ -193,6 +202,22 @@ def test_bad_config_value_is_located_config_exit(capsys, tmp_path, key, value):
     assert run(["train", "--config", str(cfg), "--out", str(out)]) == cli.EXIT_CONFIG
     assert key in capsys.readouterr().err
     assert not out.exists()  # refused before anything is written
+
+
+@pytest.mark.parametrize("pool", ["synthetic", "custom"])
+@pytest.mark.parametrize("scales", [5, 62, 20000])
+def test_scales_beyond_the_image_side_is_config_exit(capsys, tmp_path, pool, scales):
+    # 16x16 images take at most 2**4; the message names the keys but never builds the power
+    source = {"image_size": 16}
+    if pool == "custom":
+        source = {"dataset": "custom", "data_dir": str(_dataset(tmp_path / "ds", size=16))}
+    cfg = write_cfg(tmp_path / "c.cfg", scales=scales, **source)
+    out = tmp_path / "o"
+    assert run(["train", "--config", str(cfg), "--out", str(out)]) == cli.EXIT_CONFIG
+    named = f"scales={scales}" + (", image_size=16" if pool == "synthetic" else "")
+    want = f"config error: {named}: 2**scales exceeds the smaller image side 16\n"
+    assert capsys.readouterr().err == want
+    assert not out.exists()
 
 
 _INT_KEYS = sorted(k for k, (kind, _) in cli.CONFIG_SCHEMA.items() if kind is int)
@@ -406,7 +431,7 @@ def test_infer_directory_checkpoint_is_data_exit(trained_run, tmp_path, capsys):
     assert not (tmp_path / "p.pgm").exists()
 
 
-@pytest.mark.parametrize("command", ["infer", "eval"])
+@pytest.mark.parametrize("command", ["infer", "eval", "train"])
 def test_fifo_input_is_refused_not_read(trained_run, tmp_path, command):
     # reading a FIFO blocks until a writer opens it; the subprocess's timeout turns a hang into
     # a failure
@@ -417,6 +442,9 @@ def test_fifo_input_is_refused_not_read(trained_run, tmp_path, command):
         _as_p6(sample, img_path)
         argv = ["infer", "--checkpoint", str(fifo), "--image", str(img_path),
                 "--out", str(tmp_path / "p.pgm")]
+    elif command == "train":
+        fifo = tmp_path / "fifo.cfg"
+        argv = ["train", "--config", str(fifo), "--out", str(tmp_path / "run")]
     else:
         pred_d, gold_d, _ = _gold_dirs(tmp_path)
         fifo = pred_d / "c.pgm"
@@ -621,7 +649,8 @@ def _golden_eval_inputs(root, size=40):
 
 
 # sha256 of the CSVs of `eval` on _golden_eval_inputs, recorded from the
-# argsort-grouping implementation that preceded the one-sort grouping
+# argsort-grouping implementation that preceded the one-sort grouping; the
+# per-image summary.csv was re-recorded when it gained its threshold column
 _GOLDEN_CURVES = {
     "roc.csv": "6296376ad3911960cb20bdae892b86ba56b7eae62ff4d789e86eacf8fdbf8adc",
     "pr.csv": "3fffc7ec25d7dacac71341f24abafebd688a505541ad14defa4849f0be2dd56d",
@@ -630,7 +659,7 @@ GOLDEN_EVAL_SHA256 = {
     False: {**_GOLDEN_CURVES,
             "summary.csv": "4bf3e01b699c60cab299c77be9d55422c94b35d498eb0aa5f1e0594591b1e269"},
     True: {**_GOLDEN_CURVES,
-           "summary.csv": "846bdcd4179b017061ed67d8a020363601113f483705da3cc9fa704974acb52b"},
+           "summary.csv": "7c0f6bfbc60b5f4f5a4995210f911ff234a5c49c98b419fe46f3c97b9993cafb"},
 }
 
 
@@ -644,6 +673,30 @@ def test_eval_csv_bytes_pinned(tmp_path, per_image):
     digests = {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
                for name in ("roc.csv", "pr.csv", "summary.csv")}
     assert digests == GOLDEN_EVAL_SHA256[per_image]
+
+
+def test_eval_per_image_otsu_writes_the_thresholds_it_applied(tmp_path):
+    pred_d, gold_d, image_d = _golden_eval_inputs(tmp_path)
+    out = tmp_path / "report"
+    assert run(["eval", "--pred-dir", str(pred_d), "--gold-dir", str(gold_d),
+                "--image-dir", str(image_d), "--per-image-otsu", "--out", str(out)]) == 0
+    lines = (out / "summary.csv").read_text().splitlines()
+    assert lines[0] == "image_id,dice,tp,fp,fn,tn,threshold"
+    assert lines[4].startswith("ALL,") and lines[4].endswith(",")
+    thresholds = set()
+    for line in lines[1:4]:
+        stem, _, tp, fp, fn, _, thr = line.split(",")
+        assert thr == metrics.fmt(float(thr))
+        scores = data.load_image(pred_d / f"{stem}.pgm").pixels[:, :, 0] / 65535
+        gold = data.load_binary(gold_d / f"{stem}.pgm").astype(bool)
+        fov = np.ones_like(gold)  # im1's FOV is detected from its photo, as eval does
+        if (image_d / f"{stem}.ppm").exists():
+            fov = data.generate_fov_mask(data.load_photo(image_d / f"{stem}.ppm")).astype(bool)
+        pred = scores >= float(thr)
+        want = (pred & gold & fov).sum(), (pred & ~gold & fov).sum(), (~pred & gold & fov).sum()
+        assert (int(tp), int(fp), int(fn)) == want, stem
+        thresholds.add(thr)
+    assert len(thresholds) > 1  # the images do not share one threshold
 
 
 def _framed_eval_inputs(root, frame_rows, n=12, side=96):
