@@ -187,7 +187,11 @@ def test_usage_error_is_config_exit():
         ("synthetic_count", 0),
         ("synthetic_count", 1),
         ("image_size", 0),
-        ("fov_threshold", "0.0784313725"),  # a key of older configs: unknown now
+        # fov_threshold is a key of older configs: unknown now, whatever its value
+        ("fov_threshold", -0.5),
+        ("fov_threshold", 1.5),
+        ("fov_threshold", "nan"),
+        ("fov_threshold", "0.0784313725"),
         ("test_fraction", -0.5),
         ("test_fraction", "inf"),
         ("rounds", "1_0"),
