@@ -53,7 +53,6 @@ CONFIG_SCHEMA = {
     "image_size": (int, 64),
     "synthetic_count": (int, 8),
     "augment": (("on", "off"), "on"),
-    "test_fraction": (float, 0.2),
 }
 
 
@@ -122,7 +121,7 @@ def config_lines(cfg):
 
 
 def _check_fraction(value, name):
-    """A FOV luminance threshold (a fraction of maxval) or a test share: finite and in [0, 1]."""
+    """A FOV luminance threshold, a fraction of maxval: finite and in [0, 1]."""
     if not 0.0 <= value <= 1.0:  # false for NaN too
         raise ConfigError(f"{name} {value} outside [0, 1]")
 
@@ -177,17 +176,7 @@ def _real_samples(cfg):
     root = Path(cfg["data_dir"])
     if not cfg["data_dir"] or not root.is_dir():
         raise DataError(f"data_dir {cfg['data_dir']!r} is not a readable directory")
-    samples = data.load_dataset(root)
-    try:
-        plan = data.make_split(
-            [s.id for s in samples], cfg["dataset"], cfg["seed"], test_fraction=cfg["test_fraction"]
-        )
-    except ValueError as exc:
-        raise DataError(
-            f"data_dir {cfg['data_dir']!r} cannot be split as dataset={cfg['dataset']}: {exc}"
-        ) from exc
-    by_id = {s.id: s for s in samples}
-    pool = [by_id[i] for i in plan.train]
+    pool = data.load_dataset(root, cfg["dataset"])
     sizes = {s.y.shape for s in pool}
     if len(sizes) > 1:
         raise DataError(f"training images must share one size, got {sorted(sizes)}")
@@ -206,7 +195,6 @@ def _history_lines(history):
 def cmd_train(args):
     cfg = resolve_config(args.config, args.seed)
     # derive everything from the config before the output directory exists
-    _check_fraction(cfg["test_fraction"], "test_fraction")
     train_cfg = train_config(cfg)
     with _config_keys(cfg, "scales", "base_channels"):
         gen_spec = GeneratorSpec(scales=cfg["scales"], base_channels=cfg["base_channels"])

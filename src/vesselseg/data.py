@@ -63,12 +63,6 @@ class SyntheticSample(Sample):
     m: np.ndarray  # uint8 (H, W) in {0,1}
 
 
-@dataclass
-class SplitPlan:
-    train: list
-    test: list
-
-
 # ---------------------------------------------------------------------------
 # netpbm I/O
 
@@ -347,42 +341,34 @@ def generate_fov_mask(fundus: Image, luminance_threshold=DEFAULT_FOV_THRESHOLD) 
 
 
 # ---------------------------------------------------------------------------
-# dataset splits
+# training stems
 
 
-def make_split(ids, dataset_kind, seed, test_fraction=0.2) -> SplitPlan:
-    """Partition ids into train/test per dataset convention.
+def training_stems(stems, dataset_kind) -> list:
+    """The sorted stems that train reads, picked by name per dataset convention.
 
-    stare: first 10 train, rest test.  drive: published halves by name
-    ("_training" / "_test" stems).  custom: seeded shuffle with the given
-    test fraction.  Validation is split later from the training images,
+    stare: the first 10 (the rest are the test half).  drive: the published
+    "_training" half; every stem must carry "_training" or "_test".  custom:
+    every stem.  Held-out images are scored from their own directory with
+    infer and eval.  Validation is split later from the training images,
     before they are augmented (training.split_train_val).
     """
-    if not ids:
-        raise ValueError("make_split: empty id list")
-    ids = sorted(ids)
+    stems = sorted(stems)
     if dataset_kind == "stare":
-        if len(ids) <= 10:
-            raise ValueError(f"stare split needs more than 10 ids, got {len(ids)}")
-        train, test = ids[:10], ids[10:]
-    elif dataset_kind == "drive":
-        train = [i for i in ids if "_training" in i]
-        test = [i for i in ids if "_test" in i]
-        stray = [i for i in ids if i not in train and i not in test]
+        if len(stems) <= 10:
+            raise ValueError(f"stare split needs more than 10 ids, got {len(stems)}")
+        return stems[:10]
+    if dataset_kind == "drive":
+        stray = [s for s in stems if "_training" not in s and "_test" not in s]
         if stray:
             raise ValueError(f"drive split: ids without _training/_test marker: {stray}")
+        train = [s for s in stems if "_training" in s]
         if not train:
             raise ValueError("drive split: no training ids")
-    elif dataset_kind == "custom":
-        n_test = round(len(ids) * test_fraction)
-        if n_test >= len(ids) and n_test > 0:
-            raise ValueError(f"test fraction {test_fraction} leaves no training ids")
-        perm = np.random.default_rng([seed, 20011]).permutation(len(ids))
-        test = sorted(ids[i] for i in perm[:n_test])
-        train = sorted(ids[i] for i in perm[n_test:])
-    else:
-        raise ValueError(f"unknown dataset kind {dataset_kind!r}")
-    return SplitPlan(train=train, test=test)
+        return train
+    if dataset_kind == "custom":
+        return stems
+    raise ValueError(f"unknown dataset kind {dataset_kind!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -450,8 +436,13 @@ def detect_fov(photo: Image, path, threshold) -> np.ndarray:
         raise DataError(f"{path}: {exc}") from exc
 
 
-def load_dataset(root):
-    """Load samples matched by basename stem across images/labels."""
+def load_dataset(root, dataset_kind):
+    """The training samples of root, matched by basename stem across images/ and labels/.
+
+    The listings are checked over every stem, then ``training_stems`` picks the
+    stems to train on by name, and only their photos and labels are read, in
+    stem order.
+    """
     root = Path(root)
     img_dir = root / "images"
     images = stem_paths(img_dir, ".ppm")
@@ -461,9 +452,13 @@ def load_dataset(root):
     missing = sorted(set(images) ^ set(labels))
     if missing:
         raise DataError(f"unmatched basenames between images/ and labels/: {missing}")
+    try:
+        stems = training_stems(images, dataset_kind)
+    except ValueError as exc:
+        raise DataError(f"{root}: cannot be split as dataset={dataset_kind}: {exc}") from exc
 
     samples = []
-    for stem in sorted(images):
+    for stem in stems:
         img = load_photo(images[stem])
         y = load_binary(labels[stem])
         if y.shape != img.pixels.shape[:2]:

@@ -90,28 +90,52 @@ def test_missing_data_dir_exit_code(capsys, tmp_path):
     assert "absent" in capsys.readouterr().err
 
 
-def _dataset(root, n=3, size=16, width=None):
+def _dataset(root, n=3, size=16, width=None, stems=None):
     rng = np.random.default_rng(6)
     shape = (size, width or size)
     for sub in ("images", "labels"):
         (root / sub).mkdir(parents=True)
-    for i in range(n):
+    for stem in stems or [f"im{i}" for i in range(n)]:
         px = rng.integers(40, 200, (*shape, 3)).astype(np.uint8)
         gold = (rng.uniform(size=(*shape, 1)) > 0.7).astype(np.uint8) * 255
-        data.write_image(Image(pixels=px, maxval=255), root / "images" / f"im{i}.ppm")
-        data.write_image(Image(pixels=gold, maxval=255), root / "labels" / f"im{i}.pgm")
+        data.write_image(Image(pixels=px, maxval=255), root / "images" / f"{stem}.ppm")
+        data.write_image(Image(pixels=gold, maxval=255), root / "labels" / f"{stem}.pgm")
     return root
 
 
-@pytest.mark.parametrize("dataset,fraction", [("stare", 0.2), ("custom", 1.0)])
-def test_unsplittable_dataset_is_data_exit(capsys, tmp_path, dataset, fraction):
+# stare needs more than 10 images; drive needs a _training or _test marker on every stem
+@pytest.mark.parametrize("dataset", ["stare", "drive"])
+def test_unsplittable_dataset_is_data_exit(capsys, tmp_path, dataset):
     root = _dataset(tmp_path / "ds")
-    cfg = write_cfg(tmp_path / "c.cfg", dataset=dataset, data_dir=str(root), test_fraction=fraction)
+    cfg = write_cfg(tmp_path / "c.cfg", dataset=dataset, data_dir=str(root))
     out = tmp_path / "o"
     assert run(["train", "--config", str(cfg), "--out", str(out)]) == cli.EXIT_DATA
     err = capsys.readouterr().err
     assert err.startswith("data error: ") and str(root) in err and f"dataset={dataset}" in err
     assert not out.exists()
+
+
+def test_train_reads_only_the_training_stems(tmp_path):
+    # a DRIVE directory's _test half is held out unread, so a photo there that is not
+    # netpbm changes nothing
+    stems = ["21_training", "22_training", "23_training"]
+    clean = _dataset(tmp_path / "clean", stems=stems)
+    held = _dataset(tmp_path / "held", stems=[*stems, "01_test"])
+    (held / "images" / "01_test.ppm").write_text("not netpbm\n")
+    for root in (clean, held):
+        cfg = write_cfg(tmp_path / f"{root.name}.cfg", dataset="drive", data_dir=str(root),
+                        rounds=1)
+        out = tmp_path / f"{root.name}-run"
+        assert run(["train", "--config", str(cfg), "--out", str(out)]) == 0
+    for name in ("best.ckpt", "history.csv"):
+        a, b = (tmp_path / f"{d}-run" / name for d in ("clean", "held"))
+        assert a.read_bytes() == b.read_bytes(), name
+
+
+def test_custom_dataset_trains_on_every_image(tmp_path):
+    root = _dataset(tmp_path / "ds", n=5)
+    pool = cli._real_samples(cli.parse_config_text(f"dataset=custom\ndata_dir={root}\n"))
+    assert [s.id for s in pool] == [f"im{i}" for i in range(5)]
 
 
 def _write_p6(path, size=16):
@@ -137,7 +161,7 @@ def test_train_and_eval_refuse_a_label_with_one_message(capsys, tmp_path):
     root = _dataset(tmp_path / "ds")
     _write_p6(root / "labels" / "im0.pgm")
     with pytest.raises(data.DataError) as refused:
-        data.load_dataset(root)
+        data.load_dataset(root, "custom")
     pred = tmp_path / "pred"
     pred.mkdir()
     for stem in ("im0", "im1", "im2"):
@@ -192,8 +216,10 @@ def test_usage_error_is_config_exit():
         ("fov_threshold", 1.5),
         ("fov_threshold", "nan"),
         ("fov_threshold", "0.0784313725"),
+        # so is test_fraction, since train reads only the training stems
         ("test_fraction", -0.5),
         ("test_fraction", "inf"),
+        ("test_fraction", 0.2),
         ("rounds", "1_0"),
         ("seed", "+3"),
         ("base_channels", "\u0663"),  # ARABIC-INDIC DIGIT THREE, which int() reads as 3
@@ -340,7 +366,7 @@ def test_validation_holds_no_twin_of_a_training_image(tmp_path, monkeypatch, dat
     source = {}
     if dataset == "custom":
         root = _dataset(tmp_path / "ds", n=4, size=16, width=24)
-        source = {"dataset": "custom", "data_dir": str(root), "test_fraction": 0}
+        source = {"dataset": "custom", "data_dir": str(root)}
     cfg = write_cfg(tmp_path / "c.cfg", image_size=16, synthetic_count=4, rounds=1, augment="on",
                     **source)
     assert run(["train", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0

@@ -448,34 +448,24 @@ def test_fov_mask_matches_binary_fill_holes_at_drive_size(make):
 # splits
 
 
-def test_make_split_stare_first_ten():
+def test_training_stems_stare_first_ten():
     ids = [f"im{i:04d}" for i in range(1, 21)]
-    plan = data.make_split(ids, "stare", seed=0)
-    assert plan.train == ids[:10]
-    assert plan.test == ids[10:]
+    assert data.training_stems(ids[::-1], "stare") == ids[:10]
 
 
-def test_make_split_drive_by_name():
+def test_training_stems_drive_by_name():
     ids = [f"{i:02d}_test" for i in range(1, 21)] + [f"{i}_training" for i in range(21, 41)]
-    plan = data.make_split(ids, "drive", seed=0)
-    assert all("_training" in i for i in plan.train)
-    assert all("_test" in i for i in plan.test)
-    assert len(plan.train) == 20 and len(plan.test) == 20
+    assert data.training_stems(ids, "drive") == [f"{i}_training" for i in range(21, 41)]
 
 
-def test_make_split_rejects_small_stare():
+def test_training_stems_rejects_small_stare():
     with pytest.raises(ValueError):
-        data.make_split(["a", "b"], "stare", seed=0)
+        data.training_stems(["a", "b"], "stare")
 
 
-@settings(max_examples=20, deadline=None)
-@given(st.integers(2, 60), st.integers(0, 1000))
-def test_make_split_disjoint_union(n, seed):
-    ids = [f"id{i:03d}" for i in range(n)]
-    plan = data.make_split(ids, "custom", seed=seed, test_fraction=0.3)
-    train, test = set(plan.train), set(plan.test)
-    assert train | test == set(ids)
-    assert not (train & test)
+def test_training_stems_custom_is_every_stem_sorted():
+    # stem order, not path order: "a-b.ppm" sorts before "a.ppm"
+    assert data.training_stems(["b", "a-b", "a"], "custom") == ["a", "a-b", "b"]
 
 
 # ---------------------------------------------------------------------------
@@ -546,7 +536,7 @@ def test_load_dataset_reads_no_masks(tmp_path):
     plain, masked = tmp_path / "plain", tmp_path / "masked"
     write_dataset(plain, n=2, with_masks=False)
     write_dataset(masked, n=2)
-    got = [data.load_dataset(root) for root in (plain, masked)]
+    got = [data.load_dataset(root, "custom") for root in (plain, masked)]
     for a, b in zip(*got):
         assert [f.name for f in fields(a)] == [f.name for f in fields(b)] == ["id", "x", "y"]
         assert a.id == b.id and a.x.tobytes() == b.x.tobytes() and a.y.tobytes() == b.y.tobytes()
@@ -560,5 +550,5 @@ def test_load_dataset_unmatched_basenames(tmp_path):
     write_dataset(tmp_path, n=2)
     (tmp_path / "labels" / "img01.pgm").unlink()
     with pytest.raises(data.DataError) as e:
-        data.load_dataset(tmp_path)
+        data.load_dataset(tmp_path, "custom")
     assert "img01" in str(e.value)
