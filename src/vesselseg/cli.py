@@ -62,9 +62,9 @@ _VALUE_FORMS = {int: r"-?[0-9]+", float: r"[^_\x80-\U0010ffff]*", str: r".*"}
 
 
 def parse_config_text(text, source="<config>"):
-    """Parse key=value lines onto the defaults; collect every bad line."""
+    """Parse key=value lines onto the defaults; collect every bad line.  A key is set once."""
     cfg = {k: default for k, (_, default) in CONFIG_SCHEMA.items()}
-    errors = []
+    errors, set_on = [], {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -76,6 +76,10 @@ def parse_config_text(text, source="<config>"):
         if key not in CONFIG_SCHEMA:
             errors.append(f"{source}:{lineno}: unknown key {key!r}")
             continue
+        if key in set_on:
+            errors.append(f"{source}:{lineno}: {key} already set on line {set_on[key]}")
+            continue
+        set_on[key] = lineno
         kind = CONFIG_SCHEMA[key][0]
         if isinstance(kind, tuple):
             if value not in kind:
@@ -341,9 +345,10 @@ def cmd_eval(args):
         (out / "notes.txt").write_text("\n".join(notes) + "\n")
         for note in notes:
             print(f"note: {note}", file=sys.stderr)
+    otsu = "per-image" if args.per_image_otsu else f"{report.otsu_threshold:.6g}"
     print(
         f"roc_auc={report.roc_auc:.6g} pr_auc={report.pr_auc:.6g} "
-        f"dice={report.total.dice:.6g} otsu={report.otsu_threshold:.6g}"
+        f"dice={report.total.dice:.6g} otsu={otsu}"
     )
     return EXIT_OK
 

@@ -69,6 +69,15 @@ def test_config_that_is_not_utf8_is_located_config_exit(capsys, tmp_path):
     assert not out.exists()
 
 
+def test_key_set_twice_is_located_config_exit(capsys, tmp_path):
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text("rounds=5\nseed=1\nrounds=10\n")
+    out = tmp_path / "o"
+    assert run(["train", "--config", str(cfg), "--out", str(out)]) == cli.EXIT_CONFIG
+    assert capsys.readouterr().err == f"config error: {cfg}:3: rounds already set on line 1\n"
+    assert not out.exists()
+
+
 def test_defaults_documented_for_every_key():
     cfg = cli.parse_config_text("")
     assert set(cfg) == set(cli.CONFIG_SCHEMA)
@@ -703,6 +712,17 @@ def test_eval_csv_bytes_pinned(tmp_path, per_image):
     digests = {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
                for name in ("roc.csv", "pr.csv", "summary.csv")}
     assert digests == GOLDEN_EVAL_SHA256[per_image]
+
+
+@pytest.mark.parametrize("per_image,dice,otsu",
+                         [(False, "0.571541", "0.390625"), (True, "0.565759", "per-image")])
+def test_eval_stdout_names_the_threshold_it_applied(tmp_path, capsys, per_image, dice, otsu):
+    # per-image mode cuts each image at its own threshold, so it prints no pooled one
+    pred_d, gold_d, image_d = _golden_eval_inputs(tmp_path)
+    argv = ["eval", "--pred-dir", str(pred_d), "--gold-dir", str(gold_d),
+            "--image-dir", str(image_d), "--out", str(tmp_path / "report")]
+    assert run(argv + ["--per-image-otsu"] * per_image) == 0
+    assert capsys.readouterr().out == f"roc_auc=0.947165 pr_auc=0.864835 dice={dice} otsu={otsu}\n"
 
 
 def test_eval_per_image_otsu_writes_the_thresholds_it_applied(tmp_path):
