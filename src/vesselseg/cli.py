@@ -61,6 +61,23 @@ CONFIG_SCHEMA = {
 _VALUE_FORMS = {int: r"-?[0-9]+", float: r"[^_\x80-\U0010ffff]*", str: r".*"}
 
 
+def _value(kind, text):
+    """kind(text) for text in kind's form in ``_VALUE_FORMS``; ValueError for any other text."""
+    if not re.fullmatch(_VALUE_FORMS[kind], text):
+        raise ValueError(text)
+    return kind(text)
+
+
+def _option(kind):
+    """An argparse type taking the numbers a config value takes."""
+
+    def convert(text):
+        return _value(kind, text)
+
+    convert.__name__ = kind.__name__  # argparse refuses with "invalid int value: '1_0'"
+    return convert
+
+
 def parse_config_text(text, source="<config>"):
     """Parse key=value lines onto the defaults; collect every bad line.  A key is set once."""
     cfg = {k: default for k, (_, default) in CONFIG_SCHEMA.items()}
@@ -90,9 +107,7 @@ def parse_config_text(text, source="<config>"):
             cfg[key] = value
         else:
             try:
-                if not re.fullmatch(_VALUE_FORMS[kind], value):
-                    raise ValueError(value)
-                cfg[key] = kind(value)
+                cfg[key] = _value(kind, value)
             except ValueError:
                 errors.append(f"{source}:{lineno}: {key} expects {kind.__name__}, got {value!r}")
     if errors:
@@ -358,25 +373,26 @@ def cmd_eval(args):
 
 
 def cmd_overlay(args):
-    probs = _load_prob(args.pred)
-    gold = data.load_binary(args.gold)
-    mask = data.load_binary(args.mask) if args.mask else np.ones_like(gold)
-    for path, role, arr in ((args.gold, "gold", gold), (args.mask, "mask", mask)):
-        if arr.shape != probs.shape:
-            raise DataError(f"{path}: {role} {arr.shape} and prediction {probs.shape} differ")
-    if args.threshold == "otsu":
-        if not mask.any():
-            raise DataError(f"{args.mask}: empty FOV mask, no pixel to pick an Otsu threshold from")
-        thr = metrics.otsu_threshold(metrics.LEVELS[probs[mask.astype(bool)]])
-    else:
+    thr = None
+    if args.threshold != "otsu":
         try:
-            thr = float(args.threshold)
+            thr = _value(float, args.threshold)
         except ValueError:
             raise ConfigError(
                 f"--threshold must be 'otsu' or a real number, got {args.threshold!r}"
             ) from None
         if not 0.0 <= thr <= 1.0:
             raise ConfigError(f"--threshold {thr} outside [0, 1]")
+    probs = _load_prob(args.pred)
+    gold = data.load_binary(args.gold)
+    mask = data.load_binary(args.mask) if args.mask else np.ones_like(gold)
+    for path, role, arr in ((args.gold, "gold", gold), (args.mask, "mask", mask)):
+        if arr.shape != probs.shape:
+            raise DataError(f"{path}: {role} {arr.shape} and prediction {probs.shape} differ")
+    if thr is None:
+        if not mask.any():
+            raise DataError(f"{args.mask}: empty FOV mask, no pixel to pick an Otsu threshold from")
+        thr = metrics.otsu_threshold(metrics.LEVELS[probs[mask.astype(bool)]])
     pred = (probs >= int(np.searchsorted(metrics.LEVELS, thr))).astype(np.uint8)
     data.write_image(metrics.overlay(pred, gold, mask), args.out)
     print(f"wrote {args.out} (threshold={thr:.6g})")
@@ -399,7 +415,7 @@ def build_parser():
     t = sub.add_parser("train", help="train a model and keep the best-validation checkpoint")
     t.add_argument("--config", help="key=value config file; defaults apply when omitted")
     t.add_argument("--out", required=True, help="output directory")
-    t.add_argument("--seed", type=int, help="override the config seed")
+    t.add_argument("--seed", type=_option(int), help="override the config seed")
     t.set_defaults(fn=cmd_train)
 
     i = sub.add_parser("infer", help="write a 16-bit probability map for one fundus image")
@@ -413,7 +429,7 @@ def build_parser():
     e.add_argument("--gold-dir", required=True, help="P5 gold-standard maps")
     e.add_argument("--mask-dir", help="P5 FOV masks; synthesized or all-ones when absent")
     e.add_argument("--image-dir", help="P6 fundus images used to synthesize missing masks")
-    e.add_argument("--fov-threshold", type=float, default=data.DEFAULT_FOV_THRESHOLD)
+    e.add_argument("--fov-threshold", type=_option(float), default=data.DEFAULT_FOV_THRESHOLD)
     e.add_argument("--per-image-otsu", action="store_true", help="one threshold per image")
     e.add_argument("--out", required=True, help="output directory for CSVs")
     e.set_defaults(fn=cmd_eval)

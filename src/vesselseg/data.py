@@ -488,15 +488,11 @@ _STAMPS = {w: _stamp_offsets(w) for w in (1, 2, 3)}
 
 
 def _draw_vessels(rng, size, fov, radius):
+    """A random-walk vessel tree: each step's centre is recorded under its width, and every
+    width's stamps go down in one pass once the walk ends (their union is order-free)."""
     vessels = np.zeros((size, size), dtype=bool)
     center = (size - 1) / 2.0
-
-    def stamp(r, c, width):
-        offs = _STAMPS[width]
-        rows = np.clip(np.round(r + offs[:, 0]).astype(int), 0, size - 1)
-        cols = np.clip(np.round(c + offs[:, 1]).astype(int), 0, size - 1)
-        keep = fov[rows, cols]
-        vessels[rows[keep], cols[keep]] = True
+    centers = {w: [] for w in _STAMPS}
 
     walkers = []
     for _ in range(3 + size // 48):
@@ -519,7 +515,7 @@ def _draw_vessels(rng, size, fov, radius):
             if (r - center) ** 2 + (c - center) ** 2 > (0.92 * radius) ** 2:
                 break
             angle += rng.normal(0.0, 0.22)
-            stamp(r, c, width)
+            centers[width].append((r, c))
             if rng.uniform() < 0.03 and len(walkers) < 40:
                 walkers.append(
                     (
@@ -530,6 +526,15 @@ def _draw_vessels(rng, size, fov, radius):
                         int(steps * 0.6),
                     )
                 )
+    for width, points in centers.items():
+        if not points:
+            continue
+        offs = _STAMPS[width]
+        at = np.array(points)
+        rows = np.clip(np.round(at[:, :1] + offs[:, 0]).astype(int), 0, size - 1)
+        cols = np.clip(np.round(at[:, 1:] + offs[:, 1]).astype(int), 0, size - 1)
+        keep = fov[rows, cols]
+        vessels[rows[keep], cols[keep]] = True
     return vessels
 
 

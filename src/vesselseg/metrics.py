@@ -24,7 +24,13 @@ image as soon as it is read, so its memory follows the FOV pixel count,
 not the frame size.  ``write_curve_csv`` writes several curves in one
 call: a column they share bit for bit, as ROC and PR share their
 thresholds and ROC's tpr is PR's recall, is formatted once, and rows are
-formatted a chunk at a time by one ``%``-format per column.
+formatted a chunk at a time.  A value in [1.2e-7, 1), as every curve value
+but 0, 1 and the +inf anchor is while each class has fewer than 8.3M
+pixels, gets the correctly rounded digits of ``"%.9g"`` by integer
+arithmetic on its exact binary value; its text goes into fixed byte slots
+with a 0 byte for every character the format omits, and the 0 bytes are
+dropped as the chunk is written.  Any other value is formatted by
+``"%.9g"`` itself, so the files are byte for byte those of the format.
 """
 
 from __future__ import annotations
@@ -379,21 +385,112 @@ def fmt(v):
     return f"{v:.9g}"
 
 
-# rows per formatting pass: one pass's strings stay near 1 MB
-_CSV_ROWS = 1 << 12
+# rows per formatting pass: one pass's arrays stay near 1 MB
+_CSV_ROWS = 1 << 13
+
+# values whose digits come from integer arithmetic: above 1.2e-7 the decimal exponent is at
+# least -7, so x * 10**(8 - exponent) needs at most 5**15, and each 26-bit half of a 53-bit
+# significand times 5**15 stays below 2**62
+_LOW, _HIGH = 1.2e-7, 1.0
+_POW5 = 5 ** np.arange(16, dtype=np.uint64)
+# a field is four little-endian 4-byte words: "%.9g" of a float64 is at most 16 characters,
+# as in "-1.23456789e-308"
+_WORD = np.dtype("<u4")
+
+
+def _words(texts, width):
+    """(len(texts), width) words: each text's ASCII, then 0 bytes."""
+    text = "".join(t.ljust(4 * width, "\0") for t in texts)
+    return np.frombuffer(text.encode("ascii"), dtype=_WORD).reshape(len(texts), width)
+
+
+# digit triple i at i, and at 1000 + i with its trailing zeros as 0 bytes
+_TRIPLES = _words(
+    [f"{i:03d}" for i in range(1000)] + [f"{i:03d}".rstrip("0") for i in range(1000)], 1
+)[:, 0]
+# by E + 7 for E in [-7, 0]: "0." and the leading zeros over word 0 and the first byte of
+# word 1 when E >= -4, the exponent's word when E <= -5
+_HEAD0, _HEAD1 = _words(["", "", "", "0.000", "0.00", "0.0", "0.", ""], 2).T
+_EXPONENTS = _words(["e-07", "e-06", "e-05", "", "", "", "", ""], 1)[:, 0]
+
+
+def _scaled(m, q, k):
+    """(floor(m * 2**q * 10**k), its exact remainder numerator, the denominator's bit count s).
+
+    m < 2**53, k <= 15, and s = -(q + k) is in [26, 62].
+    """
+    s = (-(q + k)).astype(np.uint64)
+    p = _POW5[k]
+    hi = (m >> 26) * p  # < 2**27 * 5**15 < 2**62
+    lo = (m & ((1 << 26) - 1)) * p
+    t = s - 26
+    # m * 5**k = hi * 2**26 + lo; splitting hi at bit t keeps the sum below 2**63
+    low = ((hi & ((1 << t) - 1)) << 26) + lo
+    return (hi >> t) + (low >> s), low & ((1 << s) - 1), s
+
+
+def _digits(x):
+    """(D, E) with D the 9 significant digits of each x in [_LOW, _HIGH), correctly rounded
+    half to even from x's exact binary value, and x ~ D * 10**(E - 8)."""
+    f, e = np.frexp(x)
+    m = (f * 2.0**53).astype(np.uint64)  # x = m * 2**(e - 53), exactly
+    q = e.astype(np.int64) - 53
+    # log10 is off by at most an ulp, so its floor misses E only next to a power of ten
+    exp = np.floor(np.log10(x)).astype(np.int64)
+    d, rem, s = _scaled(m, q, 8 - exp)
+    miss = np.flatnonzero((d < 10**8) | (d >= 10**9))
+    if miss.size:
+        exp[miss] += np.where(d[miss] < 10**8, -1, 1)
+        d[miss], rem[miss], s[miss] = _scaled(m[miss], q[miss], 8 - exp[miss])
+    # half to even: an odd D rounds up at exactly half
+    d += rem + (d & 1) > 1 << (s - 1)
+    carry = d == 10**9
+    d[carry] = 10**8
+    return d.astype(np.uint32), exp + carry
 
 
 def _formatted(column):
-    """``fmt`` of each value, from one format call: "%.9g" % v is fmt(v) for a float."""
-    return ("%.9g\n" * len(column) % tuple(column.tolist())).split("\n")[:-1]
+    """``fmt`` of each value as a row of four words: the ASCII of "%.9g" % v, with a
+    0 byte in every slot the text leaves empty.
+
+    A value in [_LOW, _HIGH) takes its digits d0..d8 from ``_digits``.  With exponent
+    E >= -4 its bytes are [0 . z z][z d0 d1 d2][d3 d4 d5 -][d6 d7 d8 -], z a leading
+    zero or 0 byte; otherwise [d0 . d1 d2][d3 d4 d5 -][d6 d7 d8 -][e - 0 X].  Trailing
+    zero digits, and a point with no digit after it, are 0 bytes.  Any other value, and
+    one that rounds up to 1, is formatted by "%.9g" itself.
+    """
+    inside = (column >= _LOW) & (column < _HIGH)
+    d, exp = _digits(np.where(inside, column, 0.5))
+    t1, t2 = d // 1000 % 1000, d % 1000
+    # a triple's trailing zeros are dropped when every triple after it is zero
+    w0 = _TRIPLES[d // 10**6 + 1000 * ((t1 == 0) & (t2 == 0))]
+    w1 = _TRIPLES[t1 + 1000 * (t2 == 0)]
+    w2 = _TRIPLES[t2 + 1000]
+    fixed, row = exp >= -4, exp + 7
+    # [d0 d1 d2 -] as [d0 . d1 d2], with no point when d1 and d2 are 0 bytes
+    sci0 = (w0 & 0xFF) | (w0 > 0xFF) * _WORD.type(ord(".") << 8) | (w0 & 0xFFFF00) << 8
+    out = np.empty((len(column), 4), dtype=_WORD)
+    out[:, 0] = np.where(fixed, _HEAD0[row], sci0)
+    out[:, 1] = np.where(fixed, _HEAD1[row] | w0 << 8, w1)
+    out[:, 2] = np.where(fixed, w1, w2)
+    out[:, 3] = np.where(fixed, w2, _EXPONENTS[row])
+    other = np.flatnonzero(~inside | (exp == 0))
+    if other.size:
+        out[other] = _words(["%.9g" % v for v in column[other].tolist()], 4)
+    return out
 
 
 def write_curve_csv(*curves):
-    """Write each (curve, path) pair as a ``threshold,x,y`` CSV.
+    """Write each (curve, path) pair as a ``threshold,x,y`` CSV: byte for byte the
+    lines ``f"{t:.9g},{x:.9g},{y:.9g}"`` of its points.
 
     A column that several curves share bit for bit is formatted once: ROC and
-    PR share their thresholds, and ROC's tpr is PR's recall.  Rows are
-    formatted in chunks, so no string holds a whole curve.
+    PR share their thresholds, and ROC's tpr is PR's recall.  Rows go out in
+    chunks of ``_CSV_ROWS``.  ``_formatted`` gives a value in [1.2e-7, 1) its
+    digits by integer arithmetic and any other value its ``"%.9g"`` text, each
+    in 16 fixed byte slots with a 0 byte where the text is shorter; a chunk's
+    rows are one array of fields and separators, written with the 0 bytes
+    dropped, so no array holds a whole curve.
     """
     # distinct columns by their bytes, which tell -0.0 from 0.0 as the format does
     index = {}
@@ -401,16 +498,19 @@ def write_curve_csv(*curves):
         [index.setdefault(c.tobytes(), len(index)) for c in curve.points.T] for curve, _ in curves
     ]
     columns = [np.frombuffer(b) for b in index]
+    separators = _words([",", ",", "\n"], 1).T
     with ExitStack() as stack:
-        files = [stack.enter_context(open(path, "w")) for _, path in curves]
+        files = [stack.enter_context(open(path, "wb")) for _, path in curves]
         for fh in files:
-            fh.write("threshold,x,y\n")
+            fh.write(b"threshold,x,y\n")
         for lo in range(0, max(map(len, columns), default=0), _CSV_ROWS):
-            strings = [_formatted(c[lo : lo + _CSV_ROWS]) for c in columns]
+            fields = [_formatted(c[lo : lo + _CSV_ROWS]) for c in columns]
             for fh, layout in zip(files, layouts):
-                rows = "\n".join(map(",".join, zip(*(strings[j] for j in layout))))
-                if rows:
-                    fh.write(rows + "\n")
+                rows = np.empty((len(fields[layout[0]]), 3, 5), dtype=_WORD)
+                for i, j in enumerate(layout):
+                    rows[:, i, :4] = fields[j]
+                rows[:, :, 4] = separators
+                fh.write(rows.tobytes().translate(None, b"\0"))
 
 
 def write_summary_csv(report: MetricsReport, path):

@@ -872,6 +872,45 @@ def test_overlay_threshold_flag(tmp_path):
     assert rc == cli.EXIT_CONFIG
 
 
+# numbers a config file refuses ("seed=1_0", "seed=+3", non-ASCII digits) that int() and
+# float() alone would take; the command line refuses them too
+CLI_NUMBER_FORMS = {
+    "int": ["1_0", "+3", "\u0663", "\uff17", " 7"],
+    "float": ["0.3_5", "\u0660.\u0665", "\uff10.\uff15", "1_0e-1"],
+}
+
+
+@pytest.mark.parametrize("bad", CLI_NUMBER_FORMS["int"])
+def test_train_seed_refuses_what_a_config_int_refuses(tmp_path, capsys, bad):
+    out = tmp_path / "run"
+    assert run(["train", "--out", str(out), "--seed", bad]) == cli.EXIT_CONFIG
+    assert "--seed" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("bad", CLI_NUMBER_FORMS["float"])
+def test_eval_fov_threshold_refuses_what_a_config_float_refuses(tmp_path, capsys, bad):
+    pred_d, gold_d, _ = _gold_dirs(tmp_path)
+    out = tmp_path / "report"
+    rc = run(["eval", "--pred-dir", str(pred_d), "--gold-dir", str(gold_d),
+              "--fov-threshold", bad, "--out", str(out)])
+    assert rc == cli.EXIT_CONFIG
+    assert "--fov-threshold" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("bad", CLI_NUMBER_FORMS["float"])
+def test_overlay_threshold_refuses_what_a_config_float_refuses(tmp_path, capsys, bad):
+    pred_p, gold_p = _overlay_inputs(tmp_path)
+    out = tmp_path / "ov.ppm"
+    argv = ["overlay", "--pred", str(pred_p), "--gold", str(gold_p), "--out", str(out)]
+    assert run(argv + ["--threshold", bad]) == cli.EXIT_CONFIG
+    assert "--threshold" in capsys.readouterr().err
+    assert not out.exists()
+    assert run(argv + ["--threshold", "0.35"]) == 0
+    assert out.exists()
+
+
 @pytest.mark.parametrize("bad", ["mask_shape", "gold_shape", "empty_mask"])
 def test_overlay_bad_input_is_data_exit(tmp_path, capsys, bad):
     pred_p, gold_p = _overlay_inputs(tmp_path)

@@ -500,6 +500,51 @@ def test_synthetic_vessels_inside_fov():
         assert np.all(s.m[s.y == 1] == 1)
 
 
+def draw_vessels_per_step(rng, size, fov, radius):
+    """The walker that stamps every step as it goes: the oracle for ``data._draw_vessels``."""
+    vessels = np.zeros((size, size), dtype=bool)
+    center = (size - 1) / 2.0
+
+    def stamp(r, c, width):
+        offs = data._STAMPS[width]
+        rows = np.clip(np.round(r + offs[:, 0]).astype(int), 0, size - 1)
+        cols = np.clip(np.round(c + offs[:, 1]).astype(int), 0, size - 1)
+        keep = fov[rows, cols]
+        vessels[rows[keep], cols[keep]] = True
+
+    walkers = []
+    for _ in range(3 + size // 48):
+        r0 = rng.uniform(0, 0.2 * radius)
+        th0 = rng.uniform(0, 2 * np.pi)
+        walkers.append((center + r0 * np.sin(th0), center + r0 * np.cos(th0),
+                        rng.uniform(0, 2 * np.pi), int(rng.integers(2, 4)), int(1.1 * radius)))
+    while walkers:
+        r, c, angle, width, steps = walkers.pop()
+        for _ in range(steps):
+            r += np.sin(angle)
+            c += np.cos(angle)
+            if (r - center) ** 2 + (c - center) ** 2 > (0.92 * radius) ** 2:
+                break
+            angle += rng.normal(0.0, 0.22)
+            stamp(r, c, width)
+            if rng.uniform() < 0.03 and len(walkers) < 40:
+                walkers.append((r, c, angle + rng.choice([-1.0, 1.0]) * rng.uniform(0.5, 1.1),
+                                max(1, width - 1), int(steps * 0.6)))
+    return vessels
+
+
+@pytest.mark.parametrize("size", [16, 24, 32, 48, 64, 96])
+def test_synthetic_maps_match_the_per_step_walker(monkeypatch, size):
+    # the walker draws the same numbers in the same order, and stamps are a union, so
+    # recording the centres and stamping once per width gives the same map
+    got = [data.generate_synthetic_raw(size, seed) for seed in range(10)]
+    monkeypatch.setattr(data, "_draw_vessels", draw_vessels_per_step)
+    want = [data.generate_synthetic_raw(size, seed) for seed in range(10)]
+    for (img, y, m), (img_w, y_w, m_w) in zip(got, want):
+        assert img.pixels.tobytes() == img_w.pixels.tobytes()
+        assert y.tobytes() == y_w.tobytes() and m.tobytes() == m_w.tobytes()
+
+
 def test_synthetic_vessel_fraction_band():
     fracs = [
         data.generate_synthetic_sample(64, seed).y[

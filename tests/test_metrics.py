@@ -1,4 +1,6 @@
+import tempfile
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -727,6 +729,68 @@ def test_curves_written_together_match_per_point_fstrings(tmp_path, monkeypatch,
         want = "".join(f"{t:.9g},{x:.9g},{y:.9g}\n" for t, x, y in curve.points.tolist())
         assert (tmp_path / f"curve{i}.csv").read_text() == "threshold,x,y\n" + want
     assert "-0," in (tmp_path / "curve2.csv").read_text()
+
+
+def assert_csv_writes_percent_g(values):
+    """write_curve_csv of a curve whose columns hold values writes "%.9g" of each."""
+    values = np.asarray(values, dtype=np.float64)
+    points = np.column_stack([values, values[::-1], np.roll(values, 1)])
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "curve.csv"
+        metrics.write_curve_csv((metrics.Curve(points=points, auc=0.0), path))
+        got = path.read_bytes()
+    want = "".join("%.9g,%.9g,%.9g\n" % tuple(p) for p in points.tolist())
+    assert got == ("threshold,x,y\n" + want).encode()
+
+
+def test_csv_writes_percent_g_of_every_level():
+    assert_csv_writes_percent_g(metrics.LEVELS)
+
+
+# values at the edges of the integer-digit range and of the fixed/exponent switch, dyadic
+# values that sit exactly half-way at 9 digits (2**-14 is 6.103515625e-05), and values
+# the digits do not cover
+EDGE_VALUES = np.concatenate([
+    [x for b in (1.2e-7, 1e-4, 1e-5) for x in (np.nextafter(b, 0), b, np.nextafter(b, 1))],
+    [2.0**-14, 0.0, -0.0, 1.0, np.inf, -np.inf, np.nan, 5e-324, 2.0, -0.25, 1e-7, 1e16],
+    [np.nextafter(1.0, 0), 0.9999999995, 0.99999999949999, 9.9999999995e-5, 9.99999999949e-6],
+    [j * 2.0**-k for k in range(1, 45) for j in range(1, 64, 2)],
+])
+
+
+def test_csv_writes_percent_g_of_edge_values():
+    assert_csv_writes_percent_g(EDGE_VALUES)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, 2**23), st.integers(1, 2**23)), min_size=1, max_size=200))
+@example([(1, 3), (1, 7), (1, 1000), (1, 16384), (3, 65536), (1, 2**20), (1, 4425104)])
+def test_csv_writes_percent_g_of_rationals(pairs):
+    assert_csv_writes_percent_g([a % (b + 1) / b for a, b in pairs])
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True), min_size=1, max_size=200))
+def test_csv_writes_percent_g_of_doubles_in_unit_interval(values):
+    assert_csv_writes_percent_g(values)
+
+
+@pytest.mark.parametrize("rows", [5, 4096])
+def test_curve_csv_bytes_match_per_point_fstrings_over_the_digit_range(tmp_path, monkeypatch, rows):
+    # every column mixes values with integer digits and values formatted one by one
+    rng = np.random.default_rng(20)
+    n = 3000
+    columns = [
+        np.concatenate([rng.choice(metrics.LEVELS, n - len(EDGE_VALUES)), EDGE_VALUES]),
+        np.concatenate([rng.integers(0, 4425105, n - 40) / 4425104, EDGE_VALUES[:40]]),
+        rng.permutation(np.concatenate([10 ** rng.uniform(-8, 0, n - 60), EDGE_VALUES[-60:]])),
+    ]
+    points = np.column_stack(columns)
+    monkeypatch.setattr(metrics, "_CSV_ROWS", rows)
+    path = tmp_path / "curve.csv"
+    metrics.write_curve_csv((metrics.Curve(points=points, auc=0.5), path))
+    want = "".join(f"{t:.9g},{x:.9g},{y:.9g}\n" for t, x, y in points.tolist())
+    assert path.read_bytes() == ("threshold,x,y\n" + want).encode()
 
 
 def test_summary_csv_format(tmp_path):
