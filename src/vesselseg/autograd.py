@@ -19,6 +19,15 @@ Gradient-tracking leaves (``Tensor(..., requires_grad=True)``) hold a zeroed
 ``grad`` from construction; interior op results start with ``grad = None``
 and allocate it on the first accumulation during :func:`backward`.
 
+An op result records its backward as a closure over what the forward
+kept.  Where each input's grad is a function of the output grad alone, the
+op hands ``_each`` one (input, grad function) pair per input, and ``_each``
+builds the closure that accumulates each grad into the inputs that still
+track gradients.  The two convolutions write their own closures, as their
+input grads share work: ``conv2d`` masks the output grad by the activation
+and lays it out with zeroed wrap columns once for its kernel and input
+grads, and ``transposed_conv2d`` de-interleaves it once for both.
+
 The convolutions are BLAS matrix products; ``conv2d`` builds no im2col
 columns.  It reads the input from a zero-padded buffer split into stride x
 stride phase planes (one plane at stride 1), each flattened row-major with
@@ -172,6 +181,21 @@ def _accum(t, g):
         t.grad += g
 
 
+def _each(values, *pairs, buffer=None):
+    """``_result`` for an op whose inputs' grads are independent of each other.
+
+    Each pair is (input, grad_fn): the backward accumulates ``grad_fn(g)``
+    into each input that still tracks gradients when it runs, in pair order.
+    """
+
+    def bw(g):
+        for t, grad_fn in pairs:
+            if t.requires_grad:
+                _accum(t, grad_fn(g))
+
+    return _result(values, [t for t, _ in pairs], bw, buffer)
+
+
 def _same_shape(a, b, op):
     if a.data.shape != b.data.shape:
         raise ValueError(f"{op}: shape mismatch {a.data.shape} vs {b.data.shape}")
@@ -182,30 +206,13 @@ def _same_shape(a, b, op):
 
 def add(a, b):
     if not isinstance(b, Tensor):
-        c = float(b)
-
-        def bw_scalar(g):
-            if a.requires_grad:
-                _accum(a, g)
-
-        return _result(a.data + c, (a,), bw_scalar)
+        return _each(a.data + float(b), (a, lambda g: g))
     _same_shape(a, b, "add")
-
-    def bw(g):
-        if a.requires_grad:
-            _accum(a, g)
-        if b.requires_grad:
-            _accum(b, g)
-
-    return _result(a.data + b.data, (a, b), bw)
+    return _each(a.data + b.data, (a, lambda g: g), (b, lambda g: g))
 
 
 def neg(a):
-    def bw(g):
-        if a.requires_grad:
-            _accum(a, -g)
-
-    return _result(-a.data, (a,), bw)
+    return _each(-a.data, (a, lambda g: -g))
 
 
 def sub(a, b):
@@ -216,54 +223,26 @@ def sub(a, b):
 
 def rsub(a, scalar):
     """scalar - a, elementwise."""
-    c = float(scalar)
-
-    def bw(g):
-        if a.requires_grad:
-            _accum(a, -g)
-
-    return _result(c - a.data, (a,), bw)
+    return _each(float(scalar) - a.data, (a, lambda g: -g))
 
 
 def mul(a, b):
     if not isinstance(b, Tensor):
         c = float(b)
-
-        def bw_scalar(g):
-            if a.requires_grad:
-                _accum(a, g * c)
-
-        return _result(a.data * c, (a,), bw_scalar)
+        return _each(a.data * c, (a, lambda g: g * c))
     _same_shape(a, b, "mul")
-
-    def bw(g):
-        if a.requires_grad:
-            _accum(a, g * b.data)
-        if b.requires_grad:
-            _accum(b, g * a.data)
-
-    return _result(a.data * b.data, (a, b), bw)
+    return _each(a.data * b.data, (a, lambda g: g * b.data), (b, lambda g: g * a.data))
 
 
 def log(a):
     x = a.data
-
-    def bw(g):
-        if a.requires_grad:
-            _accum(a, g / x)
-
-    return _result(np.log(x), (a,), bw)
+    return _each(np.log(x), (a, lambda g: g / x))
 
 
 def clamp(a, lo, hi):
     """Clip values to [lo, hi]; gradient passes only strictly inside."""
     x = a.data
-
-    def bw(g):
-        if a.requires_grad:
-            _accum(a, g * ((x > lo) & (x < hi)))
-
-    return _result(np.clip(x, lo, hi), (a,), bw)
+    return _each(np.clip(x, lo, hi), (a, lambda g: g * ((x > lo) & (x < hi))))
 
 
 # ---------------------------------------------------------------------------
@@ -275,12 +254,7 @@ def clamp(a, lo, hi):
 def relu(a):
     x = a.data
     pos = x > 0 if _tracked(a) else None
-
-    def bw(g):
-        if a.requires_grad:
-            _accum(a, g * pos)
-
-    return _result(np.maximum(x, 0), (a,), bw)
+    return _each(np.maximum(x, 0), (a, lambda g: g * pos))
 
 
 def leaky_relu(a, alpha=0.2):
@@ -292,12 +266,7 @@ def leaky_relu(a, alpha=0.2):
     out = np.empty_like(x)
     np.multiply(x, alpha, out=out)
     np.maximum(out, x, out=out)
-
-    def bw(g):
-        if a.requires_grad:
-            _accum(a, np.where(pos, g, g * alpha))
-
-    return _result(out, (a,), bw)
+    return _each(out, (a, lambda g: np.where(pos, g, g * alpha)))
 
 
 _SIG_EPS = 1e-7
@@ -310,12 +279,7 @@ def sigmoid(a):
     d = 1.0 + e
     out = np.where(x >= 0, 1.0 / d, e / d)
     np.clip(out, _SIG_EPS, 1.0 - _SIG_EPS, out=out)
-
-    def bw(g):
-        if a.requires_grad:
-            _accum(a, g * out * (1.0 - out))
-
-    return _result(out, (a,), bw)
+    return _each(out, (a, lambda g: g * out * (1.0 - out)))
 
 
 # ---------------------------------------------------------------------------
@@ -326,12 +290,7 @@ def global_mean(a):
     if a.data.size == 0:
         raise ValueError("global_mean: empty tensor")
     n = a.data.size
-
-    def bw(g):
-        if a.requires_grad:
-            _accum(a, np.full_like(a.data, float(g) / n))
-
-    return _result(a.data.mean(), (a,), bw)
+    return _each(a.data.mean(), (a, lambda g: np.full_like(a.data, float(g) / n)))
 
 
 def spatial_mean(a):
@@ -339,12 +298,10 @@ def spatial_mean(a):
     if a.data.ndim != 4:
         raise ValueError(f"spatial_mean: expected 4-d input, got shape {a.data.shape}")
     n_hw = a.data.shape[2] * a.data.shape[3]
-
-    def bw(g):
-        if a.requires_grad:
-            _accum(a, np.broadcast_to(g / n_hw, a.data.shape))
-
-    return _result(a.data.mean(axis=(2, 3), keepdims=True), (a,), bw)
+    return _each(
+        a.data.mean(axis=(2, 3), keepdims=True),
+        (a, lambda g: np.broadcast_to(g / n_hw, a.data.shape)),
+    )
 
 
 def concat_channels(a, b):
@@ -357,14 +314,9 @@ def concat_channels(a, b):
     if sa[0] != sb[0] or sa[2:] != sb[2:]:
         raise ValueError(f"concat_channels: batch/spatial mismatch {sa} vs {sb}")
     ca = sa[1]
-
-    def bw(g):
-        if a.requires_grad:
-            _accum(a, g[:, :ca])
-        if b.requires_grad:
-            _accum(b, g[:, ca:])
-
-    return _result(np.concatenate([a.data, b.data], axis=1), (a, b), bw)
+    return _each(
+        np.concatenate([a.data, b.data], axis=1), (a, lambda g: g[:, :ca]), (b, lambda g: g[:, ca:])
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -658,20 +610,18 @@ def maxpool2x2(x):
     np.maximum(pooled, x.data[views[0]], out=pooled)
     out[...] = pooled
 
-    def bw(g):
-        if not x.requires_grad:
-            return
-        dx = np.zeros(x.data.shape, dtype=g.dtype)
+    def dx(g):
+        grad = np.zeros(x.data.shape, dtype=g.dtype)
         taken = np.zeros(out.shape, dtype=bool)
         for view in views:
             v = x.data[view]
             hit = (v == out) | (v != v)
             hit &= ~taken
-            np.copyto(dx[view], g, where=hit)
+            np.copyto(grad[view], g, where=hit)
             taken |= hit
-        _accum(x, dx)
+        return grad
 
-    return _result(out, (x,), bw, (buf, border))
+    return _each(out, (x, dx), buffer=(buf, border))
 
 
 # ---------------------------------------------------------------------------

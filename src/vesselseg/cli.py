@@ -140,7 +140,7 @@ def config_lines(cfg):
 
 
 def _check_fraction(value, name):
-    """A FOV luminance threshold, a fraction of maxval: finite and in [0, 1]."""
+    """Refuse an option value that is not a fraction: finite and in [0, 1]."""
     if not 0.0 <= value <= 1.0:  # false for NaN too
         raise ConfigError(f"{name} {value} outside [0, 1]")
 
@@ -381,8 +381,7 @@ def cmd_overlay(args):
             raise ConfigError(
                 f"--threshold must be 'otsu' or a real number, got {args.threshold!r}"
             ) from None
-        if not 0.0 <= thr <= 1.0:
-            raise ConfigError(f"--threshold {thr} outside [0, 1]")
+        _check_fraction(thr, "--threshold")
     probs = _load_prob(args.pred)
     gold = data.load_binary(args.gold)
     mask = data.load_binary(args.mask) if args.mask else np.ones_like(gold)

@@ -200,15 +200,23 @@ def _otsu_histogram(scores, weights=None):
     scores = np.asarray(scores, dtype=np.float64)
     if scores.size == 0:
         raise ValueError("otsu_threshold: empty scores")
+    if weights is not None:
+        weights = np.asarray(weights, dtype=np.float64)
+        # float64 weight sums stay exact integers below 2**53 pixels
+        if not (np.all(weights >= 0) and weights.sum() < 2**53):  # false for NaN and inf too
+            raise ValueError("otsu_threshold: weights must be >= 0 and sum below 2**53")
     bins = np.minimum((np.clip(scores, 0.0, 1.0) * OTSU_BINS).astype(np.int64), OTSU_BINS - 1)
-    # float64 weight sums stay exact integers below 2**53 pixels
-    return np.bincount(bins, weights=weights, minlength=OTSU_BINS).astype(np.int64)
+    counts = np.bincount(bins, weights=weights, minlength=OTSU_BINS).astype(np.int64)
+    if not counts.any():
+        raise ValueError("otsu_threshold: weights sum to 0 pixels")
+    return counts
 
 
 def otsu_threshold(scores, weights=None):
     """Boundary of a 256-bin histogram over [0,1] maximizing between-class variance.
 
-    ``weights`` gives how many pixels hold each score (one each when None).
+    ``weights`` gives how many pixels hold each score (one each when None);
+    weights that are negative or NaN, or sum to 0 or to 2**53 or more, are refused.
     Lowest maximizing boundary wins ties; a single occupied bin returns that
     bin's upper boundary.
     """
@@ -339,6 +347,8 @@ def evaluate_pixels(parts, ids=None, per_image_threshold=False) -> MetricsReport
         raise ValueError("evaluate: empty input")
     if ids is None:
         ids = [f"image{i:03d}" for i in range(len(parts))]
+    elif len(ids) != len(parts):
+        raise ValueError(f"evaluate: {len(ids)} ids for {len(parts)} images")
 
     pooled, bounds = _pool(parts)
     roc_curve, roc_area = roc_auc(pooled)

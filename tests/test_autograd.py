@@ -972,6 +972,37 @@ def test_frozen_skips_grads_and_restores_on_exception():
     assert k.requires_grad and b.requires_grad
 
 
+@pytest.mark.parametrize("op", ["add", "mul", "concat_channels"])
+@pytest.mark.parametrize("frozen_first", [True, False])
+def test_two_input_op_under_frozen_grads_only_the_other(op, frozen_first):
+    rng = np.random.default_rng(23)
+    x, y = rng.uniform(0.5, 1.5, (2, 1, 1, 4, 4))
+    w = rng.uniform(-1, 1, (1, 2, 4, 4) if op == "concat_channels" else (1, 1, 4, 4))
+    a, b = Tensor(x, requires_grad=True), Tensor(y, requires_grad=True)
+    with ag.frozen([a] if frozen_first else [b]):
+        ag.backward(weighted_sum(getattr(ag, op)(a, b), w))
+    frozen_t, live, other = (a, b, x) if frozen_first else (b, a, y)
+    np.testing.assert_array_equal(frozen_t.grad, np.zeros_like(frozen_t.data))
+    if op == "add":
+        want = w
+    elif op == "mul":
+        want = w * other
+    else:
+        want = w[:, 1:] if frozen_first else w[:, :1]
+    np.testing.assert_allclose(live.grad, want, rtol=1e-12)
+
+
+@pytest.mark.parametrize("op", ["add", "mul", "concat_channels"])
+def test_two_input_op_on_one_tensor_sums_both_grads(op):
+    rng = np.random.default_rng(24)
+    x = rng.uniform(0.5, 1.5, (1, 1, 4, 4))
+    w = rng.uniform(-1, 1, (1, 2, 4, 4) if op == "concat_channels" else (1, 1, 4, 4))
+    a = Tensor(x, requires_grad=True)
+    ag.backward(weighted_sum(getattr(ag, op)(a, a), w))
+    want = {"add": 2 * w, "mul": 2 * w * x, "concat_channels": w[:, :1] + w[:, 1:]}[op]
+    np.testing.assert_allclose(a.grad, want, rtol=1e-12)
+
+
 # ---------------------------------------------------------------------------
 # Adam
 

@@ -872,6 +872,17 @@ def test_overlay_threshold_flag(tmp_path):
     assert rc == cli.EXIT_CONFIG
 
 
+@pytest.mark.parametrize("bad", ["1.5", "-0.25", "nan"])
+def test_overlay_threshold_outside_unit_interval_names_it(tmp_path, capsys, bad):
+    pred_p, gold_p = _overlay_inputs(tmp_path)
+    out = tmp_path / "ov.ppm"
+    rc = run(["overlay", "--pred", str(pred_p), "--gold", str(gold_p),
+              "--threshold", bad, "--out", str(out)])
+    assert rc == cli.EXIT_CONFIG
+    assert f"--threshold {float(bad)} outside [0, 1]" in capsys.readouterr().err
+    assert not out.exists()
+
+
 # numbers a config file refuses ("seed=1_0", "seed=+3", non-ASCII digits) that int() and
 # float() alone would take; the command line refuses them too
 CLI_NUMBER_FORMS = {

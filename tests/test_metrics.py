@@ -687,6 +687,36 @@ def test_evaluate_rejects_empty_and_mismatched():
         metrics.evaluate([np.zeros((2, 2))], [], [])
 
 
+@pytest.mark.parametrize("n_ids", [2, 4])
+def test_evaluate_rejects_ids_not_one_per_image(n_ids):
+    rng = np.random.default_rng(5)
+    maps = [rng.uniform(size=(8, 8)) for _ in range(3)]
+    golds = [(rng.uniform(size=(8, 8)) > 0.7).astype(np.uint8) for _ in range(3)]
+    masks = [np.ones((8, 8), np.uint8)] * 3
+    ids = [f"im{i}" for i in range(n_ids)]
+    with pytest.raises(ValueError, match=f"{n_ids} ids for 3 images"):
+        metrics.evaluate(maps, golds, masks, ids=ids)
+    report = metrics.evaluate(maps, golds, masks, ids=["p", "q", "r"])
+    assert [e.image_id for e in report.per_image] == ["p", "q", "r"]
+    assert report.total.tp + report.total.fp + report.total.fn + report.total.tn == 192
+
+
+@pytest.mark.parametrize(
+    "weights,match",
+    [
+        ([0, 0], "sum to 0"),
+        ([3, -3], ">= 0"),
+        ([5, -1], ">= 0"),
+        ([1, np.nan], ">= 0"),
+        ([1, np.inf], "below 2"),
+        ([2.0**53, 1], "below 2"),
+    ],
+)
+def test_otsu_rejects_weights_that_are_not_pixel_counts(weights, match):
+    with pytest.raises(ValueError, match=match):
+        metrics.otsu_threshold([0.2, 0.7], weights=weights)
+
+
 # ---------------------------------------------------------------------------
 # csv formats
 
