@@ -392,7 +392,7 @@ def cmd_overlay(args):
         if not mask.any():
             raise DataError(f"{args.mask}: empty FOV mask, no pixel to pick an Otsu threshold from")
         thr = metrics.otsu_threshold(metrics.LEVELS[probs[mask.astype(bool)]])
-    pred = (probs >= int(np.searchsorted(metrics.LEVELS, thr))).astype(np.uint8)
+    pred = metrics.predicted(probs, metrics.LEVELS, thr)
     data.write_image(metrics.overlay(pred, gold, mask), args.out)
     print(f"wrote {args.out} (threshold={thr:.6g})")
     return EXIT_OK

@@ -1,19 +1,20 @@
 """FOV-restricted evaluation: ROC/PR curves, Otsu threshold, dice, overlays.
 
-Curves put a threshold at every distinct score with ties grouped, and
-integrate by trapezoid, so the ROC area equals the tie-corrected rank
-statistic.  Scores are grouped by counting: each pixel holds a level, an
-index into an ascending table of distinct scores, and ``bincount`` of the
-levels (and of the vessel pixels' levels) gives every distinct score's
-pixel and vessel counts, grouped once per ``ScoredPixels`` and shared by
-ROC and PR.  The counts are summed over fixed chunks of levels, so
-``bincount`` never copies all of them to intp at once.  16-bit probability
-maps are their own levels against ``LEVELS``, so ``evaluate`` on them sorts
-nothing; float scores find their levels by ``np.unique`` and a binary
-search.  The Otsu search runs over the 255 boundaries of a 256-bin
-histogram with exact integer moments, making the argmax reproducible
-against an exhaustive sweep; the pooled histogram bins the grouped
-distinct scores weighted by their pixel counts.
+A uint16 score is a level: level k scores ``LEVELS[k]``, k/65535, as a
+16-bit probability map stores it, and ``ScoredPixels`` alone applies that
+rule.  Curves put a threshold at every distinct score with ties grouped,
+and integrate by trapezoid in one ``_curve`` for ROC and PR, so the ROC
+area equals the tie-corrected rank statistic.  Scores are grouped by
+counting: each pixel holds a level, an index into an ascending table of
+scores (``LEVELS`` for uint16 levels, so 16-bit maps sort nothing; the
+``np.unique`` of float scores), and ``bincount`` of the levels and of the
+vessel pixels' levels, summed over fixed chunks so that no intp copy holds
+all of them, gives every distinct score's pixel and vessel counts, grouped
+once per ``ScoredPixels``.  ``predicted`` is the one binarizer, a cut on
+levels, and ``_counts`` the one tp/fp/fn/tn count.  The Otsu search runs
+over the 255 boundaries of a 256-bin histogram with exact integer moments,
+making the argmax reproducible against an exhaustive sweep; the pooled
+histogram bins the grouped distinct scores weighted by their pixel counts.
 
 ``fov_pixels`` reduces one image to its FOV pixels.  ``evaluate_pixels``
 takes those per-image parts, copies them into one pooled allocation and
@@ -52,29 +53,20 @@ LEVELS = np.arange(65536) / 65535
 class ScoredPixels:
     """Index-aligned scores and labels of the pixels inside the FOV.
 
-    Scores must be finite and labels 0/1 (or bool).  Given ``values``, an
-    ascending table of distinct finite scores such as ``LEVELS``, ``scores``
-    holds instead each pixel's integer level: its index into that table.
+    Scores are uint16 levels, level k scoring ``LEVELS[k]``, or finite floats.
+    Labels are 0/1 (or bool).
     """
 
     scores: np.ndarray
     labels: np.ndarray
-    values: np.ndarray | None = None
 
     def __post_init__(self):
         self.labels = np.asarray(self.labels)
-        if self.values is None:
-            self.scores = np.asarray(self.scores, dtype=np.float64)
+        self.scores = np.asarray(self.scores)
+        if self.scores.dtype != np.uint16:
+            self.scores = self.scores.astype(np.float64, copy=False)
             if not np.isfinite(self.scores).all():
                 raise ValueError("scores must be finite")
-        else:
-            self.scores = np.asarray(self.scores)
-            self.values = v = np.asarray(self.values, dtype=np.float64)
-            if v.ndim != 1 or not np.isfinite(v).all() or not (v[1:] > v[:-1]).all():
-                raise ValueError("values must be a vector of ascending distinct finite scores")
-            lv = self.scores
-            if lv.dtype.kind not in "ui" or (lv.size and not 0 <= lv.min() <= lv.max() < len(v)):
-                raise ValueError(f"levels must be integers in [0, {len(v)})")
         if self.scores.shape != self.labels.shape or self.scores.ndim != 1:
             raise ValueError(
                 f"scores and labels must be equal-length vectors, got "
@@ -85,9 +77,9 @@ class ScoredPixels:
 
     @cached_property
     def leveled(self):
-        """(values, levels): the table of distinct scores and each pixel's index into it."""
-        if self.values is not None:
-            return self.values, self.scores
+        """(values, levels): an ascending table of scores and each pixel's index into it."""
+        if self.scores.dtype == np.uint16:
+            return LEVELS, self.scores
         values = np.unique(self.scores)
         return values, np.searchsorted(values, self.scores)
 
@@ -150,10 +142,13 @@ def _group_counts(sp: ScoredPixels):
     return values[seen], cum_tp, cum_fp
 
 
-def _points(thresholds, x, y, anchor):
-    """Curve.points: (threshold, x, y) rows ascending in threshold, then the +inf anchor."""
+def _curve(thresholds, x, y, y0):
+    """(Curve, area) through the grouped points: the area by trapezoid from (0, y0), the
+    points ascending in threshold with the (+inf, 0, y0) anchor last."""
+    auc = float(np.trapezoid(np.concatenate([[y0], y]), np.concatenate([[0.0], x])))
     # the grouped thresholds are distinct and descending, so reversing sorts them
-    return np.vstack([np.column_stack([thresholds, x, y])[::-1], anchor])
+    points = np.vstack([np.column_stack([thresholds, x, y])[::-1], (float("inf"), 0.0, y0)])
+    return Curve(points=points, auc=auc), auc
 
 
 def _class_counts(cum_tp, cum_fp):
@@ -167,14 +162,7 @@ def roc_auc(sp: ScoredPixels):
     p, n = _class_counts(cum_tp, cum_fp)
     if p == 0 or n == 0:
         raise ValueError(f"ROC needs both classes; got {p} positives, {n} negatives")
-    tpr = cum_tp / p
-    fpr = cum_fp / n
-    # trapezoid from the (0,0) anchor through each grouped threshold
-    xs = np.concatenate([[0.0], fpr])
-    ys = np.concatenate([[0.0], tpr])
-    auc = float(np.trapezoid(ys, xs))
-    points = _points(thresholds, fpr, tpr, (float("inf"), 0.0, 0.0))
-    return Curve(points=points, auc=auc), auc
+    return _curve(thresholds, cum_fp / n, cum_tp / p, 0.0)
 
 
 def pr_auc(sp: ScoredPixels):
@@ -183,14 +171,9 @@ def pr_auc(sp: ScoredPixels):
     p, _ = _class_counts(cum_tp, cum_fp)
     if p == 0:
         raise ValueError("PR curve needs at least one positive label")
-    recall = cum_tp / p
     precision = cum_tp / (cum_tp + cum_fp)
-    # anchor at recall zero with the first point's precision
-    xs = np.concatenate([[0.0], recall])
-    ys = np.concatenate([[precision[0]], precision])
-    auc = float(np.trapezoid(ys, xs))
-    points = _points(thresholds, recall, precision, (float("inf"), 0.0, float(precision[0])))
-    return Curve(points=points, auc=auc), auc
+    # anchored at recall zero with the first point's precision
+    return _curve(thresholds, cum_tp / p, precision, float(precision[0]))
 
 
 OTSU_BINS = 256
@@ -243,19 +226,32 @@ def otsu_threshold(scores, weights=None):
     return float(best_k / OTSU_BINS)
 
 
-def _confusion(pred, gold, mask):
+def _check_shapes(pred, gold, mask):
     if pred.shape != gold.shape or pred.shape != mask.shape:
         raise ValueError(
             f"shape mismatch: pred {pred.shape}, gold {gold.shape}, mask {mask.shape}"
         )
+
+
+def _counts(pred, labels):
+    """(tp, fp, fn, tn) of boolean predictions against index-aligned 0/1 labels."""
+    tp = int(np.count_nonzero(pred & labels))
+    fp = int(np.count_nonzero(pred)) - tp
+    fn = int(np.count_nonzero(labels)) - tp
+    return tp, fp, fn, pred.size - tp - fp - fn
+
+
+def _confusion(pred, gold, mask):
+    _check_shapes(pred, gold, mask)
     inside = mask.astype(bool)
-    p = pred.astype(bool)[inside]
-    g = gold.astype(bool)[inside]
-    tp = int(np.sum(p & g))
-    fp = int(np.sum(p & ~g))
-    fn = int(np.sum(~p & g))
-    tn = int(np.sum(~p & ~g))
-    return tp, fp, fn, tn
+    return _counts(pred.astype(bool)[inside], gold.astype(bool)[inside])
+
+
+def predicted(levels, values, thr):
+    """The binarizer: which pixels score at least thr, given their levels into ``values``,
+    an ascending table of scores."""
+    # values ascend, so a score reaches thr exactly when its level reaches the cut
+    return levels >= int(np.searchsorted(values, thr))
 
 
 def _dice(tp, fp, fn):
@@ -273,10 +269,7 @@ def dice(pred, gold, mask):
 
 def overlay(pred, gold, mask) -> Image:
     """TP green, FP blue, FN red inside the mask; black elsewhere."""
-    if pred.shape != gold.shape or pred.shape != mask.shape:
-        raise ValueError(
-            f"shape mismatch: pred {pred.shape}, gold {gold.shape}, mask {mask.shape}"
-        )
+    _check_shapes(pred, gold, mask)
     inside = mask.astype(bool)
     p = pred.astype(bool) & inside
     g = gold.astype(bool) & inside
@@ -288,16 +281,9 @@ def overlay(pred, gold, mask) -> Image:
 
 
 def fov_pixels(prob_map, gold, mask):
-    """One image's in-FOV pixels as 1-D (scores, labels), labels 0/1 uint8.
-
-    A uint16 map gives its levels against ``LEVELS`` (2 bytes a pixel), any
-    other map float64 scores.
-    """
+    """One image's in-FOV pixels as 1-D (scores, labels) in the map's dtype, labels 0/1 uint8."""
     inside = np.asarray(mask, dtype=bool)
-    scores = np.asarray(prob_map)[inside]
-    if scores.dtype != np.uint16:
-        scores = scores.astype(np.float64)
-    return scores, np.asarray(gold)[inside].astype(np.uint8)
+    return np.asarray(prob_map)[inside], np.asarray(gold)[inside].astype(np.uint8)
 
 
 def _pool(parts):
@@ -316,7 +302,7 @@ def _pool(parts):
     labels = np.empty(bounds[-1], dtype=np.uint8)
     for start, end in zip(bounds[:-1], bounds[1:]):
         scores[start:end], labels[start:end] = parts.pop(0)
-    return ScoredPixels(scores, labels, LEVELS if leveled else None), bounds
+    return ScoredPixels(scores, labels), bounds
 
 
 def evaluate(prob_maps, golds, masks, ids=None, per_image_threshold=False) -> MetricsReport:
@@ -365,14 +351,9 @@ def evaluate_pixels(parts, ids=None, per_image_threshold=False) -> MetricsReport
         thr = otsu_threshold(values[image_levels]) if per_image_threshold else pooled_thr
         if per_thr is not None:
             per_thr.append(thr)
-        # values ascend, so a score reaches thr exactly when its level reaches the cut
-        pred = image_levels >= int(np.searchsorted(values, thr))
-        tp = int(np.count_nonzero(pred & labels))
-        fp = int(np.count_nonzero(pred)) - tp
-        fn = int(np.count_nonzero(labels)) - tp
-        tn = len(image_levels) - tp - fp - fn
-        tot += (tp, fp, fn, tn)
-        per_image.append(ImageEval(img_id, _dice(tp, fp, fn), tp, fp, fn, tn))
+        counts = _counts(predicted(image_levels, values, thr), labels)
+        tot += counts
+        per_image.append(ImageEval(img_id, _dice(*counts[:3]), *counts))
     total = ImageEval("ALL", _dice(*tot[:3]), *map(int, tot))
     return MetricsReport(
         roc=roc_curve,

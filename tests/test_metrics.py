@@ -244,12 +244,12 @@ def test_grouping_in_chunks_matches_one_chunk(monkeypatch, chunk):
     labels = (rng.uniform(0, 1, 1000) < 0.3).astype(np.uint8)
     scores = tie_heavy_scores(rng, 1000, 2)
     whole = [
-        metrics._group_counts(ScoredPixels(levels, labels, metrics.LEVELS)),
+        metrics._group_counts(ScoredPixels(levels, labels)),
         metrics._group_counts(ScoredPixels(scores, labels)),
     ]
     monkeypatch.setattr(metrics, "_COUNT_CHUNK", chunk)
     chunked = [
-        metrics._group_counts(ScoredPixels(levels, labels, metrics.LEVELS)),
+        metrics._group_counts(ScoredPixels(levels, labels)),
         metrics._group_counts(ScoredPixels(scores, labels)),
     ]
     for got, want in zip(chunked, whole):
@@ -258,11 +258,28 @@ def test_grouping_in_chunks_matches_one_chunk(monkeypatch, chunk):
     assert_matches_argsort(scores, labels)
 
 
+@pytest.mark.parametrize("n_levels", [1, 5, 300, None])
+def test_uint16_scores_are_levels_scoring_level_over_65535(n_levels):
+    # a uint16 score k is the float score LEVELS[k]: same grouped counts, curves and areas
+    rng = np.random.default_rng(43)
+    pool = rng.integers(0, 65536, n_levels) if n_levels else np.arange(65536)
+    levels = rng.choice(pool, 2000).astype(np.uint16)
+    labels = (rng.uniform(0, 1, 2000) < 0.3).astype(np.uint8)
+    labels[:2] = (0, 1)
+    got, want = ScoredPixels(levels, labels), ScoredPixels(metrics.LEVELS[levels], labels)
+    assert got.scores is levels and want.scores.dtype == np.float64
+    for a, b in zip(got.grouped, want.grouped):
+        assert a.dtype == b.dtype and np.array_equal(a, b)
+    for fn in (metrics.roc_auc, metrics.pr_auc):
+        (a, a_auc), (b, b_auc) = fn(got), fn(want)
+        assert a.points.tolist() == b.points.tolist() and a.auc == b.auc == a_auc == b_auc
+
+
 def test_grouping_makes_no_intp_copy_of_all_levels():
     n = 3_000_000
     levels = np.random.default_rng(42).integers(0, 65536, n).astype(np.uint16)
     labels = (levels % 8 == 0).astype(np.uint8)
-    sp = ScoredPixels(levels, labels, metrics.LEVELS)
+    sp = ScoredPixels(levels, labels)
     tracemalloc.start()
     try:
         metrics._group_counts(sp)
@@ -625,9 +642,13 @@ def test_fov_pixels_keeps_levels_or_float64_scores_inside_the_mask(dtype):
     mask = (rng.uniform(size=(5, 7)) < 0.6).astype(np.uint8) * np.uint8(255)
     scores, labels = metrics.fov_pixels(prob, gold, mask)
     inside = mask > 0
-    assert scores.dtype == (np.uint16 if dtype == np.uint16 else np.float64)
+    assert scores.dtype == dtype
     assert labels.dtype == np.uint8
     assert np.array_equal(scores, prob[inside]) and np.array_equal(labels, gold[inside])
+    # pooled, a uint16 map stays levels and any other map becomes float64 scores
+    pooled, _ = metrics._pool([(scores, labels)])
+    assert pooled.scores.dtype == (np.uint16 if dtype == np.uint16 else np.float64)
+    assert np.array_equal(pooled.scores, scores)
 
 
 @pytest.mark.parametrize("per_image", [False, True])
@@ -663,21 +684,6 @@ def test_evaluate_rejects_maps_mixing_levels_and_floats():
     levels, scores = np.array([[65535, 0]], np.uint16), np.array([[1.0, 0.0]])
     with pytest.raises(ValueError, match="mix"):
         metrics.evaluate([levels, scores], [gold] * 2, [mask] * 2)
-
-
-@pytest.mark.parametrize(
-    "scores,values,match",
-    [
-        ([0, 3], [0.0, 0.5, 1.0], "levels"),  # a level past the table
-        ([0, -1], [0.0, 0.5, 1.0], "levels"),
-        ([0.0, 1.0], [0.0, 0.5, 1.0], "levels"),  # float scores are not levels
-        ([0, 1], [0.0, 0.5, 0.5], "values"),  # table not strictly ascending
-        ([0, 1], [0.0, np.inf], "values"),
-    ],
-)
-def test_scored_pixels_rejects_bad_levels_or_values(scores, values, match):
-    with pytest.raises(ValueError, match=match):
-        ScoredPixels(np.array(scores), [0, 1], values=values)
 
 
 def test_evaluate_rejects_empty_and_mismatched():
