@@ -328,6 +328,13 @@ def cmd_eval(args):
     golds = data.stem_paths(args.gold_dir, ".pgm")
     if not preds:
         raise DataError(f"no .pgm probability maps under {args.pred_dir}")
+    # a stem is a summary.csv field, and ALL names the aggregate row
+    unnamed = [stem for stem in sorted(preds) if stem == "ALL" or re.search("[,\r\n]", stem)]
+    if unnamed:
+        raise DataError(
+            "stems summary.csv cannot name (a ',', CR or LF, or 'ALL'): "
+            + ", ".join(map(repr, unnamed))
+        )
     mismatched = sorted(set(preds) ^ set(golds))
     if mismatched:
         raise DataError(

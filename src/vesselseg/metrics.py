@@ -183,11 +183,15 @@ def _otsu_histogram(scores, weights=None):
     scores = np.asarray(scores, dtype=np.float64)
     if scores.size == 0:
         raise ValueError("otsu_threshold: empty scores")
+    if np.isnan(scores).any():
+        raise ValueError("otsu_threshold: scores hold NaN")
     if weights is not None:
         weights = np.asarray(weights, dtype=np.float64)
         # float64 weight sums stay exact integers below 2**53 pixels
         if not (np.all(weights >= 0) and weights.sum() < 2**53):  # false for NaN and inf too
             raise ValueError("otsu_threshold: weights must be >= 0 and sum below 2**53")
+        if not np.all(weights == np.floor(weights)):
+            raise ValueError("otsu_threshold: weights must be whole numbers of pixels")
     bins = np.minimum((np.clip(scores, 0.0, 1.0) * OTSU_BINS).astype(np.int64), OTSU_BINS - 1)
     counts = np.bincount(bins, weights=weights, minlength=OTSU_BINS).astype(np.int64)
     if not counts.any():
@@ -199,7 +203,8 @@ def otsu_threshold(scores, weights=None):
     """Boundary of a 256-bin histogram over [0,1] maximizing between-class variance.
 
     ``weights`` gives how many pixels hold each score (one each when None);
-    weights that are negative or NaN, or sum to 0 or to 2**53 or more, are refused.
+    weights that are negative, NaN or fractional, or sum to 0 or to 2**53 or more, are
+    refused, as are NaN scores.
     Lowest maximizing boundary wins ties; a single occupied bin returns that
     bin's upper boundary.
     """
@@ -282,8 +287,9 @@ def overlay(pred, gold, mask) -> Image:
 
 def fov_pixels(prob_map, gold, mask):
     """One image's in-FOV pixels as 1-D (scores, labels) in the map's dtype, labels 0/1 uint8."""
-    inside = np.asarray(mask, dtype=bool)
-    return np.asarray(prob_map)[inside], np.asarray(gold)[inside].astype(np.uint8)
+    prob_map, gold, inside = np.asarray(prob_map), np.asarray(gold), np.asarray(mask, dtype=bool)
+    _check_shapes(prob_map, gold, inside)
+    return prob_map[inside], gold[inside].astype(np.uint8)
 
 
 def _pool(parts):

@@ -609,6 +609,22 @@ def test_eval_per_image_otsu_empty_fov_is_data_exit(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_eval_refuses_stems_summary_csv_cannot_name(tmp_path, capsys):
+    pred_d, gold_d, mask_d = _gold_dirs(tmp_path)
+    bad = ["a,b", "ALL", "c\nd", "e\rf"]
+    for stem in bad:  # not netpbm: the stems are refused before any map is read
+        for d in (pred_d, gold_d, mask_d):
+            (d / f"{stem}.pgm").write_text("not netpbm\n")
+    out = tmp_path / "report"
+    rc = run(["eval", "--pred-dir", str(pred_d), "--gold-dir", str(gold_d),
+              "--mask-dir", str(mask_d), "--out", str(out)])
+    assert rc == cli.EXIT_DATA
+    err = capsys.readouterr().err
+    assert "summary.csv" in err and all(repr(stem) in err for stem in bad)
+    assert "'im0'" not in err and "not netpbm" not in err
+    assert not out.exists()
+
+
 def test_eval_single_channel_fundus_is_data_exit(tmp_path, capsys):
     pred_d, gold_d, _ = _gold_dirs(tmp_path)
     image_d = tmp_path / "images"

@@ -1,5 +1,6 @@
 import tempfile
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -686,6 +687,12 @@ def test_evaluate_rejects_maps_mixing_levels_and_floats():
         metrics.evaluate([levels, scores], [gold] * 2, [mask] * 2)
 
 
+def test_evaluate_rejects_maps_golds_and_masks_of_different_shapes():
+    gold = np.zeros((3, 3), np.uint8)
+    with pytest.raises(ValueError, match=r"pred \(2, 2\), gold \(3, 3\), mask \(2, 2\)"):
+        metrics.evaluate([np.zeros((2, 2))], [gold], [np.ones((2, 2), np.uint8)])
+
+
 def test_evaluate_rejects_empty_and_mismatched():
     with pytest.raises(ValueError):
         metrics.evaluate([], [], [])
@@ -716,11 +723,23 @@ def test_evaluate_rejects_ids_not_one_per_image(n_ids):
         ([1, np.nan], ">= 0"),
         ([1, np.inf], "below 2"),
         ([2.0**53, 1], "below 2"),
+        ([0.5, 0.5], "whole numbers"),  # would truncate to a sum of 0 pixels
+        ([1.5, 1.5], "whole numbers"),  # would truncate to one pixel each
     ],
 )
 def test_otsu_rejects_weights_that_are_not_pixel_counts(weights, match):
     with pytest.raises(ValueError, match=match):
         metrics.otsu_threshold([0.2, 0.7], weights=weights)
+
+
+def test_otsu_refuses_nan_scores_before_binning_them():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # the cast of NaN to a bin warns
+        with pytest.raises(ValueError, match="NaN"):
+            metrics.otsu_threshold([0.2, float("nan")])
+        # infinities still bin at the ends of [0, 1]
+        counts = metrics._otsu_histogram([float("-inf"), 0.2, float("inf")])
+    assert (counts[0], counts[51], counts[-1], counts.sum()) == (1, 1, 1, 3)
 
 
 # ---------------------------------------------------------------------------
