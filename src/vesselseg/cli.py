@@ -329,11 +329,11 @@ def cmd_eval(args):
     if not preds:
         raise DataError(f"no .pgm probability maps under {args.pred_dir}")
     # a stem is a summary.csv field, and ALL names the aggregate row
-    unnamed = [stem for stem in sorted(preds) if stem == "ALL" or re.search("[,\r\n]", stem)]
-    if unnamed:
+    refused = [stem for stem in sorted(preds) if stem == "ALL" or re.search("[,\r\n]", stem)]
+    if refused:
         raise DataError(
             "stems summary.csv cannot name (a ',', CR or LF, or 'ALL'): "
-            + ", ".join(map(repr, unnamed))
+            + ", ".join(map(repr, refused))
         )
     mismatched = sorted(set(preds) ^ set(golds))
     if mismatched:

@@ -1,8 +1,8 @@
 """FOV-restricted evaluation: ROC/PR curves, Otsu threshold, dice, overlays.
 
 A uint16 score is a level: level k scores ``LEVELS[k]``, k/65535, as a
-16-bit probability map stores it, and ``ScoredPixels`` alone applies that
-rule.  Curves put a threshold at every distinct score with ties grouped,
+16-bit probability map stores it, and ``ScoredPixels`` reads uint16 scores
+so.  Curves put a threshold at every distinct score with ties grouped,
 and integrate by trapezoid in one ``_curve`` for ROC and PR, so the ROC
 area equals the tie-corrected rank statistic.  Scores are grouped by
 counting: each pixel holds a level, an index into an ascending table of
