@@ -72,7 +72,13 @@ class ScoredPixels:
                 f"scores and labels must be equal-length vectors, got "
                 f"{self.scores.shape} and {self.labels.shape}"
             )
-        if not ((self.labels == 0) | (self.labels == 1)).all():
+        # unsigned labels are 0/1 when none exceeds 1: no pool-size boolean
+        # temporaries, whose placement moved the peak RSS of repeated evals
+        if self.labels.dtype.kind in "bu":
+            ok = self.labels.size == 0 or self.labels.max() <= 1
+        else:
+            ok = ((self.labels == 0) | (self.labels == 1)).all()
+        if not ok:
             raise ValueError("labels must be 0 or 1")
 
     @cached_property

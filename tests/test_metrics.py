@@ -315,10 +315,25 @@ def test_scored_pixels_rejects_non_finite_score(bad):
         ScoredPixels([0.2, bad, 0.7], [0, 1, 1])
 
 
-@pytest.mark.parametrize("labels", [[0, 2, 1], [0, 1, -1], [0.5, 1, 0]])
+@pytest.mark.parametrize(
+    "labels", [[0, 2, 1], [0, 1, -1], [0.5, 1, 0], np.array([0, 2, 1], np.uint8)]
+)
 def test_scored_pixels_rejects_labels_other_than_0_1(labels):
     with pytest.raises(ValueError, match="0 or 1"):
         ScoredPixels([0.2, 0.5, 0.7], labels)
+
+
+def test_scored_pixels_checks_unsigned_labels_without_a_full_size_copy():
+    n = 3_000_000
+    levels = np.random.default_rng(43).integers(0, 65536, n).astype(np.uint16)
+    labels = (levels % 8 == 0).astype(np.uint8)
+    tracemalloc.start()
+    try:
+        ScoredPixels(levels, labels)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < n / 2, peak  # one boolean temporary of the labels is n bytes
 
 
 def test_scored_pixels_accepts_bool_labels():
