@@ -9,6 +9,7 @@ is reproducible from config.resolved alone.  Exit codes: 0 success,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import re
 import sys
 from contextlib import contextmanager
@@ -160,18 +161,11 @@ def _config_keys(cfg, *keys):
 
 
 def train_config(cfg):
-    """The TrainConfig of a resolved config; a bad value is a ConfigError naming its key."""
+    """The TrainConfig of a resolved config, each field read from the key of its name (``lambda_``
+    from ``lambda``); a bad value is a ConfigError naming its key."""
+    fields = dataclasses.fields(TrainConfig)
     with _config_keys(cfg):  # TrainConfig's messages name the key
-        return TrainConfig(
-            lambda_=cfg["lambda"],
-            lr=cfg["lr"],
-            beta1=cfg["beta1"],
-            beta2=cfg["beta2"],
-            rounds=cfg["rounds"],
-            batch_size=cfg["batch_size"],
-            seed=cfg["seed"],
-            val_fraction=cfg["val_fraction"],
-        )
+        return TrainConfig(**{f.name: cfg[f.name.rstrip("_")] for f in fields})
 
 
 def _check_scales(cfg, side, *keys):
@@ -200,14 +194,17 @@ def _real_samples(cfg):
     if len(sizes) > 1:
         raise DataError(f"training images must share one size, got {sorted(sizes)}")
     _check_scales(cfg, min(pool[0].y.shape))
-    return [data.pad_sample(s, 2 ** cfg["scales"]) for s in pool]
+    div = 2 ** cfg["scales"]
+    return [data.Sample(s.id, *(data.pad_to_multiple(a, div)[0] for a in (s.x, s.y))) for s in pool]
 
 
 def _history_lines(history):
-    lines = ["round,d_loss,g_gan_loss,seg_loss,val_g_loss"]
+    """history.csv: a column for each ``RoundStats`` field, ``round_index`` headed ``round``."""
+    _, *names = (f.name for f in dataclasses.fields(training.RoundStats))
+    lines = [",".join(["round", *names])]
     for st in history:
-        values = (st.d_loss, st.g_gan_loss, st.seg_loss, st.val_g_loss)
-        lines.append(",".join([str(st.round_index), *map(metrics.fmt, values)]))
+        round_index, *values = dataclasses.astuple(st)
+        lines.append(",".join([str(round_index), *map(metrics.fmt, values)]))
     return lines
 
 

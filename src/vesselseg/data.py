@@ -393,12 +393,6 @@ def crop_from_padding(arr, offsets, out_hw):
     return arr[..., top : top + h, left : left + w]
 
 
-def pad_sample(sample: Sample, multiple) -> Sample:
-    x, _ = pad_to_multiple(sample.x, multiple)
-    y, _ = pad_to_multiple(sample.y, multiple)
-    return Sample(id=sample.id, x=x, y=y)
-
-
 # ---------------------------------------------------------------------------
 # directory loading: <root>/images/*.ppm, <root>/labels/*.pgm
 

@@ -64,8 +64,15 @@ class TrainConfig:
 EPS = 1e-7  # probabilities are clamped into [EPS, 1 - EPS] before each log
 
 
-def _clamped(t):
-    return ag.clamp(t, EPS, 1.0 - EPS)
+def _bce(p, target):
+    """Mean binary cross entropy of probabilities p against a target of 1, 0 or a {0,1}
+    Tensor: -mean log q, where q is p where the target is 1 and 1 - p where it is 0."""
+    if isinstance(target, Tensor):
+        t = target.data  # p * (2t - 1) + (1 - t) is exact in float32
+        q = ag.add(ag.mul(p, Tensor(2 * t - 1)), Tensor(1 - t))
+    else:
+        q = p if target == 1 else ag.rsub(p, 1.0)
+    return ag.neg(ag.global_mean(ag.log(ag.clamp(q, EPS, 1.0 - EPS))))
 
 
 def d_loss(d_real, d_fake):
@@ -74,14 +81,12 @@ def d_loss(d_real, d_fake):
         raise ValueError(
             f"decision map shape mismatch: real {d_real.data.shape} vs fake {d_fake.data.shape}"
         )
-    real_term = ag.global_mean(ag.log(_clamped(d_real)))
-    fake_term = ag.global_mean(ag.log(_clamped(ag.rsub(d_fake, 1.0))))
-    return ag.neg(ag.add(real_term, fake_term))
+    return ag.add(_bce(d_real, 1), _bce(d_fake, 0))
 
 
 def g_gan_loss(d_fake):
     """Non-saturating generator term: small when the discriminator is fooled."""
-    return ag.neg(ag.global_mean(ag.log(_clamped(d_fake))))
+    return _bce(d_fake, 1)
 
 
 def seg_loss(pred, gold):
@@ -90,10 +95,7 @@ def seg_loss(pred, gold):
         raise ValueError("gold standard must contain only 0/1 values")
     if pred.shape != gold.shape:
         raise ValueError(f"prediction shape {pred.shape} does not match gold {gold.shape}")
-    p = _clamped(pred)
-    pos = ag.mul(gold, ag.log(p))
-    negt = ag.mul(ag.rsub(gold, 1.0), ag.log(_clamped(ag.rsub(pred, 1.0))))
-    return ag.neg(ag.global_mean(ag.add(pos, negt)))
+    return _bce(pred, gold)
 
 
 def g_total_loss(g_gan, seg, lambda_):
@@ -142,11 +144,18 @@ def _g_losses(g, d, x, y, cfg):
     return seg, gan, g_total_loss(gan, seg, cfg.lambda_)
 
 
-def _check_finite(value, round_index, batch_index, phase):
+def _step(opt, loss, round_index, batch_index, phase):
+    """One optimizer step on loss, whose value it returns; a non-finite loss is refused
+    before any gradient is taken, so the parameters and the optimizer state stay as they were."""
+    value = float(loss.data)
     if not np.isfinite(value):
         raise NumericalError(
             f"non-finite {phase} loss at round {round_index}, batch {batch_index}"
         )
+    opt.zero_grad()
+    ag.backward(loss)
+    opt.step()
+    return value
 
 
 def train_round(g, d, train_set, cfg, round_index, opt_g, opt_d):
@@ -166,11 +175,7 @@ def train_round(g, d, train_set, cfg, round_index, opt_g, opt_d):
             with ag.no_grad():
                 fake = mdl.generator_forward(g, x)
             loss = d_loss(mdl.discriminator_forward(d, x, y), mdl.discriminator_forward(d, x, fake))
-            _check_finite(float(loss.data), round_index, bi, "discriminator")
-            opt_d.zero_grad()
-            ag.backward(loss)
-            opt_d.step()
-            losses.append(float(loss.data))
+            losses.append(_step(opt_d, loss, round_index, bi, "discriminator"))
         stats.d_loss = float(np.mean(losses))
 
     gan_losses, seg_losses = [], []
@@ -179,11 +184,8 @@ def train_round(g, d, train_set, cfg, round_index, opt_g, opt_d):
             seg, gan, total = _g_losses(g, d, x, y, cfg)
             if gan is not None:
                 gan_losses.append(float(gan.data))
-            _check_finite(float(total.data), round_index, bi, "generator")
-            opt_g.zero_grad()
-            ag.backward(total)
-            opt_g.step()
             seg_losses.append(float(seg.data))
+            _step(opt_g, total, round_index, bi, "generator")
     stats.seg_loss = float(np.mean(seg_losses))
     if gan_losses:
         stats.g_gan_loss = float(np.mean(gan_losses))
@@ -231,11 +233,6 @@ class FitResult:
     history: list = field(default_factory=list)
 
 
-def _snapshot(g, round_index, val_loss):
-    params = {k: p.data.copy() for k, p in g.params.items()}
-    return Checkpoint(round_index, g.spec, params, val_loss)
-
-
 def _adam(model, what, cfg):
     """Adam over model's parameters named ``what.name``, so that an error says which model."""
     return Adam([(f"{what}.{k}", p) for k, p in model.parameters()], cfg.lr, cfg.beta1, cfg.beta2)
@@ -266,7 +263,8 @@ def fit(g, d, train, val, cfg, val_loss_fn=None, progress=None):
             raise NumericalError(f"round {r}: {exc}") from None
         history.append(stats)
         if best is None or stats.val_g_loss < best.val_g_loss:
-            best = _snapshot(g, r, stats.val_g_loss)
+            params = {k: p.data.copy() for k, p in g.params.items()}
+            best = Checkpoint(r, g.spec, params, stats.val_g_loss)
         if progress is not None:
             progress(stats)
     return FitResult(checkpoint=best, history=history)
