@@ -325,8 +325,7 @@ def cmd_eval(args):
     golds = data.stem_paths(args.gold_dir, ".pgm")
     if not preds:
         raise DataError(f"no .pgm probability maps under {args.pred_dir}")
-    # a stem is a summary.csv field, and ALL names the aggregate row
-    refused = [stem for stem in sorted(preds) if stem == "ALL" or re.search("[,\r\n]", stem)]
+    refused = metrics.unnamable_ids(sorted(preds))
     if refused:
         raise DataError(
             "stems summary.csv cannot name (a ',', CR or LF, or 'ALL'): "

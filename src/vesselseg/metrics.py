@@ -36,6 +36,7 @@ dropped as the chunk is written.  Any other value is formatted by
 
 from __future__ import annotations
 
+import re
 from contextlib import ExitStack
 from dataclasses import dataclass
 from functools import cached_property
@@ -65,7 +66,8 @@ class ScoredPixels:
         self.scores = np.asarray(self.scores)
         if self.scores.dtype != np.uint16:
             self.scores = self.scores.astype(np.float64, copy=False)
-            if not np.isfinite(self.scores).all():
+            # NaN carries through min and max: no pool-size boolean temporary is needed
+            if self.scores.size and not np.isfinite([self.scores.min(), self.scores.max()]).all():
                 raise ValueError("scores must be finite")
         if self.scores.shape != self.labels.shape or self.scores.ndim != 1:
             raise ValueError(
@@ -334,6 +336,12 @@ def evaluate(prob_maps, golds, masks, ids=None, per_image_threshold=False) -> Me
     return evaluate_pixels(parts, ids, per_image_threshold)
 
 
+def unnamable_ids(ids):
+    """The ids a ``summary.csv`` row cannot name: ``ALL``, which names the aggregate row,
+    and any holding a ',', CR or LF, which would split the row."""
+    return [i for i in ids if str(i) == "ALL" or re.search("[,\r\n]", str(i))]
+
+
 def evaluate_pixels(parts, ids=None, per_image_threshold=False) -> MetricsReport:
     """``evaluate`` of images already reduced by ``fov_pixels``.
 
@@ -347,6 +355,12 @@ def evaluate_pixels(parts, ids=None, per_image_threshold=False) -> MetricsReport
         ids = [f"image{i:03d}" for i in range(len(parts))]
     elif len(ids) != len(parts):
         raise ValueError(f"evaluate: {len(ids)} ids for {len(parts)} images")
+    refused = unnamable_ids(ids)
+    if refused:
+        raise ValueError(
+            "evaluate: ids summary.csv cannot name (a ',', CR or LF, or 'ALL'): "
+            + ", ".join(map(repr, refused))
+        )
 
     pooled, bounds = _pool(parts)
     roc_curve, roc_area = roc_auc(pooled)

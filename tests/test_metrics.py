@@ -336,6 +336,19 @@ def test_scored_pixels_checks_unsigned_labels_without_a_full_size_copy():
     assert peak < n / 2, peak  # one boolean temporary of the labels is n bytes
 
 
+def test_scored_pixels_checks_float_scores_without_a_full_size_copy():
+    n = 3_000_000
+    scores = np.random.default_rng(44).uniform(size=n)
+    labels = (scores > 0.9).astype(np.uint8)
+    tracemalloc.start()
+    try:
+        ScoredPixels(scores, labels)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < n / 2, peak  # a boolean temporary of the scores is n bytes
+
+
 def test_scored_pixels_accepts_bool_labels():
     scores = [0.2, 0.5, 0.5, 0.7]
     as_bool = ScoredPixels(scores, np.array([False, True, False, True]))
@@ -727,6 +740,18 @@ def test_evaluate_rejects_ids_not_one_per_image(n_ids):
     report = metrics.evaluate(maps, golds, masks, ids=["p", "q", "r"])
     assert [e.image_id for e in report.per_image] == ["p", "q", "r"]
     assert report.total.tp + report.total.fp + report.total.fn + report.total.tn == 192
+
+
+def test_evaluate_refuses_ids_summary_csv_cannot_name():
+    maps = [np.array([[0.2, 0.8]])] * 5
+    golds, masks = [np.array([[0, 1]], np.uint8)] * 5, [np.ones((1, 2), np.uint8)] * 5
+    ids = ["a,b", "ok", "ALL", "c\nd", "e\rf"]
+    assert metrics.unnamable_ids(ids) == ["a,b", "ALL", "c\nd", "e\rf"]
+    assert metrics.unnamable_ids(["all", "ALL2", 7, "a b"]) == []
+    with pytest.raises(ValueError, match="summary.csv cannot name") as refused:
+        metrics.evaluate(maps, golds, masks, ids=ids)
+    assert all(repr(i) in str(refused.value) for i in metrics.unnamable_ids(ids))
+    assert "'ok'" not in str(refused.value)
 
 
 @pytest.mark.parametrize(

@@ -148,6 +148,66 @@ def test_loss_gradients_match_finite_differences():
         )
 
 
+# the losses as each was written out before they shared one cross entropy: an oracle that
+# the losses must match bit for bit, values and grads
+
+
+def clamped_oracle(t):
+    return ag.clamp(t, training.EPS, 1.0 - training.EPS)
+
+
+def d_loss_oracle(d_real, d_fake):
+    real_term = ag.global_mean(ag.log(clamped_oracle(d_real)))
+    fake_term = ag.global_mean(ag.log(clamped_oracle(ag.rsub(d_fake, 1.0))))
+    return ag.neg(ag.add(real_term, fake_term))
+
+
+def g_gan_loss_oracle(d_fake):
+    return ag.neg(ag.global_mean(ag.log(clamped_oracle(d_fake))))
+
+
+def seg_loss_oracle(pred, gold):
+    pos = ag.mul(gold, ag.log(clamped_oracle(pred)))
+    negt = ag.mul(ag.rsub(gold, 1.0), ag.log(clamped_oracle(ag.rsub(pred, 1.0))))
+    return ag.neg(ag.global_mean(ag.add(pos, negt)))
+
+
+def edge_probabilities(rng, shape):
+    """float32 probabilities holding 0, 1, 1e-9, the clamp bounds and their float32
+    neighbours, the rest uniform, in a shuffled order."""
+    f32 = np.float32
+    lo, hi = f32(training.EPS), f32(1.0 - training.EPS)
+    edges = [0, 1e-9, np.nextafter(lo, f32(0)), lo, np.nextafter(lo, f32(1)),
+             np.nextafter(hi, f32(0)), hi, np.nextafter(hi, f32(1)), 1]  # fmt: skip
+    p = rng.uniform(size=math.prod(shape)).astype(f32)
+    p[: len(edges)] = edges
+    return rng.permutation(p).reshape(shape)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_losses_match_the_oracle_bit_for_bit(seed):
+    rng = np.random.default_rng(seed)
+    shape = (2, 1, 4, 5)
+    real, fake = edge_probabilities(rng, shape), edge_probabilities(rng, shape)
+    gold = Tensor((rng.uniform(size=shape) > 0.5).astype(np.float32))
+    cases = [
+        (training.d_loss, d_loss_oracle, (real, fake), ()),
+        (training.g_gan_loss, g_gan_loss_oracle, (fake,), ()),
+        (training.seg_loss, seg_loss_oracle, (real,), (gold,)),
+    ]
+    for loss_fn, oracle, probs, consts in cases:
+        runs = []
+        for fn in (loss_fn, oracle):
+            ins = [Tensor(a.copy(), requires_grad=True) for a in probs]
+            loss = fn(*ins, *consts)
+            ag.backward(loss)
+            runs.append((loss.data.tobytes(), [t.grad for t in ins]))
+        (got, got_grads), (want, want_grads) = runs
+        assert got == want, loss_fn.__name__
+        for a, b in zip(got_grads, want_grads):
+            assert np.array_equal(a, b), loss_fn.__name__
+
+
 # ---------------------------------------------------------------------------
 # train_round
 
@@ -279,6 +339,26 @@ def test_train_round_unfreezes_discriminator():
     with pytest.raises(ag.NumericalError, match="generator"):
         training.train_round(g, d, samples, cfg, 1, opt_g, opt_d)
     assert all(p.requires_grad for p in d.params.values())
+
+
+@pytest.mark.parametrize("variant", [DiscriminatorVariant.image(), None], ids=["image", "none"])
+def test_train_round_refuses_a_non_finite_loss_before_any_step(variant):
+    # no floating-point trap: the loss check, not an overflow in some op, must refuse the NaN
+    g, d, samples = tiny_setup(n_samples=1, variant=variant)
+    samples[0].x[0, 3, 5] = np.nan
+    cfg = TrainConfig(seed=1)
+    opt_g = ag.Adam(g.parameters(), cfg.lr, cfg.beta1, cfg.beta2)
+    opt_d = ag.Adam(d.parameters(), cfg.lr, cfg.beta1, cfg.beta2) if d is not None else None
+    # the discriminator epoch runs first, so with a discriminator its loss is the one refused
+    model, opt, phase = (g, opt_g, "generator") if d is None else (d, opt_d, "discriminator")
+    before = snapshot(model)
+    with np.errstate(all="ignore"), pytest.raises(ag.NumericalError) as refused:
+        training.train_round(g, d, samples, cfg, 1, opt_g, opt_d)
+    assert str(refused.value) == f"non-finite {phase} loss at round 1, batch 0"
+    assert opt.t == 0
+    assert not any(m.any() or v.any() for m, v in zip(opt.m.values(), opt.v.values()))
+    for k, p in model.params.items():
+        assert p.data.tobytes() == before[k].tobytes() and not p.grad.any(), k
 
 
 def mdl_forward_detached(g, x):
