@@ -59,9 +59,9 @@ each output block in place.  The output is positive exactly where its
 pre-activation is, so the backward takes its mask from the output's sign
 and no mask or pre-activation is kept.  ``transposed_conv2d`` (kernel ==
 stride) is a product of the kernel matrix with bands of the (Cin, H*W)
-input rows, read from the input's buffer; the bias add interleaves each
-band into a contiguous array that is copied into the output, as ufuncs
-run several times faster on contiguous arrays than on strided views.
+input rows, read from the input's buffer; the bias add writes each of a
+band's s*s taps straight into the output's strided rows and columns, and
+the backward de-interleaves the output grad with one strided copy per tap.
 Given ``skip``, its result is the channel concat ``[skip, upsampled]`` in
 one buffer with skip's border: skip is copied in once and the upsample is
 written after it, so the decoder conv that follows reads the concat in
@@ -552,25 +552,31 @@ def transposed_conv2d(x, kernel, bias, stride, skip=None):
     buf, out = _bordered(n, cs + cout, h * s, w * s, border, dtype)
     if skip is not None:
         out[:, :cs] = skip.data
-    # each band is interleaved into a contiguous buffer, then copied into
-    # the output's strided rows
+    # each of a band's s*s taps is added to the bias straight into the
+    # output's strided rows and columns
     band = max(1, _BLOCK // wq)
     for r in range(0, h, band):
         rows = min(band, h - r)
         y = k2.T @ src[..., first + r * wq : first + (r + rows) * wq]
-        up = np.empty((n, cout, rows * s, w * s), dtype=dtype)
-        np.add(
-            y.reshape(n, cout, s, s, rows, wq)[..., :w].transpose(0, 1, 4, 2, 5, 3),
-            bias.data[:, None, None, None, None],
-            out=up.reshape(n, cout, rows, s, w, s),
-        )
-        out[:, cs:, r * s : (r + rows) * s] = up
+        y = y.reshape(n, cout, s, s, rows, wq)
+        for a in range(s):
+            for b in range(s):
+                np.add(
+                    y[:, :, a, b, :, :w],
+                    bias.data[:, None, None],
+                    out=out[:, cs:, r * s + a : (r + rows) * s : s, b::s],
+                )
 
     def bw(g):
         if skip is not None and skip.requires_grad:
             _accum(skip, g[:, :cs])
         g = np.ascontiguousarray(g[:, cs:])
-        g2 = g.reshape(n, cout, h, s, w, s).transpose(0, 1, 3, 5, 2, 4).reshape(n, cout * s * s, h * w)
+        # de-interleaved: tap (a, b) of every input pixel, one strided copy per tap
+        g2 = np.empty((n, cout, s, s, h, w), dtype=g.dtype)
+        for a in range(s):
+            for b in range(s):
+                g2[:, :, a, b] = g[..., a::s, b::s]
+        g2 = g2.reshape(n, cout * s * s, h * w)
         if x.requires_grad:
             _accum(x, (k2 @ g2).reshape(x.data.shape))
         if kernel.requires_grad:

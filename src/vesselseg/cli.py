@@ -343,18 +343,18 @@ def cmd_eval(args):
             raise DataError("mask directory lacks masks for: " + ", ".join(missing))
     images = data.stem_paths(args.image_dir, ".ppm") if args.image_dir else {}
 
-    notes, parts, ids = [], [], []
-    for stem in sorted(preds):
-        parts.append(_eval_pixels(stem, preds, golds, masks, images, args, notes))
-        ids.append(stem)
+    notes, ids = [], sorted(preds)
+    # each image is counted as it is read, and only its counts are kept
+    tally = metrics.Tally(per_image_threshold=args.per_image_otsu)
+    for stem in ids:
+        tally.add(*_eval_pixels(stem, preds, golds, masks, images, args, notes))
     # the pooled ROC needs vessel and background pixels inside the FOV
-    fov = sum(labels.size for _, labels in parts)
-    vessel = sum(int(np.count_nonzero(labels)) for _, labels in parts)
+    fov, vessel = tally.counts.sum(axis=1).tolist()
     for count, kind in ((vessel, "vessel"), (fov - vessel, "background")):
         if count == 0:
             raise DataError(f"no {kind} pixel inside the FOV of any gold map: {', '.join(ids)}")
 
-    report = metrics.evaluate_pixels(parts, ids=ids, per_image_threshold=args.per_image_otsu)
+    report = tally.report(ids)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     metrics.write_curve_csv((report.roc, out / "roc.csv"), (report.pr, out / "pr.csv"))

@@ -126,14 +126,14 @@ def load_image(path) -> Image:
         raise PixmapError(f"{path}: unsupported maxval {maxval}, expected 255 or 65535")
     bytes_per = 1 if maxval == 255 else 2
     need = width * height * channels * bytes_per
-    payload = buf[pos : pos + need]
-    if len(payload) < need:
+    if len(buf) - pos < need:
         raise PixmapError(
-            f"{path}: truncated payload at offset {pos + len(payload)}, "
+            f"{path}: truncated payload at offset {len(buf)}, "
             f"wanted {need} bytes from offset {pos}"
         )
+    # the pixels are read from the file's bytes in place, then copied once
     dtype = ">u2" if bytes_per == 2 else np.uint8
-    arr = np.frombuffer(payload, dtype=dtype).reshape(height, width, channels)
+    arr = np.frombuffer(buf, dtype, need // bytes_per, pos).reshape(height, width, channels)
     if bytes_per == 2:
         arr = arr.astype(np.uint16)
     else:

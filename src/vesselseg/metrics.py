@@ -1,37 +1,43 @@
 """FOV-restricted evaluation: ROC/PR curves, Otsu threshold, dice, overlays.
 
 A uint16 score is a level: level k scores ``LEVELS[k]``, k/65535, as a
-16-bit probability map stores it, and ``ScoredPixels`` reads uint16 scores
-so.  Curves put a threshold at every distinct score with ties grouped,
-and integrate by trapezoid in one ``_curve`` for ROC and PR, so the ROC
-area equals the tie-corrected rank statistic.  Scores are grouped by
-counting: each pixel holds a level, an index into an ascending table of
-scores (``LEVELS`` for uint16 levels, so 16-bit maps sort nothing; the
-``np.unique`` of float scores), and ``bincount`` of the levels and of the
-vessel pixels' levels, summed over fixed chunks so that no intp copy holds
-all of them, gives every distinct score's pixel and vessel counts, grouped
-once per ``ScoredPixels``.  ``predicted`` is the one binarizer, a cut on
-levels, and ``_counts`` the one tp/fp/fn/tn count.  The Otsu search runs
-over the 255 boundaries of a 256-bin histogram with exact integer moments,
-making the argmax reproducible against an exhaustive sweep; the pooled
-histogram bins the grouped distinct scores weighted by their pixel counts.
+16-bit probability map stores it, and ``ScoredPixels`` reads uint16
+scores so.  Curves put a threshold at every distinct score with ties
+grouped, and integrate by trapezoid in one ``_curve`` for ROC and PR, so
+the ROC area equals the tie-corrected rank statistic.  Scores are grouped
+by counting: each score is an entry of an ascending table (``LEVELS``
+for uint16 levels, so 16-bit maps sort nothing; the ``np.unique`` of
+float scores, each found by ``searchsorted``), and ``np.add.at`` over
+fixed chunks counts each entry's pixels and vessel pixels.  ``predicted``
+is the one binarizer, a cut on levels.  The Otsu search runs over the 255
+boundaries of a 256-bin histogram with exact integer moments, making the
+argmax reproducible against an exhaustive sweep; the pooled histogram
+bins the distinct scores weighted by their pixel counts.
 
-``fov_pixels`` reduces one image to its FOV pixels.  ``evaluate_pixels``
-takes those per-image parts, copies them into one pooled allocation and
-drops each part as it is copied, then counts each image's tp/fp/fn/tn from
-its slice of the pooled levels; ``evaluate`` is ``fov_pixels`` of every
-image followed by ``evaluate_pixels``.  ``vesselseg eval`` reduces each
-image as soon as it is read, so its memory follows the FOV pixel count,
-not the frame size.  ``write_curve_csv`` writes several curves in one
-call: a column they share bit for bit, as ROC and PR share their
-thresholds and ROC's tpr is PR's recall, is formatted once, and rows are
-formatted a chunk at a time.  A value in [1.2e-7, 1), as every curve value
-but 0, 1 and the +inf anchor is while each class has fewer than 8.3M
-pixels, gets the correctly rounded digits of ``"%.9g"`` by integer
-arithmetic on its exact binary value; its text goes into fixed byte slots
-with a 0 byte for every character the format omits, and the 0 bytes are
-dropped as the chunk is written.  Any other value is formatted by
-``"%.9g"`` itself, so the files are byte for byte those of the format.
+Evaluation pools counts, not pixels.  ``Tally.add`` adds one image's FOV
+pixels (``fov_pixels``) to the pooled pixel and vessel counts of each
+entry and keeps of the image only its cut table: its pixel and vessel
+counts in all and at or above each cut ``searchsorted(values, j/256)``,
+j = 1..256, read from how much the pooled counts at the cuts grew.
+Every threshold ``otsu_threshold`` returns is such a j/256: an image's
+tp/fp/fn/tn at the threshold applied to it are read from its cut table,
+and so is its own Otsu histogram, whose bins lie between the cuts.
+``Tally.report`` groups the pooled counts into the curves and the pooled
+Otsu threshold.  ``vesselseg eval`` adds each image as it is read, so its
+memory follows neither the frame size nor the number of images;
+``evaluate`` counts uint16 maps the same way, and float maps against one
+``np.unique`` table of all their FOV scores.
+
+``write_curve_csv`` writes several curves in one call: a column they
+share bit for bit, as ROC and PR share their thresholds and ROC's tpr is
+PR's recall, is formatted once, and rows are formatted a chunk at a time.
+A value in [1.2e-7, 1), as every curve value but 0, 1 and the +inf
+anchor is while each class has fewer than 8.3M pixels, gets the correctly
+rounded digits of ``"%.9g"`` by integer arithmetic on its exact binary
+value; its text goes into fixed byte slots with a 0 byte for every
+character the format omits, and the 0 bytes are dropped as the chunk is
+written.  Any other value is formatted by ``"%.9g"`` itself, so the
+files are byte for byte those of the format.
 """
 
 from __future__ import annotations
@@ -84,14 +90,6 @@ class ScoredPixels:
             raise ValueError("labels must be 0 or 1")
 
     @cached_property
-    def leveled(self):
-        """(values, levels): an ascending table of scores and each pixel's index into it."""
-        if self.scores.dtype == np.uint16:
-            return LEVELS, self.scores
-        values = np.unique(self.scores)
-        return values, np.searchsorted(values, self.scores)
-
-    @cached_property
     def grouped(self):
         """``_group_counts`` of these pixels, computed on first use."""
         return _group_counts(self)
@@ -131,23 +129,37 @@ class MetricsReport:
     per_image_thresholds: list | None = None
 
 
-# levels per bincount call: its intp copy of them stays at 2 MB
+# scores per counting pass: a pass's label mask, and a float pass's intp entries, stay small
 _COUNT_CHUNK = 1 << 18
 
 
-def _group_counts(sp: ScoredPixels):
+def _count(counts, scores, labels, values):
+    """Add to counts[0] how many pixels score each entry of ``values``, an ascending table
+    holding every score, and to counts[1] how many vessel pixels do; uint16 scores are
+    levels into the table, and labels are 0/1."""
+    for lo in range(0, scores.size, _COUNT_CHUNK):
+        entries = scores[lo : lo + _COUNT_CHUNK]
+        if entries.dtype != np.uint16:
+            entries = np.searchsorted(values, entries)
+        # unlike bincount, add.at makes no intp copy of uint16 levels and no table-size result
+        np.add.at(counts[0], entries, 1)
+        np.add.at(counts[1], entries[labels[lo : lo + _COUNT_CHUNK] == 1], 1)
+
+
+def _grouped(values, pixels, vessels):
     """Cumulative true/false positive counts at each distinct score, descending."""
-    values, levels = sp.leveled
-    pixels = np.zeros(len(values), dtype=np.intp)
-    vessels = np.zeros(len(values), dtype=np.intp)
-    for lo in range(0, levels.size, _COUNT_CHUNK):
-        chunk = levels[lo : lo + _COUNT_CHUNK]
-        pixels += np.bincount(chunk, minlength=len(values))
-        vessels += np.bincount(chunk[sp.labels[lo : lo + _COUNT_CHUNK] == 1], minlength=len(values))
     seen = np.flatnonzero(pixels)[::-1]
     cum_tp = np.cumsum(vessels[seen])
     cum_fp = np.cumsum(pixels[seen]) - cum_tp
     return values[seen], cum_tp, cum_fp
+
+
+def _group_counts(sp: ScoredPixels):
+    """``_grouped`` counts of the pixels: uint16 scores by ``LEVELS``, floats by their ``np.unique``."""
+    values = LEVELS if sp.scores.dtype == np.uint16 else np.unique(sp.scores)
+    counts = np.zeros((2, len(values)), dtype=np.intp)
+    _count(counts, sp.scores, sp.labels, values)
+    return _grouped(values, *counts)
 
 
 def _curve(thresholds, x, y, y0):
@@ -164,24 +176,30 @@ def _class_counts(cum_tp, cum_fp):
     return (int(cum_tp[-1]), int(cum_fp[-1])) if cum_tp.size else (0, 0)
 
 
-def roc_auc(sp: ScoredPixels):
-    """ROC curve and area; needs both classes present."""
-    thresholds, cum_tp, cum_fp = sp.grouped
+def _roc(thresholds, cum_tp, cum_fp):
     p, n = _class_counts(cum_tp, cum_fp)
     if p == 0 or n == 0:
         raise ValueError(f"ROC needs both classes; got {p} positives, {n} negatives")
     return _curve(thresholds, cum_fp / n, cum_tp / p, 0.0)
 
 
-def pr_auc(sp: ScoredPixels):
-    """Precision/recall curve and area; needs at least one positive."""
-    thresholds, cum_tp, cum_fp = sp.grouped
+def _pr(thresholds, cum_tp, cum_fp):
     p, _ = _class_counts(cum_tp, cum_fp)
     if p == 0:
         raise ValueError("PR curve needs at least one positive label")
     precision = cum_tp / (cum_tp + cum_fp)
     # anchored at recall zero with the first point's precision
     return _curve(thresholds, cum_tp / p, precision, float(precision[0]))
+
+
+def roc_auc(sp: ScoredPixels):
+    """ROC curve and area; needs both classes present."""
+    return _roc(*sp.grouped)
+
+
+def pr_auc(sp: ScoredPixels):
+    """Precision/recall curve and area; needs at least one positive."""
+    return _pr(*sp.grouped)
 
 
 OTSU_BINS = 256
@@ -300,25 +318,6 @@ def fov_pixels(prob_map, gold, mask):
     return prob_map[inside], gold[inside].astype(np.uint8)
 
 
-def _pool(parts):
-    """Pooled ``ScoredPixels`` of per-image (scores, labels) parts, and each
-    image's [start, end) bounds in them.
-
-    The pool is one allocation; each part is dropped from ``parts`` as soon as
-    it is copied, so the parts and the pool are never all alive at once.
-    """
-    kinds = {scores.dtype == np.uint16 for scores, _ in parts}
-    if len(kinds) > 1:
-        raise ValueError("evaluate: maps mix uint16 levels with float scores")
-    leveled = kinds.pop()
-    bounds = np.cumsum([0] + [len(labels) for _, labels in parts]).tolist()
-    scores = np.empty(bounds[-1], dtype=np.uint16 if leveled else np.float64)
-    labels = np.empty(bounds[-1], dtype=np.uint8)
-    for start, end in zip(bounds[:-1], bounds[1:]):
-        scores[start:end], labels[start:end] = parts.pop(0)
-    return ScoredPixels(scores, labels), bounds
-
-
 def evaluate(prob_maps, golds, masks, ids=None, per_image_threshold=False) -> MetricsReport:
     """Pooled-FOV curves and AUCs, one Otsu threshold, per-image dice.
 
@@ -332,8 +331,20 @@ def evaluate(prob_maps, golds, masks, ids=None, per_image_threshold=False) -> Me
             f"evaluate: length mismatch: {len(prob_maps)} maps, "
             f"{len(golds)} golds, {len(masks)} masks"
         )
-    parts = [fov_pixels(*image) for image in zip(prob_maps, golds, masks)]
-    return evaluate_pixels(parts, ids, per_image_threshold)
+    kinds = {np.asarray(m).dtype == np.uint16 for m in prob_maps}
+    if len(kinds) > 1:
+        raise ValueError("evaluate: maps mix uint16 levels with float scores")
+    parts, values = map(fov_pixels, prob_maps, golds, masks), LEVELS
+    if kinds == {False}:
+        parts = list(parts)
+        values = np.unique(np.concatenate([scores for scores, _ in parts], dtype=np.float64))
+        # the table ascends, with NaN last
+        if values.size and not np.isfinite(values[[0, -1]]).all():
+            raise ValueError("scores must be finite")
+    tally = Tally(values, per_image_threshold)
+    for scores, labels in parts:
+        tally.add(scores, labels)
+    return tally.report(ids)
 
 
 def unnamable_ids(ids):
@@ -342,55 +353,94 @@ def unnamable_ids(ids):
     return [i for i in ids if str(i) == "ALL" or re.search("[,\r\n]", str(i))]
 
 
-def evaluate_pixels(parts, ids=None, per_image_threshold=False) -> MetricsReport:
-    """``evaluate`` of images already reduced by ``fov_pixels``.
+# every threshold ``otsu_threshold`` returns is one of these j/256, j = 1..256
+_CUTS = np.arange(1, OTSU_BINS + 1) / OTSU_BINS
 
-    ``parts`` holds one (scores, labels) pair per image and is emptied: the
-    pooled pixels take its place, so a caller that keeps no other reference
-    to the parts holds each FOV pixel once.
+
+class Tally:
+    """Images reduced to counts as they are added, and the report the counts give.
+
+    ``values`` is an ascending table holding every score added: ``LEVELS`` for
+    uint16 levels.  ``counts`` holds the pooled pixel and vessel counts of each
+    entry.  Each image keeps its cut table and its own Otsu threshold (or None):
+    column j of the table counts its pixels (row 0) and vessel pixels (row 1)
+    at or above j/256 for j >= 1, and all of them for j = 0.
     """
-    if not parts:
-        raise ValueError("evaluate: empty input")
-    if ids is None:
-        ids = [f"image{i:03d}" for i in range(len(parts))]
-    elif len(ids) != len(parts):
-        raise ValueError(f"evaluate: {len(ids)} ids for {len(parts)} images")
-    refused = unnamable_ids(ids)
-    if refused:
-        raise ValueError(
-            "evaluate: ids summary.csv cannot name (a ',', CR or LF, or 'ALL'): "
-            + ", ".join(map(repr, refused))
+
+    def __init__(self, values=LEVELS, per_image_threshold=False):
+        self.values, self.per_image_threshold = values, per_image_threshold
+        self.counts = np.zeros((2, len(values)), dtype=np.intp)
+        self.images = []
+        # ``predicted`` keeps the entries from the cut on; column 0 cuts at the first entry.
+        # The table splits into runs of entries that start at a cut: _run_of maps each
+        # cut to its run, or past the last run when it lies past the table's end
+        cuts = np.concatenate([[0], np.searchsorted(values, _CUTS)])
+        self._starts = np.unique(cuts[cuts < len(values)])
+        self._run_of = np.searchsorted(self._starts, cuts)
+        self._pooled_cuts = np.zeros((2, OTSU_BINS + 1), dtype=np.intp)
+
+    def add(self, scores, labels):
+        """Count one image's FOV scores (levels into ``values`` when uint16) and 0/1 labels."""
+        if labels.size and labels.max() > 1:
+            raise ValueError("labels must be 0 or 1")
+        _count(self.counts, scores, labels, self.values)
+        # the pooled counts at or above each cut, by runs; this image's are what they grew by
+        runs = np.add.reduceat(self.counts, self._starts, axis=1)
+        tails = np.zeros((2, len(self._starts) + 1), dtype=np.intp)
+        tails[:, :-1] = np.cumsum(runs[:, ::-1], axis=1)[:, ::-1]
+        pooled = tails[:, self._run_of]
+        cut_table, self._pooled_cuts = pooled - self._pooled_cuts, pooled
+        thr = None
+        if self.per_image_threshold:
+            # the Otsu histogram bins [j/256, (j+1)/256), the top bin taking scores >= 1 too
+            hist = np.append(-np.diff(cut_table[0, :OTSU_BINS]), cut_table[0, OTSU_BINS - 1])
+            occupied = np.flatnonzero(hist)
+            thr = otsu_threshold(occupied / OTSU_BINS, hist[occupied])
+        self.images.append((cut_table, thr))
+
+    def report(self, ids=None) -> MetricsReport:
+        """The report of the images added, ``ids`` naming them in order."""
+        if not self.images:
+            raise ValueError("evaluate: empty input")
+        if ids is None:
+            ids = [f"image{i:03d}" for i in range(len(self.images))]
+        elif len(ids) != len(self.images):
+            raise ValueError(f"evaluate: {len(ids)} ids for {len(self.images)} images")
+        refused = unnamable_ids(ids)
+        if refused:
+            raise ValueError(
+                "evaluate: ids summary.csv cannot name (a ',', CR or LF, or 'ALL'): "
+                + ", ".join(map(repr, refused))
+            )
+
+        grouped = _grouped(self.values, *self.counts)
+        roc_curve, roc_area = _roc(*grouped)
+        pr_curve, pr_area = _pr(*grouped)
+        thresholds, cum_tp, cum_fp = grouped
+        pooled_thr = otsu_threshold(thresholds, np.diff(cum_tp + cum_fp, prepend=0))
+
+        per_image = []
+        per_thr = [] if self.per_image_threshold else None
+        tot = np.zeros(4, dtype=np.int64)
+        for img_id, (cut_table, own) in zip(ids, self.images):
+            thr = pooled_thr if own is None else own
+            if per_thr is not None:
+                per_thr.append(thr)
+            (n, predicted_n), (vessels, tp) = cut_table[:, [0, round(thr * OTSU_BINS)]].tolist()
+            counts = (tp, predicted_n - tp, vessels - tp, n - predicted_n - vessels + tp)
+            tot += counts
+            per_image.append(ImageEval(img_id, _dice(*counts[:3]), *counts))
+        total = ImageEval("ALL", _dice(*tot[:3]), *map(int, tot))
+        return MetricsReport(
+            roc=roc_curve,
+            pr=pr_curve,
+            roc_auc=roc_area,
+            pr_auc=pr_area,
+            otsu_threshold=pooled_thr,
+            per_image=per_image,
+            total=total,
+            per_image_thresholds=per_thr,
         )
-
-    pooled, bounds = _pool(parts)
-    roc_curve, roc_area = roc_auc(pooled)
-    pr_curve, pr_area = pr_auc(pooled)
-    thresholds, cum_tp, cum_fp = pooled.grouped
-    pooled_thr = otsu_threshold(thresholds, np.diff(cum_tp + cum_fp, prepend=0))
-
-    values, levels = pooled.leveled
-    per_image = []
-    per_thr = [] if per_image_threshold else None
-    tot = np.zeros(4, dtype=np.int64)
-    for img_id, start, end in zip(ids, bounds[:-1], bounds[1:]):
-        image_levels, labels = levels[start:end], pooled.labels[start:end]
-        thr = otsu_threshold(values[image_levels]) if per_image_threshold else pooled_thr
-        if per_thr is not None:
-            per_thr.append(thr)
-        counts = _counts(predicted(image_levels, values, thr), labels)
-        tot += counts
-        per_image.append(ImageEval(img_id, _dice(*counts[:3]), *counts))
-    total = ImageEval("ALL", _dice(*tot[:3]), *map(int, tot))
-    return MetricsReport(
-        roc=roc_curve,
-        pr=pr_curve,
-        roc_auc=roc_area,
-        pr_auc=pr_area,
-        otsu_threshold=pooled_thr,
-        per_image=per_image,
-        total=total,
-        per_image_thresholds=per_thr,
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -509,12 +559,18 @@ def write_curve_csv(*curves):
     rows are one array of fields and separators, written with the 0 bytes
     dropped, so no array holds a whole curve.
     """
-    # distinct columns by their bytes, which tell -0.0 from 0.0 as the format does
-    index = {}
-    layouts = [
-        [index.setdefault(c.tobytes(), len(index)) for c in curve.points.T] for curve, _ in curves
-    ]
-    columns = [np.frombuffer(b) for b in index]
+    # distinct columns by their bits, which tell -0.0 from 0.0 as the format does; each
+    # column is compared as an int64 view, not copied
+    columns, layouts = [], []
+    for curve, _ in curves:
+        layout = []
+        for column in curve.points.T:
+            bits = column.view(np.int64)
+            same = (j for j, c in enumerate(columns) if np.array_equal(c.view(np.int64), bits))
+            layout.append(next(same, len(columns)))
+            if layout[-1] == len(columns):
+                columns.append(column)
+        layouts.append(layout)
     separators = _words([",", ",", "\n"], 1).T
     with ExitStack() as stack:
         files = [stack.enter_context(open(path, "wb")) for _, path in curves]

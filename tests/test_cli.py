@@ -765,7 +765,7 @@ def test_eval_per_image_otsu_writes_the_thresholds_it_applied(tmp_path):
     assert len(thresholds) > 1  # the images do not share one threshold
 
 
-def _framed_eval_inputs(root, frame_rows, n=12, side=96):
+def _framed_eval_inputs(root, frame_rows, n=12, side=96, pred_maxval=65535):
     """n tie-heavy side x side images (17 levels, so the CSVs stay small), each
     at the top of a frame frame_rows times as tall; the mask is the image."""
     dirs = root / "pred", root / "gold", root / "mask"
@@ -775,7 +775,8 @@ def _framed_eval_inputs(root, frame_rows, n=12, side=96):
     for i in range(n):
         gold = rng.uniform(size=(side, side)) < 0.2
         level = np.round(np.clip(0.6 * rng.uniform(size=gold.shape) + 0.4 * gold, 0, 1) * 16)
-        for d, values, maxval in ((dirs[0], level * 4095, 65535), (dirs[1], gold * 255, 255),
+        for d, values, maxval in ((dirs[0], level * (pred_maxval // 16), pred_maxval),
+                                  (dirs[1], gold * 255, 255),
                                   (dirs[2], np.full(gold.shape, 255), 255)):
             frame = np.zeros((frame_rows * side, side, 1), np.uint16 if maxval > 255 else np.uint8)
             frame[:side, :, 0] = values
@@ -783,8 +784,8 @@ def _framed_eval_inputs(root, frame_rows, n=12, side=96):
     return dirs
 
 
-def _eval_traced_peak(root, frame_rows, n, side):
-    pred_d, gold_d, mask_d = _framed_eval_inputs(root, frame_rows, n, side)
+def _eval_traced_peak(root, frame_rows, n, side, pred_maxval=65535):
+    pred_d, gold_d, mask_d = _framed_eval_inputs(root, frame_rows, n, side, pred_maxval)
     argv = ["eval", "--pred-dir", str(pred_d), "--gold-dir", str(gold_d),
             "--mask-dir", str(mask_d), "--out", str(root / "report")]
     assert run(argv) == 0  # a first run imports and caches what eval needs
@@ -811,6 +812,24 @@ def test_eval_peak_memory_follows_fov_pixels_not_frame_size(tmp_path):
         assert (small / "report" / name).read_bytes() == (large / "report" / name).read_bytes()
     added_pixels = n * 3 * side * side
     assert peak_large - peak_small < added_pixels, (peak_small, peak_large)
+
+
+def test_eval_peak_memory_does_not_follow_the_image_count(tmp_path):
+    # four times the images, 8-bit so that the curves keep their length: an
+    # eval that pooled every FOV pixel (3 bytes each) would peak at least 3
+    # bytes higher per added pixel; each image is reduced to counts as it is
+    # read, so the peak may grow by less than one
+    side = 96
+    few, many = tmp_path / "few", tmp_path / "many"
+    few.mkdir()
+    many.mkdir()
+    peak_few = _eval_traced_peak(few, 1, 12, side, pred_maxval=255)
+    peak_many = _eval_traced_peak(many, 1, 48, side, pred_maxval=255)
+    for name in ("roc.csv", "pr.csv"):
+        rows = (few / "report" / name).read_text().count("\n")
+        assert rows == (many / "report" / name).read_text().count("\n") == 19, name
+    added_pixels = (48 - 12) * side * side
+    assert peak_many - peak_few < added_pixels, (peak_few, peak_many)
 
 
 def test_load_prob_keeps_16bit_levels_without_copies(tmp_path, monkeypatch):

@@ -1,6 +1,7 @@
 import tempfile
 import tracemalloc
 import warnings
+from dataclasses import astuple
 from pathlib import Path
 
 import numpy as np
@@ -674,14 +675,17 @@ def test_fov_pixels_keeps_levels_or_float64_scores_inside_the_mask(dtype):
     assert scores.dtype == dtype
     assert labels.dtype == np.uint8
     assert np.array_equal(scores, prob[inside]) and np.array_equal(labels, gold[inside])
-    # pooled, a uint16 map stays levels and any other map becomes float64 scores
-    pooled, _ = metrics._pool([(scores, labels)])
-    assert pooled.scores.dtype == (np.uint16 if dtype == np.uint16 else np.float64)
-    assert np.array_equal(pooled.scores, scores)
+    # counted, a uint16 map's scores are levels of LEVELS and any other map's are float64 scores
+    values = metrics.LEVELS if dtype == np.uint16 else np.unique(scores.astype(np.float64))
+    tally = metrics.Tally(values)
+    tally.add(scores, labels)
+    as_float = metrics.LEVELS[scores] if dtype == np.uint16 else scores.astype(np.float64)
+    assert np.array_equal(np.repeat(values, tally.counts[0]), np.sort(as_float))
+    assert np.array_equal(np.repeat(values, tally.counts[1]), np.sort(as_float[labels == 1]))
 
 
 @pytest.mark.parametrize("per_image", [False, True])
-def test_evaluate_pixels_matches_evaluate_and_empties_its_parts(per_image):
+def test_tally_of_images_added_one_by_one_matches_evaluate(per_image):
     rng = np.random.default_rng(14)
     maps, golds, masks = [], [], []
     for shape in ((6, 9), (4, 4), (7, 3)):
@@ -693,9 +697,12 @@ def test_evaluate_pixels_matches_evaluate_and_empties_its_parts(per_image):
         golds.append(gold)
         masks.append(mask)
     want = metrics.evaluate(maps, golds, masks, ids=["a", "b", "c"], per_image_threshold=per_image)
-    parts = [metrics.fov_pixels(*image) for image in zip(maps, golds, masks)]
-    got = metrics.evaluate_pixels(parts, ids=["a", "b", "c"], per_image_threshold=per_image)
-    assert parts == []
+    tally = metrics.Tally(per_image_threshold=per_image)
+    for image in zip(maps, golds, masks):
+        tally.add(*metrics.fov_pixels(*image))
+    # an image keeps its cut table and its threshold, none of its pixels
+    assert [table.shape for table, _ in tally.images] == [(2, metrics.OTSU_BINS + 1)] * 3
+    got = tally.report(ids=["a", "b", "c"])
     for a, b in ((got.roc, want.roc), (got.pr, want.pr)):
         assert a.points.tolist() == b.points.tolist() and a.auc == b.auc
     assert got.otsu_threshold == want.otsu_threshold
@@ -703,9 +710,100 @@ def test_evaluate_pixels_matches_evaluate_and_empties_its_parts(per_image):
     assert got.per_image == want.per_image and got.total == want.total
 
 
-def test_evaluate_pixels_rejects_no_parts():
+def test_tally_report_rejects_no_images():
     with pytest.raises(ValueError, match="empty input"):
-        metrics.evaluate_pixels([])
+        metrics.Tally().report()
+
+
+# ---------------------------------------------------------------------------
+# counting as read against the pooled evaluator it replaced
+
+
+def pooled_evaluate_oracle(parts, ids, per_image_threshold):
+    """The evaluator that copied every image's FOV (scores, labels) into one pool, then
+    grouped the pool and counted each image's tp/fp/fn/tn from its slice of it."""
+    kinds = {scores.dtype == np.uint16 for scores, _ in parts}
+    assert len(kinds) == 1
+    bounds = np.cumsum([0] + [len(labels) for _, labels in parts]).tolist()
+    pool = np.empty(bounds[-1], dtype=np.uint16 if kinds.pop() else np.float64)
+    pool_labels = np.empty(bounds[-1], dtype=np.uint8)
+    for start, end, (scores, labels) in zip(bounds[:-1], bounds[1:], parts):
+        pool[start:end], pool_labels[start:end] = scores, labels
+    pooled = ScoredPixels(pool, pool_labels)
+    roc_curve, roc_area = metrics.roc_auc(pooled)
+    pr_curve, pr_area = metrics.pr_auc(pooled)
+    thresholds, cum_tp, cum_fp = pooled.grouped
+    pooled_thr = metrics.otsu_threshold(thresholds, np.diff(cum_tp + cum_fp, prepend=0))
+    if pool.dtype == np.uint16:
+        values, levels = metrics.LEVELS, pool
+    else:
+        values = np.unique(pool)
+        levels = np.searchsorted(values, pool)
+    per_image, per_thr = [], [] if per_image_threshold else None
+    tot = np.zeros(4, dtype=np.int64)
+    for img_id, start, end in zip(ids, bounds[:-1], bounds[1:]):
+        image_levels, labels = levels[start:end], pool_labels[start:end]
+        thr = metrics.otsu_threshold(values[image_levels]) if per_image_threshold else pooled_thr
+        if per_thr is not None:
+            per_thr.append(thr)
+        counts = metrics._counts(metrics.predicted(image_levels, values, thr), labels)
+        tot += counts
+        per_image.append(metrics.ImageEval(img_id, metrics._dice(*counts[:3]), *counts))
+    total = metrics.ImageEval("ALL", metrics._dice(*tot[:3]), *map(int, tot))
+    return metrics.MetricsReport(
+        roc_curve, pr_curve, roc_area, pr_area, pooled_thr, per_image, total, per_thr
+    )
+
+
+# the first level at or above each Otsu boundary j/256, where predicted() cuts
+CUT_LEVELS = np.searchsorted(metrics.LEVELS, np.arange(1, 257) / 256)
+
+
+def oracle_map(rng, kind, shape):
+    if kind == "uint16":  # levels on each cut, just below it, and anywhere
+        pool = np.concatenate([CUT_LEVELS[:-1], CUT_LEVELS[:-1] - 1, rng.integers(0, 65536, 30)])
+        return rng.choice(pool, shape).astype(np.uint16)
+    if kind == "8-bit":
+        return (rng.integers(0, 256, shape) * 257).astype(np.uint16)
+    # scores on the boundaries j/256 and between them; with a top below 1 the table's
+    # largest value lies below the upper boundaries, so their cuts fall past its end
+    pool = np.concatenate([np.arange(257) / 256, rng.uniform(0, 1, 30)])
+    pool = pool[pool <= rng.choice([1.0, 0.7, 0.3])]
+    return rng.choice(pool, shape).astype(rng.choice([np.float32, np.float64]))
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.integers(0, 2**31 - 1),
+    st.sampled_from(["uint16", "8-bit", "float"]),
+    st.integers(1, 4),
+    st.booleans(),
+)
+@example(seed=1, kind="float", n_images=3, per_image=True)
+def test_counting_as_read_matches_the_pooled_oracle(seed, kind, n_images, per_image):
+    rng = np.random.default_rng(seed)
+    maps, golds, masks = [], [], []
+    for i in range(n_images):
+        shape = (int(rng.integers(1, 10)), int(rng.integers(2 if i == 0 else 1, 10)))
+        gold = (rng.uniform(size=shape) < 0.3).astype(np.uint8)
+        mask = (rng.uniform(size=shape) < 0.8).astype(np.uint8)
+        mask.flat[0] = 1  # every FOV is non-empty, so every image has an Otsu threshold
+        if i == 0:  # the pooled FOV holds a vessel and a background pixel
+            gold.flat[0], gold.flat[-1], mask.flat[-1] = 1, 0, 1
+        maps.append(oracle_map(rng, kind, shape))
+        golds.append(gold)
+        masks.append(mask)
+    ids = [f"im{i}" for i in range(n_images)]
+    got = metrics.evaluate(maps, golds, masks, ids=ids, per_image_threshold=per_image)
+    parts = [metrics.fov_pixels(*image) for image in zip(maps, golds, masks)]
+    want = pooled_evaluate_oracle(parts, ids, per_image)
+    for a, b in ((got.roc, want.roc), (got.pr, want.pr)):
+        assert a.points.tobytes() == b.points.tobytes() and a.auc == b.auc
+    assert (got.roc_auc, got.pr_auc) == (want.roc_auc, want.pr_auc)
+    assert got.otsu_threshold == want.otsu_threshold
+    assert got.per_image_thresholds == want.per_image_thresholds
+    assert got.per_image == want.per_image and got.total == want.total
+    assert all(type(v) is int for ev in got.per_image + [got.total] for v in astuple(ev)[2:])
 
 
 def test_evaluate_rejects_maps_mixing_levels_and_floats():
