@@ -9,9 +9,11 @@ is reproducible from config.resolved alone.  Exit codes: 0 success,
 from __future__ import annotations
 
 import argparse
+import ctypes
 import dataclasses
 import re
 import sys
+import time
 from contextlib import contextmanager
 from pathlib import Path
 
@@ -319,7 +321,33 @@ def _eval_pixels(stem, preds, golds, masks, images, args, notes):
     return metrics.fov_pixels(probs, gold, mask)
 
 
+# glibc's mallopt parameters (malloc.h)
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
+
+
+def _keep_freed_memory_mapped():
+    """Have glibc serve frame-sized arrays from the heap and keep the heap's freed top mapped.
+
+    Eval is the one command that frees and re-allocates a frame-sized working
+    set many times in one process: otherwise glibc hands each image's memory
+    back to the kernel and the next image faults it in again, thousands of
+    page faults per 20 images.  infer and overlay read one image per process,
+    and full-size training's peak memory has no benchmark to check a change
+    against, so they keep glibc's defaults.  Without a ``mallopt`` (not glibc)
+    this does nothing.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):
+        return
+    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    # the highest values glibc's own dynamic thresholds reach on 64-bit
+    mallopt(_M_MMAP_THRESHOLD, 32 << 20)
+    mallopt(_M_TRIM_THRESHOLD, 64 << 20)
+
+
 def cmd_eval(args):
+    start = time.perf_counter()
     _check_fraction(args.fov_threshold, "--fov-threshold")
     preds = data.stem_paths(args.pred_dir, ".pgm")
     golds = data.stem_paths(args.gold_dir, ".pgm")
@@ -344,6 +372,7 @@ def cmd_eval(args):
     images = data.stem_paths(args.image_dir, ".ppm") if args.image_dir else {}
 
     notes, ids = [], sorted(preds)
+    _keep_freed_memory_mapped()
     # each image is counted as it is read, and only its counts are kept
     tally = metrics.Tally(per_image_threshold=args.per_image_otsu)
     for stem in ids:
@@ -363,10 +392,16 @@ def cmd_eval(args):
         (out / "notes.txt").write_text("\n".join(notes) + "\n")
         for note in notes:
             print(f"note: {note}", file=sys.stderr)
+    else:  # a note an earlier run left in this directory no longer holds
+        (out / "notes.txt").unlink(missing_ok=True)
     otsu = "per-image" if args.per_image_otsu else f"{report.otsu_threshold:.6g}"
     print(
         f"roc_auc={report.roc_auc:.6g} pr_auc={report.pr_auc:.6g} "
         f"dice={report.total.dice:.6g} otsu={otsu}"
+    )
+    print(
+        f"eval: {len(ids)} images, {fov} FOV pixels, {time.perf_counter() - start:.2f} s",
+        file=sys.stderr,
     )
     return EXIT_OK
 

@@ -8,6 +8,7 @@ whole pipeline testable without any external data.
 
 from __future__ import annotations
 
+import os
 import stat
 from dataclasses import dataclass
 from pathlib import Path
@@ -83,7 +84,7 @@ def _parse_header(buf, path):
             pos += 1
         if start == pos:
             raise PixmapError(f"{path}: header ended early at offset {pos}")
-        token = buf[start:pos]
+        token = bytes(buf[start:pos])
         if not token.isdigit():  # ASCII digits: int() would also take b"+4", b"-0" and b"1_0"
             name = ("width", "height", "maxval")[len(tokens)]
             raise PixmapError(
@@ -100,19 +101,38 @@ def _parse_header(buf, path):
     return width, height, maxval, pos
 
 
-def read_file(path) -> bytes:
-    """The bytes of the file at path.  A FIFO, socket or device, whose read could block, is
-    refused unread; a missing path or a directory fails in the read."""
+def _open_regular(path):
+    """path opened for binary reading.  A FIFO, socket or device, whose read could block, is
+    refused unopened; a missing path or a directory fails in the open."""
     mode = Path(path).stat().st_mode
     if not (stat.S_ISREG(mode) or stat.S_ISDIR(mode)):
         raise DataError(f"{path} is not a regular file")
-    return Path(path).read_bytes()
+    return open(path, "rb")
+
+
+def read_file(path) -> bytes:
+    """The bytes of the file at path, refused or failing as ``_open_regular`` says."""
+    with _open_regular(path) as f:
+        return f.read()
+
+
+def _read_writable(path) -> bytearray:
+    """``read_file``'s bytes, read straight into a writable buffer of the file's size."""
+    with _open_regular(path) as f:
+        buf = bytearray(os.fstat(f.fileno()).st_size)
+        del buf[f.readinto(buf) :]
+        buf += f.read()  # what the file grew by since its size was taken
+    return buf
 
 
 def load_image(path) -> Image:
-    """Read a binary P6 (RGB) or P5 (gray) file, 8- or 16-bit."""
-    buf = read_file(path)
-    magic = buf[:2]
+    """Read a binary P6 (RGB) or P5 (gray) file, 8- or 16-bit.
+
+    8-bit pixels are a writable view of the buffer the file was read into, so
+    they are never copied; 16-bit pixels are converted once from big-endian.
+    """
+    buf = _read_writable(path)
+    magic = bytes(buf[:2])
     if magic == b"P6":
         channels = 3
     elif magic == b"P5":
@@ -131,13 +151,10 @@ def load_image(path) -> Image:
             f"{path}: truncated payload at offset {len(buf)}, "
             f"wanted {need} bytes from offset {pos}"
         )
-    # the pixels are read from the file's bytes in place, then copied once
     dtype = ">u2" if bytes_per == 2 else np.uint8
     arr = np.frombuffer(buf, dtype, need // bytes_per, pos).reshape(height, width, channels)
     if bytes_per == 2:
         arr = arr.astype(np.uint16)
-    else:
-        arr = arr.copy()
     return Image(pixels=arr, maxval=maxval)
 
 

@@ -1,7 +1,10 @@
 import contextlib
 import hashlib
 import io
+import json
 import os
+import platform
+import re
 import runpy
 import struct
 import subprocess
@@ -566,6 +569,34 @@ def test_eval_missing_mask_dir_noted(tmp_path, capsys):
     assert "no mask available" in (out / "notes.txt").read_text()
 
 
+def test_eval_rerun_removes_a_note_that_no_longer_holds(tmp_path):
+    pred_d, gold_d, mask_d = _gold_dirs(tmp_path)
+    out = tmp_path / "report"
+    argv = ["eval", "--pred-dir", str(pred_d), "--gold-dir", str(gold_d), "--out", str(out)]
+    assert run(argv) == 0
+    assert "no mask available" in (out / "notes.txt").read_text()
+    assert run(argv + ["--mask-dir", str(mask_d)]) == 0
+    assert not (out / "notes.txt").exists()
+
+
+def test_eval_reports_images_fov_pixels_and_seconds_on_stderr(tmp_path, capsys):
+    pred_d, gold_d, mask_d = _gold_dirs(tmp_path, n=3)
+    mask = np.zeros((16, 16, 1), np.uint8)
+    mask[3:8] = 255  # im1's FOV is 5 of its 16 rows
+    data.write_image(Image(pixels=mask, maxval=255), mask_d / "im1.pgm")
+    out = tmp_path / "report"
+    assert run(["eval", "--pred-dir", str(pred_d), "--gold-dir", str(gold_d),
+                "--mask-dir", str(mask_d), "--out", str(out)]) == 0
+    line = capsys.readouterr().err.splitlines()[-1]
+    m = re.fullmatch(r"eval: (\d+) images, (\d+) FOV pixels, (\d+\.\d\d) s", line)
+    assert m, line
+    assert (int(m[1]), int(m[2])) == (3, 2 * 256 + 5 * 16)
+    all_row = (out / "summary.csv").read_text().splitlines()[4].split(",")
+    assert all_row[0] == "ALL" and sum(map(int, all_row[2:6])) == int(m[2])
+    # nothing timing-dependent is written: the report is the three CSVs
+    assert sorted(p.name for p in out.iterdir()) == ["pr.csv", "roc.csv", "summary.csv"]
+
+
 def test_eval_unmatched_basenames_listed(tmp_path, capsys):
     pred_d, gold_d, mask_d = _gold_dirs(tmp_path, n=3)
     (gold_d / "im2.pgm").unlink()
@@ -830,6 +861,70 @@ def test_eval_peak_memory_does_not_follow_the_image_count(tmp_path):
         assert rows == (many / "report" / name).read_text().count("\n") == 19, name
     added_pixels = (48 - 12) * side * side
     assert peak_many - peak_few < added_pixels, (peak_few, peak_many)
+
+
+def _drive_size_eval_inputs(root, n=4, hw=(584, 565)):
+    """n 16-bit maps at DRIVE size, with gold maps and the photos FOV masks are detected from."""
+    pred_d, gold_d, image_d = root / "pred", root / "gold", root / "images"
+    for d in (pred_d, gold_d, image_d):
+        d.mkdir()
+    rng = np.random.default_rng(11)
+    yy, xx = np.mgrid[: hw[0], : hw[1]]
+    disc = (yy - hw[0] / 2) ** 2 + (xx - hw[1] / 2) ** 2 <= (0.45 * hw[1]) ** 2
+    for i in range(n):
+        gold = rng.uniform(size=hw) < 0.12
+        level = np.clip(0.6 * rng.uniform(size=hw) + 0.4 * gold, 0, 1) * 65535
+        photo = disc[:, :, None] * rng.integers(60, 200, (*hw, 3))
+        data.write_image(Image(pixels=level.astype(np.uint16)[:, :, None], maxval=65535),
+                         pred_d / f"im{i}.pgm")
+        data.write_image(Image(pixels=(gold[:, :, None] * 255).astype(np.uint8), maxval=255),
+                         gold_d / f"im{i}.pgm")
+        data.write_image(Image(pixels=photo.astype(np.uint8), maxval=255), image_d / f"im{i}.ppm")
+    return pred_d, gold_d, image_d
+
+
+_EVAL_MINOR_FAULTS = """
+import contextlib, io, json, resource, sys
+from vesselseg import cli
+faults = []
+for _ in range(3):
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        assert cli.main(sys.argv[1:]) == 0
+    faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+print(json.dumps(faults))
+"""
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="the allocator policy is glibc's")
+def test_repeated_eval_keeps_its_working_memory_mapped(tmp_path):
+    # glibc's defaults hand each image's freed working set back to the kernel
+    # and fault it in again for the next image: thousands of minor faults per
+    # call; in a fresh process, so no earlier test's heap state can hide that
+    pred_d, gold_d, image_d = _drive_size_eval_inputs(tmp_path)
+    argv = ["eval", "--pred-dir", str(pred_d), "--gold-dir", str(gold_d),
+            "--image-dir", str(image_d), "--out", str(tmp_path / "report")]
+    faults = json.loads(_python(["-c", _EVAL_MINOR_FAULTS, *argv]).stdout)
+    assert faults[1] < 500 and faults[2] < 500, faults
+
+
+def test_eval_without_mallopt_writes_the_same_files(tmp_path, monkeypatch):
+    pred_d, gold_d, image_d = _golden_eval_inputs(tmp_path)
+    argv = ["eval", "--pred-dir", str(pred_d), "--gold-dir", str(gold_d),
+            "--image-dir", str(image_d), "--out"]
+    assert run(argv + [str(tmp_path / "policy")]) == 0
+    looked_up = []
+
+    class NoMallopt:  # a C library without mallopt
+        def __init__(self, name):
+            looked_up.append(name)
+
+    monkeypatch.setattr(cli.ctypes, "CDLL", NoMallopt)
+    assert run(argv + [str(tmp_path / "no-policy")]) == 0
+    assert looked_up == [None]
+    for name in ("roc.csv", "pr.csv", "summary.csv", "notes.txt"):
+        a, b = (tmp_path / d / name for d in ("policy", "no-policy"))
+        assert a.read_bytes() == b.read_bytes(), name
 
 
 def test_load_prob_keeps_16bit_levels_without_copies(tmp_path, monkeypatch):

@@ -1,3 +1,4 @@
+import tracemalloc
 from dataclasses import fields
 
 import numpy as np
@@ -36,6 +37,9 @@ def test_load_with_comments_and_whitespace(tmp_path):
     p.write_bytes(b"P5 # a comment\n# another\n 2\t2 # yes\n255\n" + bytes(4))
     img = data.load_image(p)
     assert img.width == 2 and img.height == 2
+    # a comment of any length: the header is parsed from the whole file, not a prefix
+    p.write_bytes(b"P5\n#" + b"x" * 10_000 + b"\n2 2\n255\n" + bytes([1, 2, 3, 4]))
+    np.testing.assert_array_equal(data.load_image(p).pixels[:, :, 0], [[1, 2], [3, 4]])
 
 
 def test_load_truncated_rejected_with_offset(tmp_path):
@@ -49,8 +53,9 @@ def test_load_truncated_rejected_with_offset(tmp_path):
 def test_load_bad_magic_and_maxval(tmp_path):
     p = tmp_path / "b.pgm"
     p.write_bytes(b"P2\n2 2\n255\n" + bytes(4))
-    with pytest.raises(data.PixmapError):
+    with pytest.raises(data.PixmapError) as e:
         data.load_image(p)
+    assert str(e.value) == f"{p}: bad magic b'P2' at offset 0, expected P5 or P6"
     p.write_bytes(b"P5\n2 2\n100\n" + bytes(4))
     with pytest.raises(data.PixmapError):
         data.load_image(p)
@@ -96,6 +101,23 @@ def test_roundtrip_8bit_and_16bit(tmp_path):
     back16 = data.load_image(p16)
     assert back16.maxval == 65535
     np.testing.assert_array_equal(back16.pixels, img16.pixels)
+
+
+def test_load_8bit_reads_pixels_into_one_writable_buffer(tmp_path):
+    # the pixels are a view of the buffer the file was read into: no copy of the payload
+    px = np.random.default_rng(7).integers(0, 256, (584, 565, 3), dtype=np.uint8)
+    p = tmp_path / "photo.ppm"
+    data.write_image(Image(px, 255), p)
+    data.load_image(p)  # a first read imports and caches what the read needs
+    tracemalloc.start()
+    try:
+        img = data.load_image(p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    np.testing.assert_array_equal(img.pixels, px)
+    assert img.pixels.flags.writeable
+    assert peak < 1.2 * p.stat().st_size, (peak, p.stat().st_size)
 
 
 def test_16bit_payload_is_big_endian(tmp_path):
