@@ -686,7 +686,7 @@ def zero_grads(tensors):
 class Adam:
     """Adam over a named parameter list, updating tensors and moments in place."""
 
-    def __init__(self, named_params, lr=2e-4, beta1=0.5, beta2=0.999, eps=1e-8):
+    def __init__(self, named_params, lr, beta1, beta2, eps=1e-8):
         self.named_params = list(named_params)
         self.lr = lr
         self.beta1 = beta1

@@ -36,20 +36,18 @@ EXIT_OK, EXIT_CONFIG, EXIT_DATA, EXIT_NUMERICAL = 0, 1, 2, 3
 # ---------------------------------------------------------------------------
 # run configuration
 
+def _keyed_fields(spec_type):
+    """(key, field) of each field of a dataclass: ``lambda_`` is keyed ``lambda``."""
+    return [(f.name.rstrip("_"), f) for f in dataclasses.fields(spec_type)]
+
+
+# the model and training keys are the fields of GeneratorSpec and TrainConfig, with their defaults
 CONFIG_SCHEMA = {
     # model
-    "scales": (int, 2),
-    "base_channels": (int, 8),
+    **{key: (type(f.default), f.default) for key, f in _keyed_fields(GeneratorSpec)},
     "discriminator": (models.VARIANT_NAMES, "image"),
     # training
-    "lambda": (float, 10.0),
-    "lr": (float, 2e-4),
-    "beta1": (float, 0.5),
-    "beta2": (float, 0.999),
-    "rounds": (int, 10),
-    "batch_size": (int, 1),
-    "seed": (int, 0),
-    "val_fraction": (float, 1.0 / 20.0),
+    **{key: (type(f.default), f.default) for key, f in _keyed_fields(TrainConfig)},
     # data
     "dataset": (("drive", "stare", "custom", "synthetic"), "synthetic"),
     "data_dir": (str, ""),
@@ -118,7 +116,7 @@ def parse_config_text(text, source="<config>"):
     return cfg
 
 
-def desk_config(discriminator, rounds, seed, size=64, count=8):
+def desk_config(discriminator, rounds, seed, size, count):
     """Config text of the desk-scale synthetic run the scripts and the acceptance gate train."""
     return (
         f"dataset=synthetic\nimage_size={size}\nsynthetic_count={count}\naugment=off\n"
@@ -162,12 +160,15 @@ def _config_keys(cfg, *keys):
         raise ConfigError(f"{named}: {exc}" if named else str(exc)) from None
 
 
+def _from_config(spec_type, cfg, *keys):
+    """spec_type read from a resolved config; its ValueError is a ConfigError naming ``keys``."""
+    with _config_keys(cfg, *keys):
+        return spec_type(**{f.name: cfg[key] for key, f in _keyed_fields(spec_type)})
+
+
 def train_config(cfg):
-    """The TrainConfig of a resolved config, each field read from the key of its name (``lambda_``
-    from ``lambda``); a bad value is a ConfigError naming its key."""
-    fields = dataclasses.fields(TrainConfig)
-    with _config_keys(cfg):  # TrainConfig's messages name the key
-        return TrainConfig(**{f.name: cfg[f.name.rstrip("_")] for f in fields})
+    """The TrainConfig of a resolved config; a bad value is a ConfigError naming its key."""
+    return _from_config(TrainConfig, cfg)  # TrainConfig's messages name the key
 
 
 def _check_scales(cfg, side, *keys):
@@ -214,8 +215,7 @@ def cmd_train(args):
     cfg = resolve_config(args.config, args.seed)
     # derive everything from the config before the output directory exists
     train_cfg = train_config(cfg)
-    with _config_keys(cfg, "scales", "base_channels"):
-        gen_spec = GeneratorSpec(scales=cfg["scales"], base_channels=cfg["base_channels"])
+    gen_spec = _from_config(GeneratorSpec, cfg, "scales", "base_channels")
     if cfg["dataset"] == "synthetic":
         pool = _synthetic_samples(cfg)
     else:
@@ -237,6 +237,9 @@ def cmd_train(args):
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     (out / "config.resolved").write_text("\n".join(config_lines(cfg)) + "\n")
+    # an earlier run's model must not outlive its config, say when this run fails
+    for name in ("best.ckpt", "history.csv"):
+        (out / name).unlink(missing_ok=True)
     result = training.fit(g, d, train, val, train_cfg)
     training.save_checkpoint(result.checkpoint, out / "best.ckpt")
     (out / "history.csv").write_text("\n".join(_history_lines(result.history)) + "\n")

@@ -11,8 +11,7 @@ float scores, each found by ``searchsorted``), and ``np.add.at`` over
 fixed chunks counts each entry's pixels and vessel pixels.  ``predicted``
 is the one binarizer, a cut on levels.  The Otsu search runs over the 255
 boundaries of a 256-bin histogram with exact integer moments, making the
-argmax reproducible against an exhaustive sweep; the pooled histogram
-bins the distinct scores weighted by their pixel counts.
+argmax reproducible against an exhaustive sweep.
 
 Evaluation pools counts, not pixels.  ``Tally.add`` adds one image's FOV
 pixels (``fov_pixels``) to the pooled pixel and vessel counts of each
@@ -21,12 +20,12 @@ counts in all and at or above each cut ``searchsorted(values, j/256)``,
 j = 1..256, read from how much the pooled counts at the cuts grew.
 Every threshold ``otsu_threshold`` returns is such a j/256: an image's
 tp/fp/fn/tn at the threshold applied to it are read from its cut table,
-and so is its own Otsu histogram, whose bins lie between the cuts.
-``Tally.report`` groups the pooled counts into the curves and the pooled
-Otsu threshold.  ``vesselseg eval`` adds each image as it is read, so its
-memory follows neither the frame size nor the number of images;
-``evaluate`` counts uint16 maps the same way, and float maps against one
-``np.unique`` table of all their FOV scores.
+and so is its Otsu histogram, whose bins lie between the cuts; the pooled
+histogram is that of the pooled counts at the cuts.  ``Tally.report``
+groups the pooled counts into the curves.  ``vesselseg eval`` adds each
+image as it is read, so its memory follows neither the frame size nor
+the number of images; ``evaluate`` counts uint16 maps the same way, and
+float maps against one ``np.unique`` table of all their FOV scores.
 
 ``write_curve_csv`` writes several curves in one call: a column they
 share bit for bit, as ROC and PR share their thresholds and ROC's tpr is
@@ -357,14 +356,21 @@ def unnamable_ids(ids):
 _CUTS = np.arange(1, OTSU_BINS + 1) / OTSU_BINS
 
 
+def _cut_otsu(cut_table):
+    """``otsu_threshold`` of the pixels a cut table counts: its histogram bins
+    [j/256, (j+1)/256), the top bin taking scores >= 1 too, and the bottom one scores < 0."""
+    hist = np.append(-np.diff(cut_table[0, :OTSU_BINS]), cut_table[0, OTSU_BINS - 1])
+    occupied = np.flatnonzero(hist)
+    return otsu_threshold(occupied / OTSU_BINS, hist[occupied])
+
+
 class Tally:
     """Images reduced to counts as they are added, and the report the counts give.
 
     ``values`` is an ascending table holding every score added: ``LEVELS`` for
     uint16 levels.  ``counts`` holds the pooled pixel and vessel counts of each
-    entry.  Each image keeps its cut table and its own Otsu threshold (or None):
-    column j of the table counts its pixels (row 0) and vessel pixels (row 1)
-    at or above j/256 for j >= 1, and all of them for j = 0.
+    entry.  Each image keeps its cut table: column j counts its pixels (row 0)
+    and vessel pixels (row 1) at or above j/256 for j >= 1, and all of them for j = 0.
     """
 
     def __init__(self, values=LEVELS, per_image_threshold=False):
@@ -389,14 +395,8 @@ class Tally:
         tails = np.zeros((2, len(self._starts) + 1), dtype=np.intp)
         tails[:, :-1] = np.cumsum(runs[:, ::-1], axis=1)[:, ::-1]
         pooled = tails[:, self._run_of]
-        cut_table, self._pooled_cuts = pooled - self._pooled_cuts, pooled
-        thr = None
-        if self.per_image_threshold:
-            # the Otsu histogram bins [j/256, (j+1)/256), the top bin taking scores >= 1 too
-            hist = np.append(-np.diff(cut_table[0, :OTSU_BINS]), cut_table[0, OTSU_BINS - 1])
-            occupied = np.flatnonzero(hist)
-            thr = otsu_threshold(occupied / OTSU_BINS, hist[occupied])
-        self.images.append((cut_table, thr))
+        self.images.append(pooled - self._pooled_cuts)
+        self._pooled_cuts = pooled
 
     def report(self, ids=None) -> MetricsReport:
         """The report of the images added, ``ids`` naming them in order."""
@@ -416,16 +416,11 @@ class Tally:
         grouped = _grouped(self.values, *self.counts)
         roc_curve, roc_area = _roc(*grouped)
         pr_curve, pr_area = _pr(*grouped)
-        thresholds, cum_tp, cum_fp = grouped
-        pooled_thr = otsu_threshold(thresholds, np.diff(cum_tp + cum_fp, prepend=0))
+        pooled_thr = _cut_otsu(self._pooled_cuts)
 
-        per_image = []
-        per_thr = [] if self.per_image_threshold else None
-        tot = np.zeros(4, dtype=np.int64)
-        for img_id, (cut_table, own) in zip(ids, self.images):
-            thr = pooled_thr if own is None else own
-            if per_thr is not None:
-                per_thr.append(thr)
+        per_thr = list(map(_cut_otsu, self.images)) if self.per_image_threshold else None
+        per_image, tot = [], np.zeros(4, dtype=np.int64)
+        for img_id, cut_table, thr in zip(ids, self.images, per_thr or [pooled_thr] * len(ids)):
             (n, predicted_n), (vessels, tp) = cut_table[:, [0, round(thr * OTSU_BINS)]].tolist()
             counts = (tp, predicted_n - tp, vessels - tp, n - predicted_n - vessels + tp)
             tot += counts

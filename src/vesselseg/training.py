@@ -34,7 +34,7 @@ class TrainConfig:
     lr: float = 2e-4
     beta1: float = 0.5
     beta2: float = 0.999
-    rounds: int = 1
+    rounds: int = 10
     batch_size: int = 1
     seed: int = 0
     val_fraction: float = 1.0 / 20.0
@@ -238,19 +238,17 @@ def _adam(model, what, cfg):
     return Adam([(f"{what}.{k}", p) for k, p in model.parameters()], cfg.lr, cfg.beta1, cfg.beta2)
 
 
-def fit(g, d, train, val, cfg, val_loss_fn=None, progress=None):
+def fit(g, d, train, val, cfg):
     """Run cfg.rounds alternating rounds; keep the best-validation checkpoint.
 
     train and val are the two parts of :func:`split_train_val`.  Returns a
     FitResult whose checkpoint is the one with minimum validation generator
-    loss (earliest round on ties).  val_loss_fn may be injected for testing;
-    it receives (g, d, val, cfg).
+    loss (earliest round on ties).
     """
     if not val:
         raise ValueError("empty validation split")
     opt_g = _adam(g, "generator", cfg)
     opt_d = _adam(d, "discriminator", cfg) if d is not None else None
-    evaluate = val_loss_fn if val_loss_fn is not None else validation_loss
 
     history = []
     best = None
@@ -258,15 +256,13 @@ def fit(g, d, train, val, cfg, val_loss_fn=None, progress=None):
         try:  # an overflow anywhere in a round, say from a huge lambda or lr, ends the run
             with np.errstate(over="raise", invalid="raise"):
                 stats = train_round(g, d, train, cfg, round_index=r, opt_g=opt_g, opt_d=opt_d)
-                stats.val_g_loss = float(evaluate(g, d, val, cfg))
+                stats.val_g_loss = float(validation_loss(g, d, val, cfg))
         except FloatingPointError as exc:
             raise NumericalError(f"round {r}: {exc}") from None
         history.append(stats)
         if best is None or stats.val_g_loss < best.val_g_loss:
             params = {k: p.data.copy() for k, p in g.params.items()}
             best = Checkpoint(r, g.spec, params, stats.val_g_loss)
-        if progress is not None:
-            progress(stats)
     return FitResult(checkpoint=best, history=history)
 
 

@@ -1009,7 +1009,7 @@ def test_two_input_op_on_one_tensor_sums_both_grads(op):
 
 def test_adam_zero_grad_keeps_params():
     p = Tensor(np.array([1.0, -2.0], dtype=np.float32), requires_grad=True)
-    opt = ag.Adam([("p", p)], lr=2e-4, beta1=0.5)
+    opt = ag.Adam([("p", p)], lr=2e-4, beta1=0.5, beta2=0.999)
     opt.step()
     np.testing.assert_array_equal(p.data, np.array([1.0, -2.0], dtype=np.float32))
 
@@ -1026,7 +1026,7 @@ def test_adam_first_step_closed_form():
 def test_adam_rejects_non_finite_named():
     p = Tensor(np.array([0.0], dtype=np.float32), requires_grad=True)
     p.grad[...] = np.nan
-    opt = ag.Adam([("enc0_conv1_w", p)])
+    opt = ag.Adam([("enc0_conv1_w", p)], lr=2e-4, beta1=0.5, beta2=0.999)
     with pytest.raises(ag.NumericalError) as e:
         opt.step()
     assert "enc0_conv1_w" in str(e.value)
@@ -1071,7 +1071,7 @@ def test_adam_step_in_place_matches_formula_bit_for_bit(lr, beta1, beta2, eps):
 def test_adam_overflow_is_named_numerical_error(value, grad, lr):
     p = Tensor(np.array([value], dtype=np.float32), requires_grad=True)
     q = Tensor(np.zeros(1, np.float32), requires_grad=True)
-    opt = ag.Adam([("enc0_conv1_w", q), ("head_b", p)], lr=lr)
+    opt = ag.Adam([("enc0_conv1_w", q), ("head_b", p)], lr=lr, beta1=0.5, beta2=0.999)
     p.grad[...] = np.float32(grad)
     with pytest.raises(ag.NumericalError, match=r"Adam step 1: parameter 'head_b' overflowed"):
         opt.step()

@@ -81,9 +81,33 @@ def test_key_set_twice_is_located_config_exit(capsys, tmp_path):
     assert not out.exists()
 
 
-def test_defaults_documented_for_every_key():
-    cfg = cli.parse_config_text("")
-    assert set(cfg) == set(cli.CONFIG_SCHEMA)
+def test_defaults_documented_for_every_key(tmp_path, monkeypatch):
+    # config.resolved of an empty config is the README's Configuration table, one line a key:
+    # a changed GeneratorSpec or TrainConfig default shows here.  The run stops once it is written
+    def stop(*args):
+        raise cli.NumericalError("stopped before training")
+
+    monkeypatch.setattr(training, "fit", stop)
+    out = tmp_path / "o"
+    assert run(["train", "--out", str(out)]) == cli.EXIT_NUMERICAL
+    assert (out / "config.resolved").read_text().splitlines() == [
+        "scales=2",
+        "base_channels=8",
+        "discriminator=image",
+        "lambda=10.0",
+        "lr=0.0002",
+        "beta1=0.5",
+        "beta2=0.999",
+        "rounds=10",
+        "batch_size=1",
+        "seed=0",
+        "val_fraction=0.05",
+        "dataset=synthetic",
+        "data_dir=",
+        "image_size=64",
+        "synthetic_count=8",
+        "augment=on",
+    ]
 
 
 def test_resolved_config_reparses_identically(tmp_path):
@@ -346,6 +370,17 @@ def test_overflowing_adam_step_is_numerical_exit(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "numerical failure: Adam step 1: parameter 'generator.enc0_conv1_w' overflowed" in err
     assert not (out / "best.ckpt").exists()
+
+
+def test_failed_rerun_removes_the_earlier_model(tmp_path):
+    # config.resolved is rewritten before training, so the earlier run's files must not stay
+    # beside it: they would not come from the config it holds
+    out = tmp_path / "o"
+    assert run(["train", "--config", str(write_cfg(tmp_path / "a.cfg")), "--out", str(out)]) == 0
+    cfg = write_cfg(tmp_path / "b.cfg", lr="1e38", seed=5)
+    assert run(["train", "--config", str(cfg), "--out", str(out)]) == cli.EXIT_NUMERICAL
+    assert {"lr=1e+38", "seed=5"} <= set((out / "config.resolved").read_text().splitlines())
+    assert not (out / "best.ckpt").exists() and not (out / "history.csv").exists()
 
 
 def test_train_seed_flag_overrides_config(tmp_path):

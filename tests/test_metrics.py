@@ -700,8 +700,8 @@ def test_tally_of_images_added_one_by_one_matches_evaluate(per_image):
     tally = metrics.Tally(per_image_threshold=per_image)
     for image in zip(maps, golds, masks):
         tally.add(*metrics.fov_pixels(*image))
-    # an image keeps its cut table and its threshold, none of its pixels
-    assert [table.shape for table, _ in tally.images] == [(2, metrics.OTSU_BINS + 1)] * 3
+    # an image keeps its cut table, none of its pixels
+    assert [table.shape for table in tally.images] == [(2, metrics.OTSU_BINS + 1)] * 3
     got = tally.report(ids=["a", "b", "c"])
     for a, b in ((got.roc, want.roc), (got.pr, want.pr)):
         assert a.points.tolist() == b.points.tolist() and a.auc == b.auc

@@ -377,22 +377,22 @@ def test_fit_single_round_returns_it():
     assert result.checkpoint.round_index == 1
 
 
-def test_fit_selects_min_validation_loss():
+def test_fit_selects_min_validation_loss(monkeypatch):
     g, _, samples = tiny_setup(n_samples=3, variant=None)
     cfg = TrainConfig(rounds=3, seed=2)
     injected = iter([0.9, 0.4, 0.6])
-    split = training.split_train_val(samples, cfg)
-    result = training.fit(g, None, *split, cfg, val_loss_fn=lambda *a: next(injected))
+    monkeypatch.setattr(training, "validation_loss", lambda *a: next(injected))
+    result = training.fit(g, None, *training.split_train_val(samples, cfg), cfg)
     assert result.checkpoint.round_index == 2
     assert result.checkpoint.val_g_loss == pytest.approx(0.4)
 
 
-def test_fit_tie_keeps_earliest():
+def test_fit_tie_keeps_earliest(monkeypatch):
     g, _, samples = tiny_setup(n_samples=3, variant=None)
     cfg = TrainConfig(rounds=2, seed=2)
     injected = iter([0.5, 0.5])
-    split = training.split_train_val(samples, cfg)
-    result = training.fit(g, None, *split, cfg, val_loss_fn=lambda *a: next(injected))
+    monkeypatch.setattr(training, "validation_loss", lambda *a: next(injected))
+    result = training.fit(g, None, *training.split_train_val(samples, cfg), cfg)
     assert result.checkpoint.round_index == 1
 
 
