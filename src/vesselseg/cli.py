@@ -359,7 +359,7 @@ def cmd_eval(args):
     refused = metrics.unnamable_ids(sorted(preds))
     if refused:
         raise DataError(
-            "stems summary.csv cannot name (a ',', CR or LF, or 'ALL'): "
+            "stems summary.csv cannot name (a ',', CR or LF, not UTF-8, or 'ALL'): "
             + ", ".join(map(repr, refused))
         )
     mismatched = sorted(set(preds) ^ set(golds))
@@ -379,7 +379,7 @@ def cmd_eval(args):
     # each image is counted as it is read, and only its counts are kept
     tally = metrics.Tally(per_image_threshold=args.per_image_otsu)
     for stem in ids:
-        tally.add(*_eval_pixels(stem, preds, golds, masks, images, args, notes))
+        tally.add(_eval_pixels(stem, preds, golds, masks, images, args, notes))
     # the pooled ROC needs vessel and background pixels inside the FOV
     fov, vessel = tally.counts.sum(axis=1).tolist()
     for count, kind in ((vessel, "vessel"), (fov - vessel, "background")):
@@ -392,7 +392,8 @@ def cmd_eval(args):
     metrics.write_curve_csv((report.roc, out / "roc.csv"), (report.pr, out / "pr.csv"))
     metrics.write_summary_csv(report, out / "summary.csv")
     if notes:
-        (out / "notes.txt").write_text("\n".join(notes) + "\n")
+        # a path's undecodable bytes are written back as they are on disk
+        (out / "notes.txt").write_text("\n".join(notes) + "\n", errors="surrogateescape")
         for note in notes:
             print(f"note: {note}", file=sys.stderr)
     else:  # a note an earlier run left in this directory no longer holds

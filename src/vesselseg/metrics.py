@@ -57,10 +57,10 @@ LEVELS = np.arange(65536) / 65535
 
 @dataclass
 class ScoredPixels:
-    """Index-aligned scores and labels of the pixels inside the FOV.
+    """Index-aligned scores and labels of the pixels inside the FOV, checked on construction.
 
-    Scores are uint16 levels, level k scoring ``LEVELS[k]``, or finite floats.
-    Labels are 0/1 (or bool).
+    Scores are uint16 levels, level k scoring ``LEVELS[k]``, or finite floats,
+    kept as float64.  Labels are 0/1 (or bool).
     """
 
     scores: np.ndarray
@@ -204,37 +204,23 @@ def pr_auc(sp: ScoredPixels):
 OTSU_BINS = 256
 
 
-def _otsu_histogram(scores, weights=None):
+def _otsu_histogram(scores):
     scores = np.asarray(scores, dtype=np.float64)
-    if scores.size == 0:
-        raise ValueError("otsu_threshold: empty scores")
     if np.isnan(scores).any():
         raise ValueError("otsu_threshold: scores hold NaN")
-    if weights is not None:
-        weights = np.asarray(weights, dtype=np.float64)
-        # float64 weight sums stay exact integers below 2**53 pixels
-        if not (np.all(weights >= 0) and weights.sum() < 2**53):  # false for NaN and inf too
-            raise ValueError("otsu_threshold: weights must be >= 0 and sum below 2**53")
-        if not np.all(weights == np.floor(weights)):
-            raise ValueError("otsu_threshold: weights must be whole numbers of pixels")
     bins = np.minimum((np.clip(scores, 0.0, 1.0) * OTSU_BINS).astype(np.int64), OTSU_BINS - 1)
-    counts = np.bincount(bins, weights=weights, minlength=OTSU_BINS).astype(np.int64)
-    if not counts.any():
-        raise ValueError("otsu_threshold: weights sum to 0 pixels")
-    return counts
+    return np.bincount(bins, minlength=OTSU_BINS)
 
 
-def otsu_threshold(scores, weights=None):
-    """Boundary of a 256-bin histogram over [0,1] maximizing between-class variance.
+def _otsu(counts):
+    """Boundary of an int64 256-bin histogram over [0,1] maximizing between-class variance.
 
-    ``weights`` gives how many pixels hold each score (one each when None);
-    weights that are negative, NaN or fractional, or sum to 0 or to 2**53 or more, are
-    refused, as are NaN scores.
     Lowest maximizing boundary wins ties; a single occupied bin returns that
-    bin's upper boundary.
+    bin's upper boundary.  A histogram of no pixels is refused.
     """
-    counts = _otsu_histogram(scores, weights)
-    occupied = np.nonzero(counts)[0]
+    occupied = np.flatnonzero(counts)
+    if len(occupied) == 0:
+        raise ValueError("otsu_threshold: no pixels to threshold")
     if len(occupied) == 1:
         return float((occupied[0] + 1) / OTSU_BINS)
     # integer cumulants keep the float64 variance expression exactly
@@ -254,6 +240,11 @@ def otsu_threshold(scores, weights=None):
         if var > best_var:
             best_var, best_k = var, k
     return float(best_k / OTSU_BINS)
+
+
+def otsu_threshold(scores):
+    """``_otsu`` of the scores binned over [0,1]; NaN scores and no scores are refused."""
+    return _otsu(_otsu_histogram(scores))
 
 
 def _check_shapes(pred, gold, mask):
@@ -310,11 +301,11 @@ def overlay(pred, gold, mask) -> Image:
     return Image(pixels=px, maxval=255)
 
 
-def fov_pixels(prob_map, gold, mask):
-    """One image's in-FOV pixels as 1-D (scores, labels) in the map's dtype, labels 0/1 uint8."""
+def fov_pixels(prob_map, gold, mask) -> ScoredPixels:
+    """One image's pixels inside the mask."""
     prob_map, gold, inside = np.asarray(prob_map), np.asarray(gold), np.asarray(mask, dtype=bool)
     _check_shapes(prob_map, gold, inside)
-    return prob_map[inside], gold[inside].astype(np.uint8)
+    return ScoredPixels(prob_map[inside], gold[inside])
 
 
 def evaluate(prob_maps, golds, masks, ids=None, per_image_threshold=False) -> MetricsReport:
@@ -333,23 +324,21 @@ def evaluate(prob_maps, golds, masks, ids=None, per_image_threshold=False) -> Me
     kinds = {np.asarray(m).dtype == np.uint16 for m in prob_maps}
     if len(kinds) > 1:
         raise ValueError("evaluate: maps mix uint16 levels with float scores")
-    parts, values = map(fov_pixels, prob_maps, golds, masks), LEVELS
+    images, values = map(fov_pixels, prob_maps, golds, masks), LEVELS
     if kinds == {False}:
-        parts = list(parts)
-        values = np.unique(np.concatenate([scores for scores, _ in parts], dtype=np.float64))
-        # the table ascends, with NaN last
-        if values.size and not np.isfinite(values[[0, -1]]).all():
-            raise ValueError("scores must be finite")
+        images = list(images)
+        values = np.unique(np.concatenate([p.scores for p in images]))
     tally = Tally(values, per_image_threshold)
-    for scores, labels in parts:
-        tally.add(scores, labels)
+    for pixels in images:
+        tally.add(pixels)
     return tally.report(ids)
 
 
 def unnamable_ids(ids):
     """The ids a ``summary.csv`` row cannot name: ``ALL``, which names the aggregate row,
-    and any holding a ',', CR or LF, which would split the row."""
-    return [i for i in ids if str(i) == "ALL" or re.search("[,\r\n]", str(i))]
+    any holding a ',', CR or LF, which would split the row, and any that is not UTF-8 text:
+    a lone surrogate, as a file name's undecodable byte reads, encodes to no UTF-8."""
+    return [i for i in ids if str(i) == "ALL" or re.search("[,\r\n\ud800-\udfff]", str(i))]
 
 
 # every threshold ``otsu_threshold`` returns is one of these j/256, j = 1..256
@@ -357,11 +346,10 @@ _CUTS = np.arange(1, OTSU_BINS + 1) / OTSU_BINS
 
 
 def _cut_otsu(cut_table):
-    """``otsu_threshold`` of the pixels a cut table counts: its histogram bins
-    [j/256, (j+1)/256), the top bin taking scores >= 1 too, and the bottom one scores < 0."""
-    hist = np.append(-np.diff(cut_table[0, :OTSU_BINS]), cut_table[0, OTSU_BINS - 1])
-    occupied = np.flatnonzero(hist)
-    return otsu_threshold(occupied / OTSU_BINS, hist[occupied])
+    """``otsu_threshold`` of the pixels a cut table counts: ``_otsu`` of its histogram, whose
+    bins [j/256, (j+1)/256) lie between the cuts, the top bin taking scores >= 1 too, and the
+    bottom one scores < 0."""
+    return _otsu(np.append(-np.diff(cut_table[0, :OTSU_BINS]), cut_table[0, OTSU_BINS - 1]))
 
 
 class Tally:
@@ -385,11 +373,9 @@ class Tally:
         self._run_of = np.searchsorted(self._starts, cuts)
         self._pooled_cuts = np.zeros((2, OTSU_BINS + 1), dtype=np.intp)
 
-    def add(self, scores, labels):
-        """Count one image's FOV scores (levels into ``values`` when uint16) and 0/1 labels."""
-        if labels.size and labels.max() > 1:
-            raise ValueError("labels must be 0 or 1")
-        _count(self.counts, scores, labels, self.values)
+    def add(self, pixels: ScoredPixels):
+        """Count one image's FOV pixels (``fov_pixels``), whose scores are in ``values``."""
+        _count(self.counts, pixels.scores, pixels.labels, self.values)
         # the pooled counts at or above each cut, by runs; this image's are what they grew by
         runs = np.add.reduceat(self.counts, self._starts, axis=1)
         tails = np.zeros((2, len(self._starts) + 1), dtype=np.intp)
@@ -409,7 +395,7 @@ class Tally:
         refused = unnamable_ids(ids)
         if refused:
             raise ValueError(
-                "evaluate: ids summary.csv cannot name (a ',', CR or LF, or 'ALL'): "
+                "evaluate: ids summary.csv cannot name (a ',', CR or LF, not UTF-8, or 'ALL'): "
                 + ", ".join(map(repr, refused))
             )
 

@@ -677,7 +677,8 @@ def test_eval_per_image_otsu_empty_fov_is_data_exit(tmp_path, capsys):
 
 def test_eval_refuses_stems_summary_csv_cannot_name(tmp_path, capsys):
     pred_d, gold_d, mask_d = _gold_dirs(tmp_path)
-    bad = ["a,b", "ALL", "c\nd", "e\rf"]
+    # a byte that is not UTF-8 reads as a lone surrogate, which summary.csv cannot encode
+    bad = ["a,b", "ALL", "c\nd", "e\rf", os.fsdecode(b"g\xff")]
     for stem in bad:  # not netpbm: the stems are refused before any map is read
         for d in (pred_d, gold_d, mask_d):
             (d / f"{stem}.pgm").write_text("not netpbm\n")
@@ -794,6 +795,16 @@ def test_eval_csv_bytes_pinned(tmp_path, per_image):
     digests = {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
                for name in ("roc.csv", "pr.csv", "summary.csv")}
     assert digests == GOLDEN_EVAL_SHA256[per_image]
+
+
+def test_eval_notes_name_an_image_dir_that_is_not_utf8_by_its_bytes(tmp_path):
+    pred_d, gold_d, image_d = _golden_eval_inputs(tmp_path)
+    image_d = image_d.rename(tmp_path / os.fsdecode(b"fundus\xff"))
+    out = tmp_path / "report"
+    assert run(["eval", "--pred-dir", str(pred_d), "--gold-dir", str(gold_d),
+                "--image-dir", str(image_d), "--out", str(out)]) == 0
+    notes = (out / "notes.txt").read_bytes()
+    assert b"im1: FOV mask synthesized from " + os.fsencode(image_d / "im1.ppm") + b"\n" in notes
 
 
 @pytest.mark.parametrize("per_image,dice,otsu",

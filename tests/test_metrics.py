@@ -579,13 +579,18 @@ def test_pooled_otsu_histogram_matches_per_pixel_bins(seed, n, kind):
     scores = tie_heavy_scores(rng, n, kind)
     scores[: n // 10] *= 1.5  # some scores above 1 land in the top bin
     labels = (rng.uniform(0, 1, n) < 0.3).astype(np.uint8)
-    thresholds, cum_tp, cum_fp = ScoredPixels(scores, labels).grouped
-    counts = np.diff(cum_tp + cum_fp, prepend=0)
-    hist = metrics._otsu_histogram(thresholds, counts)
+    # pooled over two images, one of them possibly empty
+    tally, split = metrics.Tally(np.unique(scores)), int(rng.integers(0, n + 1))
+    for part in (slice(None, split), slice(split, None)):
+        tally.add(ScoredPixels(scores[part], labels[part]))
+    hists = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(metrics, "_otsu", hists.append)
+        metrics._cut_otsu(tally._pooled_cuts)
     want = metrics._otsu_histogram(scores)
-    assert hist.dtype == want.dtype == np.int64
-    assert np.array_equal(hist, want)
-    assert metrics.otsu_threshold(thresholds, counts) == metrics.otsu_threshold(scores)
+    assert hists[0].dtype == want.dtype == np.int64
+    assert np.array_equal(hists[0], want)
+    assert metrics._cut_otsu(tally._pooled_cuts) == metrics.otsu_threshold(scores)
 
 
 @settings(max_examples=40, deadline=None)
@@ -670,16 +675,16 @@ def test_fov_pixels_keeps_levels_or_float64_scores_inside_the_mask(dtype):
     prob = rng.integers(0, 256, (5, 7)).astype(dtype)
     gold = (rng.uniform(size=(5, 7)) < 0.3).astype(np.uint8)
     mask = (rng.uniform(size=(5, 7)) < 0.6).astype(np.uint8) * np.uint8(255)
-    scores, labels = metrics.fov_pixels(prob, gold, mask)
-    inside = mask > 0
-    assert scores.dtype == dtype
+    pixels = metrics.fov_pixels(prob, gold, mask)
+    scores, labels, inside = pixels.scores, pixels.labels, mask > 0
+    assert scores.dtype == (np.uint16 if dtype == np.uint16 else np.float64)
     assert labels.dtype == np.uint8
     assert np.array_equal(scores, prob[inside]) and np.array_equal(labels, gold[inside])
     # counted, a uint16 map's scores are levels of LEVELS and any other map's are float64 scores
-    values = metrics.LEVELS if dtype == np.uint16 else np.unique(scores.astype(np.float64))
+    values = metrics.LEVELS if dtype == np.uint16 else np.unique(scores)
     tally = metrics.Tally(values)
-    tally.add(scores, labels)
-    as_float = metrics.LEVELS[scores] if dtype == np.uint16 else scores.astype(np.float64)
+    tally.add(pixels)
+    as_float = metrics.LEVELS[scores] if dtype == np.uint16 else scores
     assert np.array_equal(np.repeat(values, tally.counts[0]), np.sort(as_float))
     assert np.array_equal(np.repeat(values, tally.counts[1]), np.sort(as_float[labels == 1]))
 
@@ -699,7 +704,7 @@ def test_tally_of_images_added_one_by_one_matches_evaluate(per_image):
     want = metrics.evaluate(maps, golds, masks, ids=["a", "b", "c"], per_image_threshold=per_image)
     tally = metrics.Tally(per_image_threshold=per_image)
     for image in zip(maps, golds, masks):
-        tally.add(*metrics.fov_pixels(*image))
+        tally.add(metrics.fov_pixels(*image))
     # an image keeps its cut table, none of its pixels
     assert [table.shape for table in tally.images] == [(2, metrics.OTSU_BINS + 1)] * 3
     got = tally.report(ids=["a", "b", "c"])
@@ -720,25 +725,24 @@ def test_tally_report_rejects_no_images():
 
 
 def pooled_evaluate_oracle(parts, ids, per_image_threshold):
-    """The evaluator that copied every image's FOV (scores, labels) into one pool, then
-    grouped the pool and counted each image's tp/fp/fn/tn from its slice of it."""
-    kinds = {scores.dtype == np.uint16 for scores, _ in parts}
+    """The evaluator that copied every image's FOV pixels into one pool, then grouped
+    the pool and counted each image's tp/fp/fn/tn from its slice of it."""
+    kinds = {p.scores.dtype == np.uint16 for p in parts}
     assert len(kinds) == 1
-    bounds = np.cumsum([0] + [len(labels) for _, labels in parts]).tolist()
+    bounds = np.cumsum([0] + [len(p.labels) for p in parts]).tolist()
     pool = np.empty(bounds[-1], dtype=np.uint16 if kinds.pop() else np.float64)
     pool_labels = np.empty(bounds[-1], dtype=np.uint8)
-    for start, end, (scores, labels) in zip(bounds[:-1], bounds[1:], parts):
-        pool[start:end], pool_labels[start:end] = scores, labels
+    for start, end, p in zip(bounds[:-1], bounds[1:], parts):
+        pool[start:end], pool_labels[start:end] = p.scores, p.labels
     pooled = ScoredPixels(pool, pool_labels)
     roc_curve, roc_area = metrics.roc_auc(pooled)
     pr_curve, pr_area = metrics.pr_auc(pooled)
-    thresholds, cum_tp, cum_fp = pooled.grouped
-    pooled_thr = metrics.otsu_threshold(thresholds, np.diff(cum_tp + cum_fp, prepend=0))
     if pool.dtype == np.uint16:
         values, levels = metrics.LEVELS, pool
     else:
         values = np.unique(pool)
         levels = np.searchsorted(values, pool)
+    pooled_thr = metrics.otsu_threshold(values[levels])
     per_image, per_thr = [], [] if per_image_threshold else None
     tot = np.zeros(4, dtype=np.int64)
     for img_id, start, end in zip(ids, bounds[:-1], bounds[1:]):
@@ -813,6 +817,13 @@ def test_evaluate_rejects_maps_mixing_levels_and_floats():
         metrics.evaluate([levels, scores], [gold] * 2, [mask] * 2)
 
 
+@pytest.mark.parametrize("bad", [0.5, 1.7])
+def test_evaluate_refuses_gold_that_is_not_0_or_1(bad):
+    gold, mask = np.array([[1.0, 0.0, bad]]), np.ones((1, 3), np.uint8)
+    with pytest.raises(ValueError, match="labels must be 0 or 1"):
+        metrics.evaluate([np.array([[0.9, 0.1, 0.8]])], [gold], [mask])
+
+
 def test_evaluate_rejects_maps_golds_and_masks_of_different_shapes():
     gold = np.zeros((3, 3), np.uint8)
     with pytest.raises(ValueError, match=r"pred \(2, 2\), gold \(3, 3\), mask \(2, 2\)"):
@@ -845,29 +856,19 @@ def test_evaluate_refuses_ids_summary_csv_cannot_name():
     golds, masks = [np.array([[0, 1]], np.uint8)] * 5, [np.ones((1, 2), np.uint8)] * 5
     ids = ["a,b", "ok", "ALL", "c\nd", "e\rf"]
     assert metrics.unnamable_ids(ids) == ["a,b", "ALL", "c\nd", "e\rf"]
-    assert metrics.unnamable_ids(["all", "ALL2", 7, "a b"]) == []
+    assert metrics.unnamable_ids(["all", "ALL2", 7, "a b", "\u00e9"]) == []
+    assert metrics.unnamable_ids(["ok", "g\udcff"]) == ["g\udcff"]  # a byte that is not UTF-8
     with pytest.raises(ValueError, match="summary.csv cannot name") as refused:
         metrics.evaluate(maps, golds, masks, ids=ids)
     assert all(repr(i) in str(refused.value) for i in metrics.unnamable_ids(ids))
     assert "'ok'" not in str(refused.value)
 
 
-@pytest.mark.parametrize(
-    "weights,match",
-    [
-        ([0, 0], "sum to 0"),
-        ([3, -3], ">= 0"),
-        ([5, -1], ">= 0"),
-        ([1, np.nan], ">= 0"),
-        ([1, np.inf], "below 2"),
-        ([2.0**53, 1], "below 2"),
-        ([0.5, 0.5], "whole numbers"),  # would truncate to a sum of 0 pixels
-        ([1.5, 1.5], "whole numbers"),  # would truncate to one pixel each
-    ],
-)
-def test_otsu_rejects_weights_that_are_not_pixel_counts(weights, match):
-    with pytest.raises(ValueError, match=match):
-        metrics.otsu_threshold([0.2, 0.7], weights=weights)
+def test_otsu_refuses_no_pixels_from_scores_and_from_a_cut_table():
+    with pytest.raises(ValueError, match="no pixels"):
+        metrics.otsu_threshold([])
+    with pytest.raises(ValueError, match="no pixels"):
+        metrics._cut_otsu(np.zeros((2, metrics.OTSU_BINS + 1), np.intp))
 
 
 def test_otsu_refuses_nan_scores_before_binning_them():
