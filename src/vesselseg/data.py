@@ -9,6 +9,7 @@ whole pipeline testable without any external data.
 from __future__ import annotations
 
 import os
+import re
 import stat
 from dataclasses import dataclass
 from pathlib import Path
@@ -68,25 +69,22 @@ class SyntheticSample(Sample):
 # netpbm I/O
 
 
+# A field is the first token that only non-LF whitespace precedes on the rest of the line the
+# scan starts in, or on a later line; every line before it holds only whitespace and comments.
+# The lazy scan keeps no state per skipped byte; (?:\s|#[^\n]*)* would keep ~115 bytes each.
+_FIELD = re.compile(rb"(?:[\s\S]*?\n)??[ \t\r\x0b\x0c]*([^\s#]\S*)")
+
+
 def _parse_header(buf, path):
     # tokens separated by whitespace; '#' starts a comment running to newline
     pos = 2  # past magic
     tokens = []
-    while len(tokens) < 3:
-        while pos < len(buf) and buf[pos : pos + 1].isspace():
-            pos += 1
-        if pos < len(buf) and buf[pos : pos + 1] == b"#":
-            while pos < len(buf) and buf[pos : pos + 1] != b"\n":
-                pos += 1
-            continue
-        start = pos
-        while pos < len(buf) and not buf[pos : pos + 1].isspace():
-            pos += 1
-        if start == pos:
-            raise PixmapError(f"{path}: header ended early at offset {pos}")
-        token = bytes(buf[start:pos])
+    for name in ("width", "height", "maxval"):
+        m = _FIELD.match(buf, pos)
+        if m is None:
+            raise PixmapError(f"{path}: header ended early at offset {len(buf)}")
+        token, start, pos = bytes(m[1]), m.start(1), m.end(1)
         if not token.isdigit():  # ASCII digits: int() would also take b"+4", b"-0" and b"1_0"
-            name = ("width", "height", "maxval")[len(tokens)]
             raise PixmapError(
                 f"{path}: {name} {token[:20]!r} at offset {start} is not a decimal number"
             )
@@ -101,24 +99,16 @@ def _parse_header(buf, path):
     return width, height, maxval, pos
 
 
-def _open_regular(path):
-    """path opened for binary reading.  A FIFO, socket or device, whose read could block, is
-    refused unopened; a missing path or a directory fails in the open."""
+def read_file(path) -> bytearray:
+    """The bytes of the file at path, read straight into a writable buffer of the file's size.
+
+    A FIFO, socket or device, whose read could block, is refused unopened; a
+    missing path or a directory fails in the open.
+    """
     mode = Path(path).stat().st_mode
     if not (stat.S_ISREG(mode) or stat.S_ISDIR(mode)):
         raise DataError(f"{path} is not a regular file")
-    return open(path, "rb")
-
-
-def read_file(path) -> bytes:
-    """The bytes of the file at path, refused or failing as ``_open_regular`` says."""
-    with _open_regular(path) as f:
-        return f.read()
-
-
-def _read_writable(path) -> bytearray:
-    """``read_file``'s bytes, read straight into a writable buffer of the file's size."""
-    with _open_regular(path) as f:
+    with open(path, "rb") as f:
         buf = bytearray(os.fstat(f.fileno()).st_size)
         del buf[f.readinto(buf) :]
         buf += f.read()  # what the file grew by since its size was taken
@@ -131,7 +121,7 @@ def load_image(path) -> Image:
     8-bit pixels are a writable view of the buffer the file was read into, so
     they are never copied; 16-bit pixels are converted once from big-endian.
     """
-    buf = _read_writable(path)
+    buf = read_file(path)
     magic = bytes(buf[:2])
     if magic == b"P6":
         channels = 3
@@ -577,7 +567,7 @@ def generate_synthetic_raw(size, seed):
 
     base = np.array([0.72, 0.44, 0.22])  # reddish fundus tint
     falloff = 1.0 - 0.35 * np.clip(dist2 / (radius * radius), 0.0, 1.0)
-    coarse = rng.normal(0.0, 0.05, (max(size // 8, 1),) * 2)
+    coarse = rng.normal(0.0, 0.05, (-(-size // 8),) * 2)  # 8-px cells, the last cropped
     texture = np.kron(coarse, np.ones((8, 8)))[:size, :size]
     shade = _box_blur3(vessels.astype(np.float64))
     px = np.zeros((size, size, 3))

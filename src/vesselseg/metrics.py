@@ -44,7 +44,6 @@ from __future__ import annotations
 import re
 from contextlib import ExitStack
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -87,11 +86,6 @@ class ScoredPixels:
             ok = ((self.labels == 0) | (self.labels == 1)).all()
         if not ok:
             raise ValueError("labels must be 0 or 1")
-
-    @cached_property
-    def grouped(self):
-        """``_group_counts`` of these pixels, computed on first use."""
-        return _group_counts(self)
 
 
 @dataclass
@@ -193,12 +187,12 @@ def _pr(thresholds, cum_tp, cum_fp):
 
 def roc_auc(sp: ScoredPixels):
     """ROC curve and area; needs both classes present."""
-    return _roc(*sp.grouped)
+    return _roc(*_group_counts(sp))
 
 
 def pr_auc(sp: ScoredPixels):
     """Precision/recall curve and area; needs at least one positive."""
-    return _pr(*sp.grouped)
+    return _pr(*_group_counts(sp))
 
 
 OTSU_BINS = 256

@@ -366,7 +366,7 @@ def load_checkpoint(path) -> Checkpoint:
     raw = read_file(path)
     if raw[: len(MAGIC)] != MAGIC:
         raise CheckpointError(
-            f"bad magic at offset 0: expected {MAGIC!r}, got {raw[: len(MAGIC)]!r}"
+            f"bad magic at offset 0: expected {MAGIC!r}, got {bytes(raw[: len(MAGIC)])!r}"
         )
     if raw[len(MAGIC) : _HEAD] != struct.pack("<H", VERSION):
         version = int.from_bytes(raw[len(MAGIC) : _HEAD], "little")
@@ -390,10 +390,10 @@ def load_checkpoint(path) -> Checkpoint:
         return raw[pos - n : pos]
 
     (meta_len,) = struct.unpack("<I", take(4, "the metadata length"))
-    ckpt = _decode_meta(take(meta_len, "the metadata"))
+    ckpt = _decode_meta(bytes(take(meta_len, "the metadata")))
     for k, shape in mdl.param_shapes(mdl.generator_layout(ckpt.gen_spec)):
         values = take(4 * math.prod(shape), f"generator parameter {k}")
-        ckpt.gen_params[k] = np.frombuffer(values, "<f4").reshape(shape).copy()
+        ckpt.gen_params[k] = np.frombuffer(values, "<f4").reshape(shape)
     if pos != end:
         raise CheckpointError(f"{end - pos} bytes left over after the parameters at offset {pos}")
     return ckpt

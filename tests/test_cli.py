@@ -345,6 +345,13 @@ def test_train_writes_outputs_and_is_deterministic(tmp_path):
     assert header == "round,d_loss,g_gan_loss,seg_loss,val_g_loss"
 
 
+@pytest.mark.parametrize("size", [12, 20])
+def test_train_takes_a_synthetic_size_that_is_not_a_multiple_of_8(tmp_path, size):
+    # the texture grid covers the image in 8-pixel cells, the last one cropped
+    cfg = write_cfg(tmp_path / "c.cfg", image_size=size, scales=2, rounds=1)
+    assert run(["train", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
+
+
 def test_train_without_discriminator(tmp_path):
     cfg = write_cfg(tmp_path / "c.cfg", discriminator="none")
     out = tmp_path / "o"
@@ -703,6 +710,39 @@ def test_eval_single_channel_fundus_is_data_exit(tmp_path, capsys):
               "--image-dir", str(image_d), "--out", str(out)])
     assert rc == cli.EXIT_DATA
     assert str(gray) in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "source, message",
+    [
+        ("pred", "prediction (16, 12) and gold (16, 16) differ"),
+        ("mask-dir", "mask (12, 16) and gold (16, 16) differ"),
+        ("image-dir", "mask (16, 20) and gold (16, 16) differ"),
+    ],
+    ids=["pred", "mask-dir", "image-dir"],
+)
+def test_eval_refuses_a_map_whose_size_differs_from_its_gold(tmp_path, capsys, source, message):
+    pred_d, gold_d, mask_d = _gold_dirs(tmp_path)
+    argv = ["eval", "--pred-dir", str(pred_d), "--gold-dir", str(gold_d)]
+    if source == "pred":
+        data.write_image(Image(pixels=np.zeros((16, 12, 1), np.uint16), maxval=65535),
+                         pred_d / "im1.pgm")
+        argv += ["--mask-dir", str(mask_d)]
+    elif source == "mask-dir":
+        data.write_image(Image(pixels=np.full((12, 16, 1), 255, np.uint8), maxval=255),
+                         mask_d / "im1.pgm")
+        argv += ["--mask-dir", str(mask_d)]
+    else:  # the FOV detected from a bright photo is the whole photo
+        image_d = tmp_path / "images"
+        image_d.mkdir()
+        for stem, shape in (("im0", (16, 16, 3)), ("im1", (16, 20, 3))):
+            data.write_image(Image(pixels=np.full(shape, 200, np.uint8), maxval=255),
+                             image_d / f"{stem}.ppm")
+        argv += ["--image-dir", str(image_d)]
+    out = tmp_path / "report"
+    assert run(argv + ["--out", str(out)]) == cli.EXIT_DATA
+    assert capsys.readouterr().err.splitlines()[-1] == f"data error: im1: {message}"
     assert not out.exists()
 
 

@@ -79,6 +79,53 @@ def test_header_fields_must_be_ascii_digits(tmp_path, header, field, offset):
     assert str(e.value).endswith(f"{field} at offset {offset} is not a decimal number")
 
 
+@pytest.mark.parametrize(
+    "raw, message",
+    [
+        (b"P5\n2 3\n", "header ended early at offset 7"),
+        (b"P5 2 3 # a comment running to the end of the file", "header ended early at offset 49"),
+        (b"P5 2 3 255", "missing whitespace after maxval at offset 10"),
+        (b"P5 2#3 1\n255\n" + bytes(6), "width b'2#3' at offset 3 is not a decimal number"),
+        (b"P5\x852 2\n255\n" + bytes(4), "width b'\\x852' at offset 2 is not a decimal number"),
+        (b"P5 2\xa02 2\n255\n" + bytes(4), "width b'2\\xa02' at offset 3 is not a decimal number"),
+    ],
+    ids=["no-maxval", "comment-to-eof", "no-byte-after-maxval", "hash-in-token", "x85", "xa0"],
+)
+def test_header_refusals_name_their_offset(tmp_path, raw, message):
+    # '#' starts a comment only where a token could start, and only the six ASCII
+    # whitespace bytes separate tokens
+    p = tmp_path / "h.pgm"
+    p.write_bytes(raw)
+    with pytest.raises(data.PixmapError) as e:
+        data.load_image(p)
+    assert str(e.value) == f"{p}: {message}"
+
+
+def test_header_separators_are_the_ascii_whitespace_bytes(tmp_path):
+    # CR, tab, VT and FF separate tokens; a comment runs past a CR to the next LF, and the
+    # one byte after maxval may be any of them
+    p = tmp_path / "s.pgm"
+    p.write_bytes(b"P5\r2\t3\x0b# a comment\r runs to LF only\n255\x0c" + bytes(range(6)))
+    img = data.load_image(p)
+    assert (img.width, img.height, img.maxval) == (2, 3, 255)
+    np.testing.assert_array_equal(img.pixels.ravel(), range(6))
+
+
+def test_header_padding_is_scanned_in_memory_that_does_not_grow_with_it(tmp_path):
+    # 2 MB of blank lines and comments before the width
+    p = tmp_path / "pad.pgm"
+    p.write_bytes(b"P5" + b" \t\n#c 1\n" * 250_000 + b"2 2\n255\n" + bytes([1, 2, 3, 4]))
+    data.load_image(p)  # a first read imports and caches what the read needs
+    tracemalloc.start()
+    try:
+        img = data.load_image(p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    np.testing.assert_array_equal(img.pixels[:, :, 0], [[1, 2], [3, 4]])
+    assert peak < 1.2 * p.stat().st_size, (peak, p.stat().st_size)
+
+
 def test_header_field_too_long_for_int_is_pixmap_error(tmp_path):
     # int() refuses more than 4300 digits with a ValueError on current Pythons
     p = tmp_path / "h.pgm"
