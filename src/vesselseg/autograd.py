@@ -683,15 +683,17 @@ def zero_grads(tensors):
 # ---------------------------------------------------------------------------
 # Adam
 
+ADAM_EPS = 1e-8  # added to Adam's denominator
+
+
 class Adam:
     """Adam over a named parameter list, updating tensors and moments in place."""
 
-    def __init__(self, named_params, lr, beta1, beta2, eps=1e-8):
+    def __init__(self, named_params, lr, beta1, beta2):
         self.named_params = list(named_params)
         self.lr = lr
         self.beta1 = beta1
         self.beta2 = beta2
-        self.eps = eps
         self.t = 0
         self.m = {name: np.zeros_like(p.data) for name, p in self.named_params}
         self.v = {name: np.zeros_like(p.data) for name, p in self.named_params}
@@ -714,7 +716,7 @@ class Adam:
                     v *= b2
                     v += (1.0 - b2) * g * g
                     den = np.sqrt(v / (1.0 - b2**t))
-                    den += self.eps
+                    den += ADAM_EPS
                     p.data -= self.lr * (m / (1.0 - b1**t)) / den
         except FloatingPointError as exc:
             raise NumericalError(f"Adam step {t}: parameter '{name}' overflowed ({exc})") from None

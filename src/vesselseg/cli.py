@@ -182,9 +182,6 @@ def _check_scales(cfg, side, *keys):
 def _synthetic_samples(cfg):
     size, count, seed = cfg["image_size"], cfg["synthetic_count"], cfg["seed"]
     _check_scales(cfg, size, "image_size")
-    div = 2 ** cfg["scales"]
-    if size % div:
-        raise ConfigError(f"image_size {size} is not a multiple of 2**scales = {div}")
     return [data.generate_synthetic_sample(size, seed * 100003 + i) for i in range(count)]
 
 
@@ -197,8 +194,7 @@ def _real_samples(cfg):
     if len(sizes) > 1:
         raise DataError(f"training images must share one size, got {sorted(sizes)}")
     _check_scales(cfg, min(pool[0].y.shape))
-    div = 2 ** cfg["scales"]
-    return [data.Sample(s.id, *(data.pad_to_multiple(a, div)[0] for a in (s.x, s.y))) for s in pool]
+    return pool
 
 
 def _history_lines(history):
@@ -216,10 +212,10 @@ def cmd_train(args):
     # derive everything from the config before the output directory exists
     train_cfg = train_config(cfg)
     gen_spec = _from_config(GeneratorSpec, cfg, "scales", "base_channels")
-    if cfg["dataset"] == "synthetic":
-        pool = _synthetic_samples(cfg)
-    else:
-        pool = _real_samples(cfg)
+    pool = _synthetic_samples(cfg) if cfg["dataset"] == "synthetic" else _real_samples(cfg)
+    # every side is zero-padded up to the generator's divisor, as infer pads a photo
+    div = gen_spec.divisor
+    pool = [data.Sample(s.id, *(data.pad_to_multiple(a, div)[0] for a in (s.x, s.y))) for s in pool]
     pool_key = "synthetic_count" if cfg["dataset"] == "synthetic" else "data_dir"
     with _config_keys(cfg, pool_key, "val_fraction"):
         train, val = training.split_train_val(pool, train_cfg)
@@ -261,12 +257,11 @@ def probability_map(g, x_chw):
     soon as the next layer has consumed them.  A float32 input is used
     as it is, not copied.
     """
-    div = g.spec.divisor
     h, w = x_chw.shape[-2:]
-    padded, offsets = data.pad_to_multiple(x_chw, div)
+    padded, (top, left) = data.pad_to_multiple(x_chw, g.spec.divisor)
     with no_grad():
         out = models.generator_forward(g, Tensor(padded[None], dtype=np.float32))
-    return data.crop_from_padding(out.data[0, 0], offsets, (h, w))
+    return out.data[0, 0, top : top + h, left : left + w]
 
 
 def cmd_infer(args):

@@ -383,7 +383,7 @@ def training_stems(stems, dataset_kind) -> list:
 
 
 def pad_to_multiple(arr, multiple):
-    """Zero-pad the trailing two axes up to the next multiple; returns offsets."""
+    """Zero-pad the trailing two axes up to the next multiple; returns it and arr's (top, left)."""
     h, w = arr.shape[-2], arr.shape[-1]
     ph = (-h) % multiple
     pw = (-w) % multiple
@@ -392,12 +392,6 @@ def pad_to_multiple(arr, multiple):
         return arr, (0, 0)
     pad = [(0, 0)] * (arr.ndim - 2) + [(top, ph - top), (left, pw - left)]
     return np.pad(arr, pad), (top, left)
-
-
-def crop_from_padding(arr, offsets, out_hw):
-    top, left = offsets
-    h, w = out_hw
-    return arr[..., top : top + h, left : left + w]
 
 
 # ---------------------------------------------------------------------------
@@ -422,11 +416,16 @@ def load_photo(path) -> Image:
 
 def load_binary(path) -> np.ndarray:
     """A label or FOV mask: a 1-channel P5 image as a {0,1} map, 1 where the value is at
-    least half of maxval."""
+    least half of maxval.  A map with marks of which none reach it, say 0/1 stored under
+    maxval 255, is refused rather than read as all background."""
     img = load_image(path)
     if img.channels != 1:
         raise DataError(f"{path}: expected 1-channel P5")
-    return (img.pixels[:, :, 0] >= (img.maxval + 1) // 2).astype(np.uint8)
+    binary = (img.pixels[:, :, 0] >= (img.maxval + 1) // 2).astype(np.uint8)
+    if not binary.any() and img.pixels.any():
+        peak = img.pixels.max()
+        raise DataError(f"{path}: no value reaches half of maxval {img.maxval}, brightest {peak}")
+    return binary
 
 
 def detect_fov(photo: Image, path, threshold) -> np.ndarray:

@@ -173,13 +173,9 @@ def generator_forward(model: Model, x: Tensor) -> Tensor:
 # discriminators
 
 
-def receptive_field(depth, kernel=3, stride=2):
-    """Receptive field of a stack of `depth` equal conv layers."""
-    r, jump = 1, 1
-    for _ in range(depth):
-        r += (kernel - 1) * jump
-        jump *= stride
-    return r
+def receptive_field(depth):
+    """Receptive field of `depth` 3x3 stride-2 convs: 1 + 2·(1 + 2 + ... + 2**(depth-1))."""
+    return 2 ** (depth + 1) - 1
 
 
 def depth_for_patch(k):

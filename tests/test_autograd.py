@@ -1017,7 +1017,7 @@ def test_adam_zero_grad_keeps_params():
 def test_adam_first_step_closed_form():
     p = Tensor(np.array([0.0], dtype=np.float32), requires_grad=True)
     p.grad[...] = 4.0
-    opt = ag.Adam([("p", p)], lr=2e-4, beta1=0.5, beta2=0.999, eps=1e-8)
+    opt = ag.Adam([("p", p)], lr=2e-4, beta1=0.5, beta2=0.999)
     opt.step()
     # bias correction makes m_hat = g, v_hat = g^2, so the step is -lr*g/|g|
     assert float(p.data[0]) == pytest.approx(-2e-4, rel=1e-5)
@@ -1046,10 +1046,11 @@ def adam_formula(value, grad, m, v, t, lr, beta1, beta2, eps):
     "lr, beta1, beta2, eps",
     [(2e-4, 0.5, 0.999, 1e-8), (2e-3, 0.9, 0.999, 1e-8), (0.1, 0.0, 0.5, 1e-3)],
 )
-def test_adam_step_in_place_matches_formula_bit_for_bit(lr, beta1, beta2, eps):
+def test_adam_step_in_place_matches_formula_bit_for_bit(monkeypatch, lr, beta1, beta2, eps):
+    monkeypatch.setattr(ag, "ADAM_EPS", eps)  # the step reads the constant at each update
     rng = np.random.default_rng(18)
     p = Tensor(rng.uniform(-1, 1, (4, 3, 3, 3)).astype(np.float32), requires_grad=True)
-    opt = ag.Adam([("p", p)], lr, beta1, beta2, eps)
+    opt = ag.Adam([("p", p)], lr, beta1, beta2)
     arrays = (p.data, opt.m["p"], opt.v["p"])
     want = (p.data.copy(), np.zeros_like(p.data), np.zeros_like(p.data), 0)
     for scale in (1.0, 1e-3, 30.0, 1e-30, 1.0):

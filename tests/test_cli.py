@@ -193,6 +193,34 @@ def test_train_refuses_three_channel_label_or_mask(capsys, tmp_path, role):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("role", ["train-label", "eval-gold", "eval-mask", "overlay-mask"])
+def test_a_0_1_map_under_maxval_255_is_data_exit_naming_it(capsys, tmp_path, role):
+    # its vessels would otherwise all fall under half of maxval and read as background
+    if role == "train-label":
+        root = _dataset(tmp_path / "ds")
+        bad, shape = root / "labels" / "im1.pgm", (16, 16)
+        cfg = write_cfg(tmp_path / "c.cfg", dataset="custom", data_dir=str(root))
+        argv, out = ["train", "--config", str(cfg)], tmp_path / "o"
+    elif role.startswith("eval"):
+        pred_d, gold_d, mask_d = _gold_dirs(tmp_path)
+        bad, shape = (gold_d if role == "eval-gold" else mask_d) / "im1.pgm", (16, 16)
+        argv = ["eval", "--pred-dir", str(pred_d), "--gold-dir", str(gold_d),
+                "--mask-dir", str(mask_d)]
+        out = tmp_path / "report"
+    else:
+        pred_p, gold_p = _overlay_inputs(tmp_path)
+        bad, shape = tmp_path / "mask.pgm", (12, 12)
+        argv = ["overlay", "--pred", str(pred_p), "--gold", str(gold_p), "--mask", str(bad)]
+        out = tmp_path / "ov.ppm"
+    marks = np.zeros((*shape, 1), np.uint8)
+    marks[::2, 1::3] = 1
+    data.write_image(Image(pixels=marks, maxval=255), bad)
+    assert run(argv + ["--out", str(out)]) == cli.EXIT_DATA
+    want = f"data error: {bad}: no value reaches half of maxval 255, brightest 1\n"
+    assert capsys.readouterr().err == want
+    assert not out.exists()
+
+
 def test_train_and_eval_refuse_a_label_with_one_message(capsys, tmp_path):
     root = _dataset(tmp_path / "ds")
     _write_p6(root / "labels" / "im0.pgm")
@@ -350,6 +378,42 @@ def test_train_takes_a_synthetic_size_that_is_not_a_multiple_of_8(tmp_path, size
     # the texture grid covers the image in 8-pixel cells, the last one cropped
     cfg = write_cfg(tmp_path / "c.cfg", image_size=size, scales=2, rounds=1)
     assert run(["train", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
+
+
+def _spy(monkeypatch, owner, name):
+    """[(args, result)] of each call of owner.name, which still runs."""
+    calls, real = [], getattr(owner, name)
+
+    def spy(*args, **kwargs):
+        calls.append((args, real(*args, **kwargs)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(owner, name, spy)
+    return calls
+
+
+@pytest.mark.parametrize("size, padded", [(18, 20), (64, 64)])
+def test_train_zero_pads_synthetic_images_up_to_the_generator_divisor(
+    tmp_path, monkeypatch, size, padded
+):
+    # the pool is padded as infer pads a photo, and the discriminator is sized from it; a side
+    # that needs no padding is trained on the drawn arrays themselves, not on copies
+    drawn_calls = _spy(monkeypatch, cli, "_synthetic_samples")
+    split_calls = _spy(monkeypatch, training, "split_train_val")
+    built = _spy(monkeypatch, models, "build_discriminator")
+    cfg = write_cfg(tmp_path / "c.cfg", image_size=size, scales=2, rounds=1, discriminator="image")
+    assert run(["train", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
+    ((_, drawn),) = drawn_calls
+    (((pool, _), _),) = split_calls
+    (((_, hw, *_), _),) = built
+    assert hw == (padded, padded)
+    assert [s.id for s in pool] == [s.id for s in drawn]
+    for s, d in zip(pool, drawn):
+        for got, a in ((s.x, d.x), (s.y, d.y)):
+            assert a.shape[-2:] == (size, size) and got.shape[-2:] == (padded, padded)
+            want = data.pad_to_multiple(a, 4)[0]
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+            assert np.shares_memory(got, a) == (size == padded)
 
 
 def test_train_without_discriminator(tmp_path):

@@ -545,10 +545,39 @@ def test_pad_to_multiple_and_crop():
     arr = np.arange(3 * 5 * 6, dtype=np.float32).reshape(3, 5, 6)
     padded, off = data.pad_to_multiple(arr, 4)
     assert padded.shape == (3, 8, 8)
-    back = data.crop_from_padding(padded, off, (5, 6))
-    np.testing.assert_array_equal(back, arr)
+    top, left = off
+    np.testing.assert_array_equal(padded[:, top : top + 5, left : left + 6], arr)
     same, off0 = data.pad_to_multiple(arr, 1)
-    assert same.shape == arr.shape and off0 == (0, 0)
+    assert same is arr and off0 == (0, 0)
+
+
+# ---------------------------------------------------------------------------
+# binary maps
+
+
+@pytest.mark.parametrize(
+    "maxval, mark, want",
+    [(255, 255, 1), (255, 128, 1), (65535, 32768, 1), (255, 0, 0), (65535, 0, 0)],
+)
+def test_load_binary_cuts_at_half_of_maxval(tmp_path, maxval, mark, want):
+    px = np.zeros((4, 5, 1), np.uint16 if maxval > 255 else np.uint8)
+    px[1:3, 2] = mark
+    path = tmp_path / "m.pgm"
+    data.write_image(Image(pixels=px, maxval=maxval), path)
+    got = data.load_binary(path)
+    assert got.dtype == np.uint8
+    np.testing.assert_array_equal(got, (px[:, :, 0] > 0) * np.uint8(want))
+
+
+@pytest.mark.parametrize("maxval, peak", [(255, 1), (255, 127), (65535, 32767)])
+def test_load_binary_refuses_marks_that_all_fall_under_half_of_maxval(tmp_path, maxval, peak):
+    px = np.zeros((4, 5, 1), np.uint16 if maxval > 255 else np.uint8)
+    px[0, 0], px[2, 3] = 1, peak
+    path = tmp_path / "m.pgm"
+    data.write_image(Image(pixels=px, maxval=maxval), path)
+    with pytest.raises(data.DataError) as refused:
+        data.load_binary(path)
+    assert str(refused.value) == f"{path}: no value reaches half of maxval {maxval}, brightest {peak}"
 
 
 # ---------------------------------------------------------------------------
