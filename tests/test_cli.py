@@ -418,8 +418,11 @@ def test_train_zero_pads_synthetic_images_up_to_the_generator_divisor(
 
 def test_train_without_discriminator(tmp_path):
     cfg = write_cfg(tmp_path / "c.cfg", discriminator="none")
-    out = tmp_path / "o"
-    assert run(["train", "--config", str(cfg), "--out", str(out)]) == 0
+    out, again = tmp_path / "o", tmp_path / "again"
+    for o in (out, again):
+        assert run(["train", "--config", str(cfg), "--out", str(o)]) == 0
+    for name in ("best.ckpt", "history.csv"):
+        assert (out / name).read_bytes() == (again / name).read_bytes(), name
     lines = (out / "history.csv").read_text().strip().splitlines()[1:]
     for line in lines:
         _, d, gan, seg, val = line.split(",")
@@ -1373,15 +1376,17 @@ def test_mutated_netpbm_inputs_end_in_exit_0_or_2(trained_run, netpbm_root, maxv
 
 
 BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
+# the directory vesselseg is imported from, which is not the checkout's src/ under an install
 SRC = Path(cli.__file__).resolve().parents[1]
+REPO = Path(__file__).resolve().parents[1]
 
 
-def _python(args, **preset):
+def _python(args, check=True, **preset):
     env = {k: v for k, v in os.environ.items() if k not in BLAS_VARS}
     env.update(preset)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
     return subprocess.run(
-        [sys.executable, *args], env=env, capture_output=True, text=True, timeout=60, check=True
+        [sys.executable, *args], env=env, capture_output=True, text=True, timeout=60, check=check
     )
 
 
@@ -1393,6 +1398,29 @@ def _blas_env_after_import(**preset):
 def test_import_pins_blas_threads_unless_set():
     assert _blas_env_after_import() == ["1", "1"]
     assert _blas_env_after_import(OPENBLAS_NUM_THREADS="3", OMP_NUM_THREADS="2") == ["3", "2"]
+
+
+def test_program_exits_with_the_code_main_returns(tmp_path):
+    # each error ends in its exit code and one stderr line, with no traceback
+    bad = tmp_path / "bad.cfg"
+    bad.write_text("bogus=1\n")
+    absent = tmp_path / "absent.ckpt"
+    overflow = write_cfg(tmp_path / "overflow.cfg", image_size=16, synthetic_count=4, rounds=1,
+                         lr="1e38")
+    cases = [
+        (["train", "--config", str(bad), "--out", str(tmp_path / "bad")], cli.EXIT_CONFIG,
+         f"config error: {bad}:1: unknown key 'bogus'\n"),
+        (["infer", "--checkpoint", str(absent), "--image", str(tmp_path / "f.ppm"),
+          "--out", str(tmp_path / "p.pgm")], cli.EXIT_DATA,
+         f"data error: [Errno 2] No such file or directory: '{absent}'\n"),
+        (["train", "--config", str(overflow), "--out", str(tmp_path / "overflow")],
+         cli.EXIT_NUMERICAL, "numerical failure: round 1: overflow"),
+    ]
+    for argv, code, err in cases:
+        done = _python(["-m", "vesselseg.cli", *argv], check=False)
+        assert done.returncode == code and done.stderr.startswith(err), done.stderr
+        assert done.stderr.count("\n") == 1, done.stderr
+    assert not (tmp_path / "bad").exists()
 
 
 def test_no_command_imports_scipy(trained_run, tmp_path):
@@ -1420,7 +1448,7 @@ def test_no_command_imports_scipy(trained_run, tmp_path):
 
 @pytest.mark.parametrize("script", ["run_synthetic_pipeline.py", "run_discriminator_ablation.py"])
 def test_script_runs_end_to_end(tmp_path, script):
-    path = SRC.parent / "scripts" / script
+    path = REPO / "scripts" / script
     args = [str(path), "--out", str(tmp_path), "--rounds", "1", "--image-size", "16", "--count", "3"]
     _python(args)
     report = "report/summary.csv" if script.startswith("run_synthetic") else "ablation.csv"
@@ -1429,7 +1457,7 @@ def test_script_runs_end_to_end(tmp_path, script):
 
 def test_bench_desk_config_matches_the_scripts():
     # bench/workloads.py keeps its own copy of the desk config text
-    train_config = runpy.run_path(str(SRC.parent / "bench" / "workloads.py"))["train_config"]
+    train_config = runpy.run_path(str(REPO / "bench" / "workloads.py"))["train_config"]
     for seed, rounds, size, count in [(7, 300, 64, 8), (1, 8, 16, 3)]:
         bench_cfg = cli.parse_config_text(train_config(seed, rounds, size, count))
         desk_cfg = cli.parse_config_text(cli.desk_config("image", rounds, seed, size, count))

@@ -6,7 +6,6 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
-from scipy import ndimage
 
 from vesselseg import data
 from vesselseg.data import Image, Sample
@@ -139,6 +138,7 @@ def test_roundtrip_8bit_and_16bit(tmp_path):
     img8 = Image(pixels=rng.integers(0, 256, (5, 7, 3)).astype(np.uint8), maxval=255)
     p = tmp_path / "x.ppm"
     data.write_image(img8, p)
+    assert p.read_bytes().startswith(b"P6\n7 5\n255\n")
     back = data.load_image(p)
     np.testing.assert_array_equal(back.pixels, img8.pixels)
 
@@ -308,15 +308,8 @@ def disc_image(size=64, radius=24, bright=200, dark=5):
 
 def test_fov_mask_recovers_centered_disc():
     img, disc = disc_image()
-    mask = data.generate_fov_mask(img)
-    # agreement everywhere except a 1-pixel boundary band
-    rr, cc = np.mgrid[0:64, 0:64]
-    center = (64 - 1) / 2
-    dist = np.sqrt((rr - center) ** 2 + (cc - center) ** 2)
-    inner = dist <= 24 - 1.5
-    outer = dist >= 24 + 1.5
-    assert np.all(mask[inner] == 1)
-    assert np.all(mask[outer] == 0)
+    # two levels, one each side of the threshold: the mask is the disc, to the pixel
+    np.testing.assert_array_equal(data.generate_fov_mask(img), disc)
 
 
 def test_fov_mask_fully_bright():
@@ -361,7 +354,13 @@ def test_fov_bright_cut_reproduces_the_table_at_every_sum(maxval):
         data.generate_fov_mask(white, unreachable)
 
 
-def test_fov_mask_fills_holes_and_is_single_component():
+@pytest.fixture(scope="module")
+def ndimage():
+    """scipy's ndimage, the oracle of the FOV tests that take it; they skip without scipy."""
+    return pytest.importorskip("scipy.ndimage")
+
+
+def test_fov_mask_fills_holes_and_is_single_component(ndimage):
     img, disc = disc_image()
     px = img.pixels.copy()
     px[30:33, 30:33] = 0  # interior hole
@@ -376,7 +375,7 @@ def test_fov_mask_fills_holes_and_is_single_component():
 CROSS = np.array([[0, 1, 0], [1, 1, 1], [0, 1, 0]], dtype=bool)
 
 
-def fov_mask_fill_holes(bright):
+def fov_mask_fill_holes(bright, ndimage):
     """The blob pick and ``binary_fill_holes`` hole fill that one labeling
     of the outside replaced, on a thresholded frame."""
     labels, n = ndimage.label(bright, structure=CROSS)
@@ -387,12 +386,12 @@ def fov_mask_fill_holes(bright):
     return ndimage.binary_fill_holes(labels == center, structure=CROSS).astype(np.uint8)
 
 
-def assert_fov_mask_matches_fill_holes(bright):
+def assert_fov_mask_matches_fill_holes(bright, ndimage):
     bright = np.asarray(bright, dtype=bool)
     px = np.repeat(bright[:, :, None] * np.uint8(255), 3, axis=2)
     mask = data.generate_fov_mask(Image(pixels=px, maxval=255))
     assert mask.dtype == np.uint8
-    np.testing.assert_array_equal(mask, fov_mask_fill_holes(bright))
+    np.testing.assert_array_equal(mask, fov_mask_fill_holes(bright, ndimage))
     return mask
 
 
@@ -401,12 +400,12 @@ def assert_fov_mask_matches_fill_holes(bright):
 @example(np.ones((1, 9), bool))  # one row
 @example(np.array([[1], [0], [1], [1], [0]], bool))  # one column
 @example(np.ones((5, 6), bool))  # all bright
-def test_fov_hole_fill_matches_binary_fill_holes(bright):
+def test_fov_hole_fill_matches_binary_fill_holes(ndimage, bright):
     if not bright.any():
         with pytest.raises(data.DataError):
             data.generate_fov_mask(Image(pixels=np.zeros((*bright.shape, 3), np.uint8), maxval=255))
         return
-    assert_fov_mask_matches_fill_holes(bright)
+    assert_fov_mask_matches_fill_holes(bright, ndimage)
 
 
 @pytest.mark.parametrize(
@@ -428,8 +427,8 @@ def test_fov_hole_fill_matches_binary_fill_holes(bright):
         (["111", "111"], ["111", "111"]),  # all bright
     ],
 )
-def test_fov_hole_fill_edge_cases(rows, filled):
-    mask = assert_fov_mask_matches_fill_holes([[c == "1" for c in r] for r in rows])
+def test_fov_hole_fill_edge_cases(ndimage, rows, filled):
+    mask = assert_fov_mask_matches_fill_holes([[c == "1" for c in r] for r in rows], ndimage)
     np.testing.assert_array_equal(mask, [[int(c) for c in r] for r in filled])
 
 
@@ -505,12 +504,13 @@ def serpentine():
     "make",
     [disc_with_holes_and_blobs, photo_16bit, dark_center_tie, comb, spiral, serpentine],
 )
-def test_fov_mask_matches_binary_fill_holes_at_drive_size(make):
+def test_fov_mask_matches_binary_fill_holes_at_drive_size(ndimage, make):
     photo = make()
     lum = photo.pixels.astype(np.float64).mean(axis=2) / photo.maxval
     mask = data.generate_fov_mask(photo)
     assert mask.dtype == np.uint8
-    np.testing.assert_array_equal(mask, fov_mask_fill_holes(lum >= data.DEFAULT_FOV_THRESHOLD))
+    want = fov_mask_fill_holes(lum >= data.DEFAULT_FOV_THRESHOLD, ndimage)
+    np.testing.assert_array_equal(mask, want)
 
 
 # ---------------------------------------------------------------------------
