@@ -39,7 +39,12 @@ accumulates the tap's (Cout, Cin) kernel matrix times that slice; the
 backward runs the same slices against the output grad with those columns
 zeroed, so a closure keeps the planes (about the input's size), not kh*kw
 copies of it.  Both walk the flattened output in blocks so that a block's
-per-tap products stay in cache.
+per-tap products stay in cache.  The input grad of a same-size stride-1
+conv is itself such a conv (Dumoulin & Visin 2016, arXiv:1603.07285, §4):
+the forward's block loop reads the output grad, laid out in a bordered
+buffer like the output's, with tap (i, j)'s transposed kernel matrix at
+offset ``(kh - 1 - i) * wq + kw - 1 - j``.  Any other conv scatters each
+tap's product back into phase-plane grads.
 
 Zero-bordered buffers are a layout that ops produce, so that a stride-1
 conv rarely copies its input.  A map of (H, W) with border p lives in an
@@ -379,6 +384,37 @@ def _phase_windows(x_shape, stride, padding, hq, wq):
 _BLOCK = 4096
 
 
+def _window(planes, phase, offset, blk):
+    """Tap slice of a phase-plane buffer for one block of the flattened output."""
+    return planes[phase][..., offset + blk.start : offset + blk.stop]
+
+
+def _tap_loop(planes, kernels, first, out, blocks, act=None):
+    """Fill the (N, R, L) ``out`` block by block: ``first`` plus, in the
+    order given, each (R, C) kernel matrix times its window of ``planes``.
+
+    ``kernels`` holds (matrix, phase, offset) triples, read as in
+    :func:`_window`; ``act`` is :func:`conv2d`'s activation, applied to each
+    block in place.
+    """
+    n, rows, _ = out.shape
+    step = blocks[0].stop - blocks[0].start
+    # a block accumulates in a contiguous buffer, as ufuncs run several
+    # times faster on it than on a block's strided view of the output
+    prod = np.empty((n, rows, step), dtype=out.dtype)
+    for blk in blocks:
+        m = blk.stop - blk.start
+        acc, p = np.empty((n, rows, m), dtype=out.dtype), prod[..., :m]
+        acc[...] = first
+        for kmat, phase, offset in kernels:
+            acc += np.matmul(kmat, _window(planes, phase, offset, blk), out=p)
+        if act == "relu":
+            np.maximum(acc, 0, out=acc)
+        elif act is not None:
+            np.maximum(np.multiply(acc, act, out=p), acc, out=acc)
+        out[..., blk] = acc
+
+
 def conv2d(x, kernel, bias, stride=1, padding=0, act=None):
     """2-d cross-correlation with zero padding, differentiable in all inputs.
 
@@ -430,10 +466,6 @@ def conv2d(x, kernel, bias, stride=1, padding=0, act=None):
     step = -(-length // max(1, length // _BLOCK))
     blocks = [slice(b, min(b + step, length)) for b in range(0, length, step)]
 
-    def window(arr, phase, offset, blk):
-        """Tap slice of a phase-plane buffer for one block of the output."""
-        return arr[phase][..., offset + blk.start : offset + blk.stop]
-
     # out[:, :, y*wq + x] is output pixel (y, x) for x < wo; the wq - wo
     # columns past it wrap into the next plane row.  A same-size stride-1
     # output is written into a bordered buffer of the same row width, where
@@ -445,61 +477,69 @@ def conv2d(x, kernel, bias, stride=1, padding=0, act=None):
         out = buf[..., start : start + length]
     else:
         out = np.empty((n, cout, length), dtype=dtype)
-    # a block accumulates in a contiguous buffer, as ufuncs run several
-    # times faster on it than on a block's strided view of the output
-    prod = np.empty((n, cout, step), dtype=dtype)
-    for blk in blocks:
-        m = blk.stop - blk.start
-        acc, p = np.empty((n, cout, m), dtype=dtype), prod[..., :m]
-        acc[...] = bias.data[:, None]
-        for i, j, phase, offset in taps:
-            acc += np.matmul(ktap[i, j], window(planes, phase, offset, blk), out=p)
-        if act == "relu":
-            np.maximum(acc, 0, out=acc)
-        elif act is not None:
-            np.maximum(np.multiply(acc, act, out=p), acc, out=acc)
-        out[..., blk] = acc
+    kernels = [(ktap[i, j], phase, offset) for i, j, phase, offset in taps]
+    _tap_loop(planes, kernels, bias.data[:, None], out, blocks, act)
     y = out.reshape(n, cout, ho, wq)
     if bordered:
         y[..., wo:] = 0
     y = y[..., :wo]
 
     def bw(g):
-        # the output is positive exactly where its pre-activation is, for
-        # any slope in [0, 1]
+        # the output grad in the (ho, wq) layout, zero in the wrap columns;
+        # for a same-size output, the interior of a bordered buffer like y's
+        if bordered:
+            gbuf, gv = _bordered(n, cout, ho, wo, padding, dtype)
+            gq = gbuf[..., start : start + length]
+        else:
+            gq = np.zeros((n, cout, length), dtype=dtype)
+            gv = gq.reshape(n, cout, ho, wq)[..., :wo]
+        # masked as it is laid out: the output is positive exactly where its
+        # pre-activation is, for any slope in [0, 1]
         if act == "relu":
-            g = g * (y > 0)
+            np.multiply(g, y > 0, out=gv)
         elif act is not None:
-            g = np.where(y > 0, g, g * act)
+            np.multiply(g, act, out=gv)
+            np.copyto(gv, g, where=y > 0)
+        else:
+            gv[...] = g
         if bias.requires_grad:
-            _accum(bias, g.sum(axis=(0, 2, 3)))
-        # the output grad in the (ho, wq) layout, zero in the wrap columns
-        gq = np.zeros((n, cout, ho, wq), dtype=dtype)
-        gq[..., :wo] = g
-        gq = gq.reshape(n, cout, length)
+            _accum(bias, gv.sum(axis=(0, 2, 3)))
         if kernel.requires_grad:
             dk = np.zeros_like(ktap)
+            # each block's tap products, summed over the batch once per block
+            dkn = np.empty((kh, kw, n, cout, cin), dtype=dtype)
             for blk in blocks:
                 gb = gq[..., blk]
                 for i, j, phase, offset in taps:
-                    dk[i, j] += (gb @ window(planes, phase, offset, blk).transpose(0, 2, 1)).sum(axis=0)
+                    np.matmul(gb, _window(planes, phase, offset, blk).transpose(0, 2, 1), out=dkn[i, j])
+                dk += dkn.sum(axis=2)
             _accum(kernel, dk.transpose(2, 3, 0, 1))
-        if x.requires_grad:
-            dplanes = np.zeros((s, s, n, cin, size), dtype=dtype)
-            dprod = np.empty((n, cin, step), dtype=dtype)
-            for blk in blocks:
-                gb, p = gq[..., blk], dprod[..., : blk.stop - blk.start]
-                for i, j, phase, offset in taps:
-                    window(dplanes, phase, offset, blk)[...] += np.matmul(ktap[i, j].T, gb, out=p)
-            if in_place:
-                # the taps read x's buffer: x's grad is the interior of theirs
-                dx = dplanes[0, 0][..., start : start + h * wq].reshape(n, cin, h, wq)[..., :w]
-            else:
-                dgrid = dplanes[..., : hq * wq].reshape(s, s, n, cin, hq, wq)
-                dx = np.zeros(x.data.shape, dtype=dtype)
-                for a, b, plane_win, x_win in _phase_windows(x.data.shape, s, padding, hq, wq):
-                    dx[x_win] = dgrid[a, b][plane_win]
-            _accum(x, dx)
+        if not x.requires_grad:
+            return
+        if bordered:
+            # a stride-1 conv of the bordered grad with the flipped,
+            # transposed kernel, through the forward's tap loop
+            flipped = [(ktap[i, j].T, (0, 0), (kh - 1 - i) * wq + kw - 1 - j) for i, j, _, _ in taps]
+            dxq = np.empty((n, cin, length), dtype=dtype)
+            _tap_loop(gbuf[None, None], flipped, 0, dxq, blocks)
+            _accum(x, dxq.reshape(n, cin, h, wq)[..., :w])
+            return
+        # otherwise each tap scatters its product into phase-plane grads
+        dplanes = np.zeros((s, s, n, cin, size), dtype=dtype)
+        dprod = np.empty((n, cin, step), dtype=dtype)
+        for blk in blocks:
+            gb, p = gq[..., blk], dprod[..., : blk.stop - blk.start]
+            for i, j, phase, offset in taps:
+                _window(dplanes, phase, offset, blk)[...] += np.matmul(ktap[i, j].T, gb, out=p)
+        if in_place:
+            # the taps read x's buffer: x's grad is the interior of theirs
+            dx = dplanes[0, 0][..., start : start + h * wq].reshape(n, cin, h, wq)[..., :w]
+        else:
+            dgrid = dplanes[..., : hq * wq].reshape(s, s, n, cin, hq, wq)
+            dx = np.zeros(x.data.shape, dtype=dtype)
+            for a, b, plane_win, x_win in _phase_windows(x.data.shape, s, padding, hq, wq):
+                dx[x_win] = dgrid[a, b][plane_win]
+        _accum(x, dx)
 
     return _result(y, (x, kernel, bias), bw, (buf, padding) if bordered else None)
 
@@ -687,7 +727,14 @@ ADAM_EPS = 1e-8  # added to Adam's denominator
 
 
 class Adam:
-    """Adam over a named parameter list, updating tensors and moments in place."""
+    """Adam over a named parameter list, updating tensors and moments in place.
+
+    The values, grads and both moments of all parameters each live in one
+    flat buffer: construction copies every parameter's data and grad in and
+    rebinds both to views of those buffers, and ``m`` and ``v`` map each
+    name to its view of a moment buffer.  A step is then one fixed sequence
+    of whole-buffer operations, however many parameters there are.
+    """
 
     def __init__(self, named_params, lr, beta1, beta2):
         self.named_params = list(named_params)
@@ -695,32 +742,62 @@ class Adam:
         self.beta1 = beta1
         self.beta2 = beta2
         self.t = 0
-        self.m = {name: np.zeros_like(p.data) for name, p in self.named_params}
-        self.v = {name: np.zeros_like(p.data) for name, p in self.named_params}
+        dtypes = {p.data.dtype for _, p in self.named_params}
+        if len(dtypes) > 1:
+            raise ValueError(f"Adam: parameters of several dtypes {sorted(map(str, dtypes))}")
+        dtype = dtypes.pop() if dtypes else np.float32
+        total = sum(p.data.size for _, p in self.named_params)
+        self._value, self._grad, self._m, self._v = (np.zeros(total, dtype) for _ in range(4))
+        self.m, self.v = {}, {}
+        end = 0
+        for name, p in self.named_params:
+            start, end = end, end + p.data.size
+            value, grad = (buf[start:end].reshape(p.data.shape) for buf in (self._value, self._grad))
+            value[...], grad[...] = p.data, p.grad
+            p.data, p.grad = value, grad
+            self.m[name] = self._m[start:end].reshape(p.data.shape)
+            self.v[name] = self._v[start:end].reshape(p.data.shape)
+
+    def _update(self, value, g, m, v, t):
+        """The new (m, v, value) of step t, as new arrays: value - lr * m_hat /
+        (sqrt(v_hat) + eps), operation for operation."""
+        b1, b2 = self.beta1, self.beta2
+        m = m * b1
+        m += (1.0 - b1) * g
+        v = v * b2
+        v += (1.0 - b2) * g * g
+        den = np.sqrt(v / (1.0 - b2**t))
+        den += ADAM_EPS
+        return m, v, value - self.lr * (m / (1.0 - b1**t)) / den
+
+    def _failure(self, t):
+        """The NumericalError of the first parameter, in list order, whose
+        update fails: a non-finite gradient, or an overflow."""
+        for name, p in self.named_params:
+            if not np.all(np.isfinite(p.grad)):
+                return NumericalError(f"non-finite gradient for parameter '{name}'")
+            try:
+                with np.errstate(over="raise", invalid="raise"):
+                    self._update(p.data, p.grad, self.m[name], self.v[name], t)
+            except FloatingPointError as exc:
+                return NumericalError(f"Adam step {t}: parameter '{name}' overflowed ({exc})")
+        return NumericalError(f"Adam step {t}: overflow")
 
     def step(self):
         """One bias-corrected update; raises NumericalError naming the parameter and the
         step on a non-finite gradient or on an overflow, say of the squared gradient, after
-        which every later update of that parameter would silently be 0."""
+        which every later update of that parameter would silently be 0.  Nothing is
+        updated then."""
         t = self.t + 1
-        b1, b2 = self.beta1, self.beta2
         try:
             with np.errstate(over="raise", invalid="raise"):
-                for name, p in self.named_params:
-                    g, m, v = p.grad, self.m[name], self.v[name]
-                    if not np.all(np.isfinite(g)):
-                        raise NumericalError(f"non-finite gradient for parameter '{name}'")
-                    # value - lr * m_hat / (sqrt(v_hat) + eps), operation for operation
-                    m *= b1
-                    m += (1.0 - b1) * g
-                    v *= b2
-                    v += (1.0 - b2) * g * g
-                    den = np.sqrt(v / (1.0 - b2**t))
-                    den += ADAM_EPS
-                    p.data -= self.lr * (m / (1.0 - b1**t)) / den
-        except FloatingPointError as exc:
-            raise NumericalError(f"Adam step {t}: parameter '{name}' overflowed ({exc})") from None
+                new = self._update(self._value, self._grad, self._m, self._v, t)
+        except FloatingPointError:
+            new = None
+        if new is None or not np.all(np.isfinite(self._grad)):
+            raise self._failure(t)
+        self._m[...], self._v[...], self._value[...] = new
         self.t = t
 
     def zero_grad(self):
-        zero_grads(p for _, p in self.named_params)
+        self._grad[...] = 0.0

@@ -697,6 +697,37 @@ def test_grad_conv2d_reading_a_bordered_input(act):
         done += 1
 
 
+@pytest.mark.parametrize("act", ["relu", 0.2, None])
+def test_conv2d_same_size_input_grad_across_blocks(act):
+    # a same-size stride-1 input grad is the forward's tap loop over the
+    # bordered output grad with the flipped, transposed kernel; 120 rows of
+    # 122 flattened columns make several blocks
+    rng = np.random.default_rng(32)
+    n, cin, cout, h, w = 1, 4, 3, 120, 120
+    assert h * (w + 2) >= 2 * ag._BLOCK
+    x, k, b = rng.uniform(-1, 1, (n, cin, h, w)), rng.uniform(-1, 1, (cout, cin, 3, 3)), rng.uniform(-1, 1, cout)
+    pre = ag.conv2d(Tensor(x), Tensor(k), Tensor(b), 1, 1).data
+    # no weight where float32 rounding could flip the activation's mask
+    wts = rng.uniform(-1, 1, pre.shape) * (np.abs(pre) > 1e-3)
+    grads = {}
+    for dtype in (np.float32, np.float64):
+        xt = Tensor(x.astype(dtype), requires_grad=True)
+        out = ag.conv2d(xt, Tensor(k.astype(dtype)), Tensor(b.astype(dtype)), 1, 1, act=act)
+        ag.backward(weighted_sum(out, wts.astype(dtype)))
+        grads[dtype] = xt.grad
+    g = wts if act is None else wts * np.where(pre > 0, 1.0, 0.0 if act == "relu" else act)
+    gpad = np.pad(g, ((0, 0), (0, 0), (1, 1), (1, 1)))
+    want = sum(
+        np.einsum("oc,noyx->ncyx", k[:, :, i, j], gpad[:, :, 2 - i : 2 - i + h, 2 - j : 2 - j + w])
+        for i in range(3)
+        for j in range(3)
+    )
+    np.testing.assert_allclose(grads[np.float64], want, rtol=1e-12, atol=1e-12)
+    assert grads[np.float32].dtype == np.float32
+    rounding = 16 * np.finfo(np.float32).eps * np.abs(want).max()
+    np.testing.assert_allclose(grads[np.float32], want, rtol=0, atol=rounding)
+
+
 def test_grad_transposed_conv2d_with_skip():
     rng = np.random.default_rng(29)
     for trial in range(8):
@@ -1076,6 +1107,29 @@ def test_adam_overflow_is_named_numerical_error(value, grad, lr):
     p.grad[...] = np.float32(grad)
     with pytest.raises(ag.NumericalError, match=r"Adam step 1: parameter 'head_b' overflowed"):
         opt.step()
+
+
+def test_adam_keeps_every_parameter_in_its_flat_buffers():
+    rng = np.random.default_rng(19)
+    shapes = {"w": (3, 2, 3, 3), "b": (3,), "up": (2, 3, 2, 2)}
+    params = [(k, Tensor(rng.uniform(-1, 1, s).astype(np.float32), requires_grad=True)) for k, s in shapes.items()]
+    before = {k: p.data.copy() for k, p in params}
+    params[1][1].grad[...] = 5.0  # a grad taken before construction is kept
+    opt = ag.Adam(params, lr=2e-3, beta1=0.9, beta2=0.999)
+    for k, p in params:
+        assert p.data.tobytes() == before[k].tobytes()
+        pairs = [(p.data, opt._value), (p.grad, opt._grad), (opt.m[k], opt._m), (opt.v[k], opt._v)]
+        assert all(np.shares_memory(a, buf) for a, buf in pairs)
+    assert not any(np.shares_memory(a.data, b.data) for (_, a), (_, b) in zip(params, params[1:]))
+    assert np.all(params[1][1].grad == 5.0)
+    # one step updates each parameter's view as the formula updates it alone
+    for _, p in params:
+        p.grad[...] = rng.standard_normal(p.data.shape).astype(np.float32)
+    want = {k: adam_formula(p.data, p.grad, 0.0, 0.0, 0, 2e-3, 0.9, 0.999, ag.ADAM_EPS)[0] for k, p in params}
+    opt.step()
+    assert all(p.data.tobytes() == want[k].tobytes() for k, p in params)
+    opt.zero_grad()
+    assert all(np.all(p.grad == 0.0) for _, p in params)
 
 
 # ---------------------------------------------------------------------------

@@ -1080,6 +1080,43 @@ def test_eval_without_mallopt_writes_the_same_files(tmp_path, monkeypatch):
         assert a.read_bytes() == b.read_bytes(), name
 
 
+def test_main_sets_the_allocator_policy_once_before_any_command(tmp_path, monkeypatch):
+    events = []
+    monkeypatch.setattr(cli, "_keep_freed_memory_mapped", lambda: events.append("policy"))
+
+    def recorded(name):
+        command = getattr(cli, name)
+
+        def run_command(args):
+            events.append(name)
+            return command(args)
+
+        return run_command
+
+    for name in ("cmd_train", "cmd_infer", "cmd_eval", "cmd_overlay"):
+        monkeypatch.setattr(cli, name, recorded(name))
+    pred_d, gold_d, _ = _gold_dirs(tmp_path)
+    photo = tmp_path / "photo.ppm"
+    data.write_image(Image(pixels=np.full((16, 16, 3), 128, np.uint8), maxval=255), photo)
+    cfg = write_cfg(tmp_path / "c.cfg", image_size=16, rounds=1)
+    commands = {
+        "cmd_train": ["train", "--config", str(cfg), "--out", str(tmp_path / "t")],
+        "cmd_infer": ["infer", "--checkpoint", str(tmp_path / "t" / "best.ckpt"),
+                      "--image", str(photo), "--out", str(tmp_path / "p.pgm")],
+        "cmd_eval": ["eval", "--pred-dir", str(pred_d), "--gold-dir", str(gold_d),
+                     "--out", str(tmp_path / "report")],
+        "cmd_overlay": ["overlay", "--pred", str(pred_d / "im0.pgm"), "--gold", str(gold_d / "im0.pgm"),
+                        "--out", str(tmp_path / "ov.ppm")],
+    }  # fmt: skip
+    for name, argv in commands.items():
+        events.clear()
+        assert run(argv) == cli.EXIT_OK
+        assert events == ["policy", name]
+    events.clear()
+    assert run(["infer", "--image", str(photo)]) == cli.EXIT_CONFIG  # a usage error
+    assert events == ["policy"]
+
+
 def test_load_prob_keeps_16bit_levels_without_copies(tmp_path, monkeypatch):
     levels = np.random.default_rng(6).integers(0, 65536, (7, 5, 1)).astype(np.uint16)
     path = tmp_path / "p.pgm"
