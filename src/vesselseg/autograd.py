@@ -39,12 +39,14 @@ accumulates the tap's (Cout, Cin) kernel matrix times that slice; the
 backward runs the same slices against the output grad with those columns
 zeroed, so a closure keeps the planes (about the input's size), not kh*kw
 copies of it.  Both walk the flattened output in blocks so that a block's
-per-tap products stay in cache.  The input grad of a same-size stride-1
-conv is itself such a conv (Dumoulin & Visin 2016, arXiv:1603.07285, §4):
-the forward's block loop reads the output grad, laid out in a bordered
-buffer like the output's, with tap (i, j)'s transposed kernel matrix at
-offset ``(kh - 1 - i) * wq + kw - 1 - j``.  Any other conv scatters each
-tap's product back into phase-plane grads.
+per-tap products stay in cache.  The input grad of every conv is one
+stride-1 conv per phase plane (Dumoulin & Visin 2016, arXiv:1603.07285,
+§4): the output grad is laid out once after as many zeros as the farthest
+tap's offset, and the forward's block loop reads it with the transposed
+kernel matrix of each tap of that plane, in tap order, shifted back by the
+tap's offset.  It fills the plane rows that hold input pixels, whose
+input columns are those pixels' grads; at stride 1 they are the whole
+input grad, a view that ``_accum`` reads as it is.
 
 Zero-bordered buffers are a layout that ops produce, so that a stride-1
 conv rarely copies its input.  A map of (H, W) with border p lives in an
@@ -98,7 +100,7 @@ class Tensor:
 
     ``grad`` is zero-initialized on gradient-tracking leaves and accumulated
     by summation during :func:`backward`; callers zero it explicitly between
-    optimizer steps (see :func:`zero_grads`).  Op results are interior
+    optimizer steps (see :meth:`Adam.zero_grad`).  Op results are interior
     tensors: their ``grad`` stays ``None`` until backward first reaches them,
     and under :func:`no_grad` they track nothing at all.
     """
@@ -389,7 +391,14 @@ def _window(planes, phase, offset, blk):
     return planes[phase][..., offset + blk.start : offset + blk.stop]
 
 
-def _tap_loop(planes, kernels, first, out, blocks, act=None):
+def _blocks(length):
+    """Slices of ``length`` flattened output columns, in blocks of at least
+    ``_BLOCK`` columns (one block when shorter, none when empty)."""
+    step = max(1, -(-length // max(1, length // _BLOCK)))
+    return [slice(b, min(b + step, length)) for b in range(0, length, step)]
+
+
+def _tap_loop(planes, kernels, first, out, act=None):
     """Fill the (N, R, L) ``out`` block by block: ``first`` plus, in the
     order given, each (R, C) kernel matrix times its window of ``planes``.
 
@@ -397,11 +406,13 @@ def _tap_loop(planes, kernels, first, out, blocks, act=None):
     :func:`_window`; ``act`` is :func:`conv2d`'s activation, applied to each
     block in place.
     """
-    n, rows, _ = out.shape
-    step = blocks[0].stop - blocks[0].start
+    n, rows, length = out.shape
+    blocks = _blocks(length)
+    if not blocks:
+        return
     # a block accumulates in a contiguous buffer, as ufuncs run several
     # times faster on it than on a block's strided view of the output
-    prod = np.empty((n, rows, step), dtype=out.dtype)
+    prod = np.empty((n, rows, blocks[0].stop), dtype=out.dtype)
     for blk in blocks:
         m = blk.stop - blk.start
         acc, p = np.empty((n, rows, m), dtype=out.dtype), prod[..., :m]
@@ -441,20 +452,18 @@ def conv2d(x, kernel, bias, stride=1, padding=0, act=None):
         raise ValueError(
             f"conv2d: padded input {x.data.shape} smaller than kernel {kernel.data.shape}"
         )
-    if act not in (None, "relu") and not (isinstance(act, (int, float)) and 0.0 <= act <= 1.0):
+    slope = isinstance(act, (int, float)) and not isinstance(act, bool) and 0.0 <= act <= 1.0
+    if act not in (None, "relu") and not slope:
         raise ValueError(f"conv2d: act must be None, 'relu' or a slope in [0, 1], got {act!r}")
 
     s, dtype = stride, np.result_type(x.data, kernel.data, bias.data)
     ho, wo = _out_size(h, kh, s, padding), _out_size(w, kw, s, padding)
+    hq, wq = ho + (kh - 1) // s, wo + (kw - 1) // s
     layout = _layout(x) if s == 1 else None
-    in_place = layout is not None and layout[1] == padding and kw <= 2 * padding + 1
-    if in_place:
+    if layout is not None and layout[1] == padding and kw <= 2 * padding + 1:
         # the input's zero-bordered buffer is its one plane
         planes = layout[0][None, None]
-        hq, wq = h + 2 * padding, w + 2 * padding
-        size = planes.shape[-1]
     else:
-        hq, wq = ho + (kh - 1) // s, wo + (kw - 1) // s
         size = hq * wq + (kw - 1) // s  # the last tap's slice runs past row hq
         planes = np.zeros((s, s, n, cin, size), dtype=x.data.dtype)
         grid = planes[..., : hq * wq].reshape(s, s, n, cin, hq, wq)
@@ -463,36 +472,33 @@ def conv2d(x, kernel, bias, stride=1, padding=0, act=None):
     length = ho * wq
     taps = [(i, j, (i % s, j % s), (i // s) * wq + j // s) for i in range(kh) for j in range(kw)]
     ktap = np.ascontiguousarray(kernel.data.transpose(2, 3, 0, 1))  # (kh, kw, Cout, Cin)
-    step = -(-length // max(1, length // _BLOCK))
-    blocks = [slice(b, min(b + step, length)) for b in range(0, length, step)]
 
     # out[:, :, y*wq + x] is output pixel (y, x) for x < wo; the wq - wo
     # columns past it wrap into the next plane row.  A same-size stride-1
     # output is written into a bordered buffer of the same row width, where
     # those columns are the border and are zeroed after the activation.
     bordered = s == 1 and (ho, wo) == (h, w)
-    start = padding * wq + padding  # offset of the map in a stride-1 bordered buffer
     if bordered:
         buf, _ = _bordered(n, cout, ho, wo, padding, dtype)
+        start = padding * wq + padding
         out = buf[..., start : start + length]
     else:
         out = np.empty((n, cout, length), dtype=dtype)
     kernels = [(ktap[i, j], phase, offset) for i, j, phase, offset in taps]
-    _tap_loop(planes, kernels, bias.data[:, None], out, blocks, act)
+    _tap_loop(planes, kernels, bias.data[:, None], out, act)
     y = out.reshape(n, cout, ho, wq)
     if bordered:
         y[..., wo:] = 0
     y = y[..., :wo]
 
     def bw(g):
-        # the output grad in the (ho, wq) layout, zero in the wrap columns;
-        # for a same-size output, the interior of a bordered buffer like y's
-        if bordered:
-            gbuf, gv = _bordered(n, cout, ho, wo, padding, dtype)
-            gq = gbuf[..., start : start + length]
-        else:
-            gq = np.zeros((n, cout, length), dtype=dtype)
-            gv = gq.reshape(n, cout, ho, wq)[..., :wo]
+        # the output grad in the (ho, wq) layout, zero in the wrap columns,
+        # after as many zeros as the farthest tap's offset and padded with
+        # zeros to hq rows: every tap window below stays inside the buffer
+        front = taps[-1][3]
+        gbuf = np.zeros((n, cout, front + hq * wq), dtype=dtype)
+        gq = gbuf[..., front : front + length]
+        gv = gq.reshape(n, cout, ho, wq)[..., :wo]
         # masked as it is laid out: the output is positive exactly where its
         # pre-activation is, for any slope in [0, 1]
         if act == "relu":
@@ -508,7 +514,7 @@ def conv2d(x, kernel, bias, stride=1, padding=0, act=None):
             dk = np.zeros_like(ktap)
             # each block's tap products, summed over the batch once per block
             dkn = np.empty((kh, kw, n, cout, cin), dtype=dtype)
-            for blk in blocks:
+            for blk in _blocks(length):
                 gb = gq[..., blk]
                 for i, j, phase, offset in taps:
                     np.matmul(gb, _window(planes, phase, offset, blk).transpose(0, 2, 1), out=dkn[i, j])
@@ -516,29 +522,20 @@ def conv2d(x, kernel, bias, stride=1, padding=0, act=None):
             _accum(kernel, dk.transpose(2, 3, 0, 1))
         if not x.requires_grad:
             return
-        if bordered:
-            # a stride-1 conv of the bordered grad with the flipped,
-            # transposed kernel, through the forward's tap loop
-            flipped = [(ktap[i, j].T, (0, 0), (kh - 1 - i) * wq + kw - 1 - j) for i, j, _, _ in taps]
-            dxq = np.empty((n, cin, length), dtype=dtype)
-            _tap_loop(gbuf[None, None], flipped, 0, dxq, blocks)
-            _accum(x, dxq.reshape(n, cin, h, wq)[..., :w])
-            return
-        # otherwise each tap scatters its product into phase-plane grads
-        dplanes = np.zeros((s, s, n, cin, size), dtype=dtype)
-        dprod = np.empty((n, cin, step), dtype=dtype)
-        for blk in blocks:
-            gb, p = gq[..., blk], dprod[..., : blk.stop - blk.start]
-            for i, j, phase, offset in taps:
-                _window(dplanes, phase, offset, blk)[...] += np.matmul(ktap[i, j].T, gb, out=p)
-        if in_place:
-            # the taps read x's buffer: x's grad is the interior of theirs
-            dx = dplanes[0, 0][..., start : start + h * wq].reshape(n, cin, h, wq)[..., :w]
-        else:
-            dgrid = dplanes[..., : hq * wq].reshape(s, s, n, cin, hq, wq)
-            dx = np.zeros(x.data.shape, dtype=dtype)
-            for a, b, plane_win, x_win in _phase_windows(x.data.shape, s, padding, hq, wq):
-                dx[x_win] = dgrid[a, b][plane_win]
+        # a phase plane's grad is a stride-1 conv of the output grad: plane
+        # position r sums, over the taps that read the plane, the tap's
+        # transposed kernel times the grad at r - offset
+        dx = np.zeros(x.data.shape, dtype=dtype) if s > 1 else None
+        for a, b, (_, rows, cols), x_win in _phase_windows(x.data.shape, s, padding, hq, wq):
+            base = front + rows.start * wq
+            kernels = [(ktap[i, j].T, (0, 0), base - off) for i, j, ph, off in taps if ph == (a, b)]
+            part = np.empty((n, cin, (rows.stop - rows.start) * wq), dtype=dtype)
+            _tap_loop(gbuf[None, None], kernels, 0, part)
+            part = part.reshape(n, cin, rows.stop - rows.start, wq)[..., cols]
+            if s == 1:
+                dx = part
+            else:
+                dx[x_win] = part
         _accum(x, dx)
 
     return _result(y, (x, kernel, bias), bw, (buf, padding) if bordered else None)
@@ -712,12 +709,6 @@ def backward(loss):
             node._backward(node.grad)
             node._backward = None
             node._parents = ()
-
-
-def zero_grads(tensors):
-    for t in tensors:
-        if t.grad is not None:
-            t.grad[...] = 0.0
 
 
 # ---------------------------------------------------------------------------

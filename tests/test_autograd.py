@@ -113,6 +113,21 @@ def test_conv2d_zero_kernel_annihilates():
     assert np.all(out.data == 0)
 
 
+# edges of the phase-plane layout: stride 3, non-square kernels up to 5x5,
+# padding at least half the kernel or the whole kernel, trailing rows or
+# columns no tap reads ((h + 2p - k) % s != 0), n = 2
+CONV_EDGES = [  # n, cin, cout, kh, kw, stride, padding, h, w
+    (2, 2, 3, 3, 3, 3, 2, 8, 10),
+    (2, 1, 2, 5, 3, 2, 3, 7, 6),
+    (1, 2, 2, 2, 5, 3, 2, 6, 9),
+    (2, 3, 1, 4, 1, 3, 5, 2, 3),
+    (1, 2, 2, 5, 5, 1, 4, 3, 4),
+    (2, 2, 2, 1, 4, 2, 0, 7, 9),
+    (1, 1, 1, 3, 2, 3, 6, 1, 1),
+    (2, 2, 3, 5, 4, 2, 2, 11, 10),
+]
+
+
 def test_conv2d_matches_naive_oracle_random():
     rng = np.random.default_rng(2)
     for _ in range(10):
@@ -127,19 +142,7 @@ def test_conv2d_matches_naive_oracle_random():
         b = rng.uniform(-1, 1, cout)
         got = ag.conv2d(Tensor(x), Tensor(k), Tensor(b), stride=stride, padding=padding)
         np.testing.assert_allclose(got.data, conv2d_naive(x, k, b, stride, padding), atol=1e-12)
-    # edges of the phase-plane layout: stride 3, non-square kernels up to 5x5,
-    # padding at least half the kernel or the whole kernel, trailing rows or
-    # columns no tap reads ((h + 2p - k) % s != 0), n = 2
-    edges = [  # n, cin, cout, kh, kw, stride, padding, h, w
-        (2, 2, 3, 3, 3, 3, 2, 8, 10),
-        (2, 1, 2, 5, 3, 2, 3, 7, 6),
-        (1, 2, 2, 2, 5, 3, 2, 6, 9),
-        (2, 3, 1, 4, 1, 3, 5, 2, 3),
-        (1, 2, 2, 5, 5, 1, 4, 3, 4),
-        (2, 2, 2, 1, 4, 2, 0, 7, 9),
-        (1, 1, 1, 3, 2, 3, 6, 1, 1),
-        (2, 2, 3, 5, 4, 2, 2, 11, 10),
-    ]
+    edges = list(CONV_EDGES)
     for _ in range(12):
         kh, kw, stride, padding = (int(v) for v in rng.integers(1, (6, 6, 4, 7)))
         h = int(rng.integers(max(1, kh - 2 * padding), kh + 7))
@@ -162,6 +165,8 @@ def test_conv2d_block_split_matches_one_block(monkeypatch):
         (1, 3, 2, 3, 4, 2, 1, 11, 10),
         (2, 2, 2, 5, 2, 3, 2, 10, 8),
         (1, 4, 1, 1, 1, 1, 0, 6, 5),
+        (1, 2, 3, 1, 1, 2, 0, 9, 8),  # three of the four phases get no tap
+        (2, 2, 2, 3, 3, 1, 0, 8, 7),  # valid, not same-size
     ]:
         arrays = [
             rng.uniform(-1, 1, (n, cin, h, w)),
@@ -181,6 +186,32 @@ def test_conv2d_block_split_matches_one_block(monkeypatch):
             for got, want in zip(run(), whole):
                 np.testing.assert_allclose(got, want, atol=1e-12)
             monkeypatch.undo()
+
+
+@pytest.mark.parametrize("bordered", [False, True])
+@pytest.mark.parametrize("geometry", CONV_EDGES + [(1, 3, 2, 3, 3, 2, 1, 200, 200)])
+def test_conv2d_input_grad_is_the_forward_adjoint(geometry, bordered):
+    # <dx, v> == <conv(v) - b, g> for the output grad g, at phases and rows
+    # no tap reads and, at 200x200 stride 2, phase grads of several blocks;
+    # a bordered input (a same-size identity conv's output) is read in
+    # place at stride 1, also by a kernel smaller than 2p + 1
+    n, cin, cout, kh, kw, stride, padding, h, w = geometry
+    rng = np.random.default_rng(34)
+    x, v = rng.uniform(-1, 1, (2, n, cin, h, w))
+    k, b = rng.uniform(-1, 1, (cout, cin, kh, kw)), rng.uniform(-1, 1, cout)
+    xt = Tensor(x, requires_grad=True)
+    src = xt
+    if bordered:
+        eye = np.zeros((cin, cin, 2 * padding + 1, 2 * padding + 1))
+        eye[range(cin), range(cin), padding, padding] = 1
+        src = ag.conv2d(xt, Tensor(eye), Tensor(np.zeros(cin)), 1, padding)
+        assert src._buffer[1] == padding
+    out = ag.conv2d(src, Tensor(k), Tensor(b), stride, padding)
+    g = rng.uniform(-1, 1, out.data.shape)
+    ag.backward(weighted_sum(out, g))
+    conv_v = conv2d_naive(v, k, np.zeros(cout), stride, padding)
+    got, want = float((xt.grad * v).sum()), float((conv_v * g).sum())
+    assert abs(got - want) <= 1e-12 * float(np.abs(xt.grad * v).sum()), (got, want)
 
 
 def test_conv2d_1x1_reads_input_in_place():
@@ -547,7 +578,7 @@ def test_conv2d_activation_equals_standalone_ops():
                     assert got.dtype == dtype and got.tobytes() == want.tobytes()
 
 
-@pytest.mark.parametrize("act", [-0.1, 1.5, "tanh"])
+@pytest.mark.parametrize("act", [-0.1, 1.5, "tanh", True, False])
 def test_conv2d_rejects_unknown_activation(act):
     zeros = Tensor(np.zeros((1, 1, 3, 3)))
     with pytest.raises(ValueError):
@@ -700,8 +731,8 @@ def test_grad_conv2d_reading_a_bordered_input(act):
 @pytest.mark.parametrize("act", ["relu", 0.2, None])
 def test_conv2d_same_size_input_grad_across_blocks(act):
     # a same-size stride-1 input grad is the forward's tap loop over the
-    # bordered output grad with the flipped, transposed kernel; 120 rows of
-    # 122 flattened columns make several blocks
+    # zero-padded output grad with the flipped, transposed kernel; 120 rows
+    # of 122 flattened columns make several blocks
     rng = np.random.default_rng(32)
     n, cin, cout, h, w = 1, 4, 3, 120, 120
     assert h * (w + 2) >= 2 * ag._BLOCK

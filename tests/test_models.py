@@ -156,7 +156,8 @@ def test_generator_bit_equal_to_standalone_ops(shape, kernel_size, monkeypatch):
     w = np.random.default_rng(8).uniform(-1, 1, (shape[0], 1) + shape[2:]).astype(np.float32)
     runs = []
     for forward in (models.generator_forward, generator_forward_oracle):
-        ag.zero_grads(g.params.values())
+        for p in g.params.values():
+            p.grad[...] = 0
         out = forward(g, x)
         ag.backward(ag.global_mean(ag.mul(out, Tensor(w))))
         runs.append([out.data] + [p.grad.copy() for p in g.params.values()])
@@ -172,7 +173,8 @@ def test_discriminator_bit_equal_to_standalone_ops(variant):
     y = Tensor(y.data, requires_grad=True)
     runs = []
     for forward in (models.discriminator_forward, discriminator_forward_oracle):
-        ag.zero_grads(list(d.params.values()) + [y])
+        for t in list(d.params.values()) + [y]:
+            t.grad[...] = 0
         out = forward(d, x, y)
         ag.backward(ag.global_mean(ag.mul(out, out)))
         runs.append([out.data, y.grad.copy()] + [p.grad.copy() for p in d.params.values()])
